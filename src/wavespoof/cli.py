@@ -28,7 +28,7 @@ from .experiment import (
     run_matrix,
 )
 from .features import LfccConfig, get_extractor, load_features, save_features
-from .genuinize import GenuinizeParams, genuinize_basic, genuinize_perturbed, genuinize_random
+from .genuinize import GenuinizeParams, genuinize
 from .gmm import (
     ScoreSet,
     Trial,
@@ -196,23 +196,19 @@ def _cmd_estimate_pmf(args) -> int:
     return 0
 
 
-def _target_cdf(args):
-    if args.target is None:
-        raise ConfigError(f"--mode {args.mode} requires --target")
-    return cdf_from_pmf(load_pmf(args.target))
-
-
-def _genuinize_one(args, src, ordinal: int, target, pool):
-    if args.mode == "basic":
-        return genuinize_basic(src, target)
-    if args.mode == "perturbed":
-        params = GenuinizeParams(mode="perturbed", extra_bits=args.d_bits, seed=args.seed)
-        return genuinize_perturbed(src, target, params, ordinal=ordinal)
-    params = GenuinizeParams(mode="random", extra_bits=args.d_bits, seed=args.seed)
-    return genuinize_random(src, pool, params, ordinal=ordinal)
+def _target_and_pool(args, pool_paths, missing_pool: str):
+    """Target CDF (basic, perturbed) or reference CDF pool (random)."""
+    if args.mode != "random":
+        if args.target is None:
+            raise ConfigError(f"--mode {args.mode} requires --target")
+        return cdf_from_pmf(load_pmf(args.target)), None
+    if not pool_paths:
+        raise ConfigError(missing_pool)
+    return None, [cdf_from_pmf(estimate_pmf([read_wav(p)])) for p in pool_paths]
 
 
 def _cmd_genuinize(args) -> int:
+    params = GenuinizeParams(mode=args.mode, extra_bits=args.d_bits, seed=args.seed)
     batch = args.manifest is not None
     if batch:
         if args.out_dir is None:
@@ -221,13 +217,12 @@ def _cmd_genuinize(args) -> int:
             raise ConfigError("use either a manifest or an input/output pair, not both")
         entries = read_manifest_csv(args.manifest)
         manifest = DatasetManifest(entries=entries, root=str(Path(args.manifest).resolve().parent))
-        target = _target_cdf(args) if args.mode in ("basic", "perturbed") else None
-        pool = None
+        pool_paths = None
         if args.mode == "random":
-            pool = [manifest.resolve(e) for _, e in manifest.select(args.pool_selector)]
-            if not pool:
-                raise ConfigError(f"selector {args.pool_selector!r} matches no manifest rows")
-            pool = [read_wav(p) for p in pool]
+            pool_paths = [manifest.resolve(e) for _, e in manifest.select(args.pool_selector)]
+        target, pool = _target_and_pool(
+            args, pool_paths, f"selector {args.pool_selector!r} matches no manifest rows"
+        )
         suffix = ".rgen.wav" if args.mode == "random" else ".gen.wav"
         for ordinal, entry in enumerate(manifest.entries):
             if args.subset and entry.subset != args.subset:
@@ -235,7 +230,7 @@ def _cmd_genuinize(args) -> int:
             if args.label and entry.label != args.label:
                 continue
             src = read_wav(manifest.resolve(entry))
-            out = _genuinize_one(args, src, ordinal, target, pool)
+            out = genuinize(src, params, target=target, pool=pool, ordinal=ordinal)
             rel = Path(entry.path)
             name = rel.name[: -len(".wav")] + suffix if rel.name.endswith(".wav") else rel.name + suffix
             dest = Path(args.out_dir) / rel.parent / name
@@ -245,14 +240,8 @@ def _cmd_genuinize(args) -> int:
     if len(args.paths) != 2:
         raise ConfigError("single-file genuinize takes exactly: input.wav output.wav")
     src = read_wav(args.paths[0])
-    if args.mode == "random":
-        if not args.pool:
-            raise ConfigError("--mode random requires --pool")
-        pool = [read_wav(p) for p in args.pool]
-        out = _genuinize_one(args, src, args.ordinal, None, pool)
-    else:
-        out = _genuinize_one(args, src, args.ordinal, _target_cdf(args), None)
-    write_wav(args.paths[1], out)
+    target, pool = _target_and_pool(args, args.pool, "--mode random requires --pool")
+    write_wav(args.paths[1], genuinize(src, params, target=target, pool=pool, ordinal=args.ordinal))
     return 0
 
 
@@ -279,13 +268,17 @@ def _cmd_extract_features(args) -> int:
 
 
 def _cmd_train_gmm(args) -> int:
-    rows = np.vstack([load_features(p).frames for p in args.inputs])
+    caches = [load_features(p) for p in args.inputs]
+    kinds = sorted({(fm.meta or "-", fm.num_coeffs) for fm in caches})
+    if len(kinds) > 1:
+        raise ConfigError(f"feature caches disagree on (fingerprint, width): {kinds}")
     model = train_gmm(
-        rows,
+        np.vstack([fm.frames for fm in caches]),
         k=args.components,
         iters=args.iters,
         seed=args.seed,
         provenance=args.provenance,
+        feature_fingerprint=caches[0].meta,
     )
     save_gmm(args.out, model)
     return 0
@@ -310,11 +303,17 @@ def _cmd_score(args) -> int:
         if args.label is None:
             raise ConfigError("scoring bare WAVs requires --label")
         jobs = [(str(p), args.label, p) for p in args.inputs]
+    recorded = {m.feature_fingerprint for m in (genuine_model, spoof_model)} - {""}
     trials = []
     for file_id, label, path in jobs:
-        rows = _extract(args, path).frames
+        features = _extract(args, path)
+        if recorded and recorded != {features.meta}:
+            raise ConfigError(
+                f"models were trained on features {sorted(recorded)}, "
+                f"but this extraction gives {features.meta or '-'}"
+            )
         trials.append(Trial(file_id=file_id, label=label,
-                            score=score_trial(genuine_model, spoof_model, rows)))
+                            score=score_trial(genuine_model, spoof_model, features.frames)))
     save_scores(args.out, ScoreSet(trials=tuple(trials)))
     return 0
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import os
 import tempfile
 import threading
@@ -41,7 +42,7 @@ import numpy as np
 
 from .errors import ConfigError, InputError, ToolError
 from .features import LfccConfig, get_extractor
-from .genuinize import GenuinizeParams, genuinize_perturbed, genuinize_random
+from .genuinize import GenuinizeParams, genuinize
 from .gmm import GmmModel, eer_from_scores, score_trial, train_gmm
 from .pmf import cdf_from_pmf, estimate_pmf
 from .waveform import read_wav
@@ -54,6 +55,12 @@ SUBSETS = ("train", "test")
 _MANIFEST_HEADER = "path,label,subset"
 _RESULTS_HEADER = "feature,h_train,s_train,attacker,cm,eer,genuine_trials,spoof_trials,seconds"
 _SEED_MASK = (1 << 64) - 1
+# ScenarioResult fields a result cache entry stores next to its spec key.
+_CACHED_FIELDS = ("eer", "genuine_trials", "spoof_trials", "seconds")
+# Genuinization mode behind each treating action ("N" leaves files as they are).
+_ACTION_MODES = {"G": "perturbed", "R": "random"}
+
+logger = logging.getLogger(__name__)
 
 
 class SeedRole(IntEnum):
@@ -314,8 +321,8 @@ def apply_action(
     side="attacker" touches spoof-labelled files only; side="countermeasure"
     touches every file. action "N" returns the inputs unchanged, "G" applies
     perturbed genuinization toward target, "R" applies random genuinization
-    against pool. ordinals feed the per-file RNG streams (defaults to
-    positions within the list).
+    against the CDFs of the pool's waveforms (built once per call). ordinals
+    feed the per-file RNG streams (defaults to positions within the list).
     """
     if side not in ("attacker", "countermeasure"):
         raise InputError(f"side must be attacker or countermeasure; got {side!r}")
@@ -333,17 +340,14 @@ def apply_action(
         raise ConfigError("action R requires a non-empty reference pool")
     if ordinals is None:
         ordinals = range(len(waveforms))
-    out = []
-    for w, label, ordinal in zip(waveforms, labels, ordinals):
-        if side == "attacker" and label == "genuine":
-            out.append(w)
-        elif action == "G":
-            params = GenuinizeParams(mode="perturbed", extra_bits=extra_bits, seed=seed)
-            out.append(genuinize_perturbed(w, target, params, ordinal=ordinal))
-        else:
-            params = GenuinizeParams(mode="random", extra_bits=extra_bits, seed=seed)
-            out.append(genuinize_random(w, pool, params, ordinal=ordinal))
-    return out
+    if action == "R":
+        pool = [cdf_from_pmf(estimate_pmf([w])) for w in pool]
+    params = GenuinizeParams(mode=_ACTION_MODES[action], extra_bits=extra_bits, seed=seed)
+    return [
+        w if side == "attacker" and label == "genuine"
+        else genuinize(w, params, target=target, pool=pool, ordinal=ordinal)
+        for w, label, ordinal in zip(waveforms, labels, ordinals)
+    ]
 
 
 class _MatrixRunner:
@@ -358,6 +362,7 @@ class _MatrixRunner:
         self._lock = threading.Lock()
         self._waveforms = {}
         self._targets = {}
+        self._pools = {}
         self._transformed = {}
         self._features = {}
         self._models = {}
@@ -389,18 +394,24 @@ class _MatrixRunner:
         return self._memo(self._targets, selector, build)
 
     def pool(self, selector: str):
-        return [self.waveform(i) for i, _ in self.manifest.select(selector)]
+        def build():
+            rows = self.manifest.select(selector)
+            return [cdf_from_pmf(estimate_pmf([self.waveform(i)])) for i, _ in rows]
+
+        return self._memo(self._pools, selector, build)
 
     # -- transform / feature pipeline --------------------------------------
 
     def _apply_step(self, w, step, ordinal: int):
-        kind, role, selector = step
-        seed = role_seed(self.config.seed, role)
-        if kind == "G":
-            params = GenuinizeParams(mode="perturbed", extra_bits=self.config.extra_bits, seed=seed)
-            return genuinize_perturbed(w, self.target_cdf(selector), params, ordinal=ordinal)
-        params = GenuinizeParams(mode="random", extra_bits=self.config.extra_bits, seed=seed)
-        return genuinize_random(w, self.pool(selector), params, ordinal=ordinal)
+        action, role, selector = step
+        params = GenuinizeParams(
+            mode=_ACTION_MODES[action],
+            extra_bits=self.config.extra_bits,
+            seed=role_seed(self.config.seed, role),
+        )
+        if action == "G":
+            return genuinize(w, params, target=self.target_cdf(selector), ordinal=ordinal)
+        return genuinize(w, params, pool=self.pool(selector), ordinal=ordinal)
 
     def transformed(self, index: int, chain: tuple):
         if not chain:
@@ -529,26 +540,21 @@ class _MatrixRunner:
         path = self._result_path(spec)
         if path is None or not path.is_file():
             return None
-        data = json.loads(path.read_text())
-        return ScenarioResult(
-            spec=spec,
-            eer=data["eer"],
-            genuine_trials=data["genuine_trials"],
-            spoof_trials=data["spoof_trials"],
-            seconds=data["seconds"],
-        )
+        try:
+            data = json.loads(path.read_text())
+            if data["spec"] != spec.key():
+                raise ValueError(f"entry holds scenario {data['spec']!r}")
+            return ScenarioResult(spec=spec, **{name: data[name] for name in _CACHED_FIELDS})
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            logger.warning("recomputing %s: unusable cache entry %s (%s)", spec.key(), path, exc)
+            return None
 
     def _store(self, result: ScenarioResult) -> None:
         path = self._result_path(result.spec)
         if path is None or result.error is not None:
             return
-        data = {
-            "spec": result.spec.key(),
-            "eer": result.eer,
-            "genuine_trials": result.genuine_trials,
-            "spoof_trials": result.spoof_trials,
-            "seconds": result.seconds,
-        }
+        data = {name: getattr(result, name) for name in _CACHED_FIELDS}
+        data["spec"] = result.spec.key()
         handle, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         with os.fdopen(handle, "w") as fh:
             fh.write(json.dumps(data, sort_keys=True))
@@ -570,11 +576,6 @@ class _MatrixRunner:
                 spec=spec, eer=None, genuine_trials=0, spoof_trials=0, seconds=0.0,
                 error=f"{type(exc).__name__}: {exc}",
             )
-
-
-def prepare_training(manifest: DatasetManifest, spec: ScenarioSpec, config: RunConfig):
-    """Train the (genuine, spoof) model pair a scenario needs."""
-    return _MatrixRunner(manifest, config).models_for(spec)
 
 
 def run_scenario(

@@ -111,16 +111,8 @@ def append_deltas(m: np.ndarray, window: int = 2) -> np.ndarray:
     return np.concatenate([m, d1, d2], axis=1)
 
 
-def lfcc(w: Waveform, cfg: LfccConfig | None = None) -> FeatureMatrix:
-    """Extract LFCC(+energy) with deltas and delta-deltas.
-
-    Frames are Hamming-windowed, zero-padded to fft_size, and reduced to
-    num_filters triangular-filterbank energies on the power spectrum; logs
-    are floored at 1e-12 before an orthonormal DCT-II. Output width is
-    (num_ceps + energy) * 3.
-    """
-    if cfg is None:
-        cfg = LfccConfig()
+def _framed_log_energies(w: Waveform, cfg: LfccConfig):
+    """Frames of w and their log filterbank energies (the DCT input)."""
     frame_len = int(round(cfg.frame_len_ms * w.sample_rate / 1000.0))
     hop = int(round(cfg.frame_hop_ms * w.sample_rate / 1000.0))
     if frame_len < 2 or hop < 1:
@@ -136,7 +128,20 @@ def lfcc(w: Waveform, cfg: LfccConfig | None = None) -> FeatureMatrix:
     power = spectrum.real**2 + spectrum.imag**2
     bank = _linear_filterbank(cfg.num_filters, cfg.fft_size, w.sample_rate)
     filterbank_energies = power @ bank.T
-    log_energies = np.log(np.maximum(filterbank_energies, LOG_FLOOR))
+    return frames, np.log(np.maximum(filterbank_energies, LOG_FLOOR))
+
+
+def lfcc(w: Waveform, cfg: LfccConfig | None = None) -> FeatureMatrix:
+    """Extract LFCC(+energy) with deltas and delta-deltas.
+
+    Frames are Hamming-windowed, zero-padded to fft_size, and reduced to
+    num_filters triangular-filterbank energies on the power spectrum; logs
+    are floored at 1e-12 before an orthonormal DCT-II. Output width is
+    (num_ceps + energy) * 3.
+    """
+    if cfg is None:
+        cfg = LfccConfig()
+    frames, log_energies = _framed_log_energies(w, cfg)
     ceps = scipy.fft.dct(log_energies, type=2, norm="ortho", axis=1)[:, : cfg.num_ceps]
     columns = [ceps]
     if cfg.include_energy:
@@ -148,16 +153,7 @@ def lfcc(w: Waveform, cfg: LfccConfig | None = None) -> FeatureMatrix:
 
 def filterbank_log_energies(w: Waveform, cfg: LfccConfig | None = None) -> np.ndarray:
     """Log filterbank energies only (the DCT input), for diagnostics."""
-    if cfg is None:
-        cfg = LfccConfig()
-    frame_len = int(round(cfg.frame_len_ms * w.sample_rate / 1000.0))
-    hop = int(round(cfg.frame_hop_ms * w.sample_rate / 1000.0))
-    amp = index_to_amp(w.samples)
-    frames = sliding_window_view(amp, frame_len)[::hop]
-    spectrum = np.fft.rfft(frames * np.hamming(frame_len), n=cfg.fft_size, axis=1)
-    power = spectrum.real**2 + spectrum.imag**2
-    bank = _linear_filterbank(cfg.num_filters, cfg.fft_size, w.sample_rate)
-    return np.log(np.maximum(power @ bank.T, LOG_FLOOR))
+    return _framed_log_energies(w, cfg or LfccConfig())[1]
 
 
 _EXTRACTORS = {}

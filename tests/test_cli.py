@@ -134,6 +134,34 @@ def test_score_bare_wavs_need_label(corpus, tmp_path):
                  "--out", str(tmp_path / "s.csv"), wav]) == 0
 
 
+def test_feature_fingerprints_flow_from_caches_to_scoring(corpus, tmp_path, capsys):
+    wav = wavs(corpus, "train", "genuine")[0]
+    caches = {}
+    for name, flags in (("base", []), ("hop", ["--hop-ms", "5"]), ("narrow", ["--no-energy"])):
+        caches[name] = str(tmp_path / f"{name}.feat")
+        assert main(["extract-features", "--fft-size", "256", *flags,
+                     "--out", caches[name], wav]) == 0
+    train = ["train-gmm", "--components", "1", "--iters", "1"]
+    model = str(tmp_path / "m.gmm")
+    assert main([*train, "--out", model, caches["base"], caches["base"]]) == 0
+    fingerprint = load_gmm(model).feature_fingerprint
+    assert fingerprint.startswith("lfcc-")
+    assert fingerprint == load_features(caches["base"]).meta
+
+    # mixed fingerprints (same width), then mixed fingerprints and widths
+    for other in ("hop", "narrow"):
+        capsys.readouterr()
+        assert main([*train, "--out", str(tmp_path / "x.gmm"), caches["base"], caches[other]]) == 6
+        assert "error: ConfigError:" in capsys.readouterr().err
+
+    score = ["score", "--label", "genuine", "--genuine-model", model, "--spoof-model", model,
+             "--out", str(tmp_path / "s.csv")]
+    assert main([*score, "--fft-size", "256", wav]) == 0
+    capsys.readouterr()
+    assert main([*score, "--fft-size", "256", "--hop-ms", "5", wav]) == 6
+    assert "error: ConfigError:" in capsys.readouterr().err
+
+
 def test_run_matrix_cli(corpus, tmp_path, capsys):
     out = tmp_path / "results.csv"
     cache = tmp_path / "cache"

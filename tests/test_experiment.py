@@ -1,4 +1,5 @@
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -263,6 +264,28 @@ def test_matrix_resume_equals_fresh_except_timing(corpus, tmp_path):
         return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
 
     assert strip_seconds(csv_full) == strip_seconds(csv_resumed)
+
+
+def test_matrix_recomputes_unusable_cache_entries(corpus, tmp_path, caplog):
+    _, _, manifest, config = corpus
+    cache = tmp_path / "cache"
+    csv_full = tmp_path / "full.csv"
+    csv_healed = tmp_path / "healed.csv"
+    run_matrix(manifest, config, cache_dir=cache, out_csv=csv_full)
+    truncated, misplaced, donor = sorted((cache / "results").glob("*.json"))[:3]
+    truncated.write_bytes(truncated.read_bytes()[:10])
+    misplaced.write_bytes(donor.read_bytes())  # another scenario's entry
+    with caplog.at_level(logging.WARNING, logger="wavespoof.experiment"):
+        run_matrix(manifest, config, cache_dir=cache, out_csv=csv_healed)
+
+    def strip_seconds(path):
+        return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+
+    assert strip_seconds(csv_full) == strip_seconds(csv_healed)
+    assert sum("unusable cache entry" in r.getMessage() for r in caplog.records) == 2
+    healed = json.loads(misplaced.read_text())["spec"]
+    assert healed != json.loads(donor.read_text())["spec"]
+    assert json.loads(truncated.read_text())["spec"]
 
 
 def test_matrix_parallel_equals_serial(corpus, tmp_path):

@@ -79,6 +79,12 @@ def test_dct_is_orthonormal_on_log_energies():
     )
 
 
+def test_filterbank_log_energies_shares_lfcc_validation():
+    short = _wave_from_amps(np.full(50, 0.1), rate=8000)
+    with pytest.raises(InputError):
+        filterbank_log_energies(short, LfccConfig(fft_size=256))  # 50 samples < 160-sample frame
+
+
 def test_append_deltas_matches_loop_oracle():
     rng = np.random.default_rng(10)
     m = rng.normal(size=(9, 4))

@@ -14,6 +14,7 @@ from wavespoof import (
     Waveform,
     cdf_from_pmf,
     estimate_pmf,
+    extend_cdf,
     file_streams,
     genuinize_basic,
     genuinize_perturbed,
@@ -188,7 +189,7 @@ def test_random_pool_of_one_equals_perturbed():
     ref_cdf = cdf_from_pmf(estimate_pmf([reference], num_levels=8))
     rparams = GenuinizeParams(mode="random", extra_bits=4, seed=13)
     pparams = GenuinizeParams(mode="perturbed", extra_bits=4, seed=13)
-    a = genuinize_random(src, [reference], rparams, ordinal=6, num_levels=8)
+    a = genuinize_random(src, [ref_cdf], rparams, ordinal=6)
     b = genuinize_perturbed(src, ref_cdf, pparams, ordinal=6)
     assert np.array_equal(a.samples, b.samples)
 
@@ -199,7 +200,8 @@ def test_random_choice_stream_picks_frozen_reference():
     src = _wave(rng.integers(1, 9, size=100))
     pool = [_wave(rng.integers(1, 9, size=200)) for _ in range(5)]
     params = GenuinizeParams(mode="random", extra_bits=2, seed=11)
-    out = genuinize_random(src, pool, params, ordinal=3, num_levels=8)
+    pool_cdfs = [cdf_from_pmf(estimate_pmf([w], num_levels=8)) for w in pool]
+    out = genuinize_random(src, pool_cdfs, params, ordinal=3)
     chosen = cdf_from_pmf(estimate_pmf([pool[2]], num_levels=8))
     pparams = GenuinizeParams(mode="perturbed", extra_bits=2, seed=11)
     assert np.array_equal(
@@ -212,7 +214,8 @@ def test_random_redraws_reference_per_ordinal():
     src = _wave(rng.integers(1, 9, size=2000))
     pool = [_wave(rng.integers(1, 9, size=300)) for _ in range(8)]
     params = GenuinizeParams(mode="random", extra_bits=5, seed=21)
-    outs = [genuinize_random(src, pool, params, ordinal=i, num_levels=8) for i in range(4)]
+    pool_cdfs = [cdf_from_pmf(estimate_pmf([w], num_levels=8)) for w in pool]
+    outs = [genuinize_random(src, pool_cdfs, params, ordinal=i) for i in range(4)]
     distinct = {tuple(o.samples.tolist()) for o in outs}
     assert len(distinct) > 1
 
@@ -221,7 +224,7 @@ def test_mode_and_pool_validation():
     src = _wave([1, 2, 3])
     pparams = GenuinizeParams(mode="perturbed", extra_bits=2, seed=0)
     with pytest.raises(InputError):
-        genuinize_random(src, [src], pparams)
+        genuinize_random(src, [TARGET8], pparams)
     rparams = GenuinizeParams(mode="random")
     with pytest.raises(InputError):
         genuinize_perturbed(src, TARGET8, rparams)
@@ -259,3 +262,38 @@ def test_output_distribution_approaches_target():
     out_mass = np.bincount(out.samples - 1, minlength=levels) / out.samples.size
     assert tv_distance(out_mass, target_mass) < 0.05
     assert tv_distance(out_mass, target_mass) < 0.2 * tv_distance(source_mass, target_mass)
+
+
+def _grid_source(kind, rng):
+    levels = 1 << 16
+    if kind == "sparse":  # a few samples scattered over the whole grid
+        return rng.integers(1, levels + 1, size=40)
+    if kind == "gapped":  # a handful of levels with wide empty runs between
+        return rng.choice(rng.integers(1, levels + 1, size=7), size=3000)
+    # peaked: a narrow Laplacian around the grid centre, mostly a few atoms
+    samples = np.round(rng.laplace(32768.5, 3.0, size=5000))
+    return np.clip(samples, 1, levels).astype(np.int64)
+
+
+@pytest.mark.parametrize("d", [0, 3, 5])
+@pytest.mark.parametrize("kind", ["sparse", "gapped", "peaked"])
+def test_occupied_level_kernel_matches_full_grid_table(kind, d):
+    # the kernel builds segment values for occupied levels only; this pins
+    # it to a lookup in the full 2**16 x 2**d extended source CDF
+    rng = np.random.default_rng(70 + d)
+    src = _wave(_grid_source(kind, rng))
+    counts = rng.integers(0, 4, size=1 << 16)
+    counts[:1000] = 0  # leading zero mass exercises the fallback
+    target = _cdf_from_counts(counts)
+    params = GenuinizeParams(mode="perturbed", extra_bits=d, seed=29)
+    out = genuinize_perturbed(src, target, params, ordinal=5)
+
+    sub = 1 << d
+    table = extend_cdf(estimate_pmf([src]), d).cum
+    dither_rng, _ = file_streams(29, 5)
+    noise = dither_rng.integers(0, sub, size=src.samples.size)
+    q = np.searchsorted(target.cum, table[src.samples * sub - noise - 1], side="right")
+    q[q == 0] = np.searchsorted(target.cum, 0.0, side="right") + 1
+    assert np.array_equal(out.samples, q)
+    if d == 0:
+        assert np.array_equal(genuinize_basic(src, target).samples, q)
