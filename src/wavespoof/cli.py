@@ -18,8 +18,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .errors import ConfigError, InputError, ToolError
 from .experiment import (
     DatasetManifest,
@@ -27,7 +25,7 @@ from .experiment import (
     read_manifest_csv,
     run_matrix,
 )
-from .features import LfccConfig, get_extractor, load_features, save_features
+from .features import LfccConfig, get_extractor, load_features, save_features, stack_features
 from .genuinize import GenuinizeParams, genuinize
 from .gmm import (
     ScoreSet,
@@ -257,9 +255,7 @@ def _cmd_vad(args) -> int:
 
 
 def _extract(args, path):
-    extractor = get_extractor(args.feature)
-    cfg = _lfcc_config(args) if args.feature == "lfcc" else None
-    return extractor(read_wav(path), cfg)
+    return get_extractor(args.feature)(read_wav(path), _lfcc_config(args))
 
 
 def _cmd_extract_features(args) -> int:
@@ -268,17 +264,14 @@ def _cmd_extract_features(args) -> int:
 
 
 def _cmd_train_gmm(args) -> int:
-    caches = [load_features(p) for p in args.inputs]
-    kinds = sorted({(fm.meta or "-", fm.num_coeffs) for fm in caches})
-    if len(kinds) > 1:
-        raise ConfigError(f"feature caches disagree on (fingerprint, width): {kinds}")
+    rows, fingerprint = stack_features([load_features(p) for p in args.inputs])
     model = train_gmm(
-        np.vstack([fm.frames for fm in caches]),
+        rows,
         k=args.components,
         iters=args.iters,
         seed=args.seed,
         provenance=args.provenance,
-        feature_fingerprint=caches[0].meta,
+        feature_fingerprint=fingerprint,
     )
     save_gmm(args.out, model)
     return 0
@@ -313,7 +306,7 @@ def _cmd_score(args) -> int:
                 f"but this extraction gives {features.meta or '-'}"
             )
         trials.append(Trial(file_id=file_id, label=label,
-                            score=score_trial(genuine_model, spoof_model, features.frames)))
+                            score=score_trial(genuine_model, spoof_model, features)))
     save_scores(args.out, ScoreSet(trials=tuple(trials)))
     return 0
 

@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, InputError, ToolError
-from .features import LfccConfig, get_extractor
+from .features import FeatureMatrix, LfccConfig, get_extractor, stack_features
 from .genuinize import GenuinizeParams, genuinize
 from .gmm import GmmModel, eer_from_scores, score_trial, train_gmm
 from .pmf import cdf_from_pmf, estimate_pmf
@@ -260,6 +260,10 @@ def load_run_setup(manifest_csv, config_json=None, seed=None, workers=None):
         unknown = set(raw) - _CONFIG_KEYS
         if unknown:
             raise ConfigError(f"{config_json}: unknown config keys {sorted(unknown)}")
+        for key in ("seed", "gmm_components", "em_iters", "extra_bits", "workers"):
+            value = raw.get(key, 0)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{config_json}: {key!r} must be an integer; got {value!r}")
     manifest = DatasetManifest(
         entries=entries,
         attacker_pmf_source=raw.get("attacker_pmf_source", "test:genuine"),
@@ -275,6 +279,8 @@ def load_run_setup(manifest_csv, config_json=None, seed=None, workers=None):
         features = [raw.get("feature", "lfcc")]
     if isinstance(features, str):
         features = [features]
+    if not isinstance(features, list) or not all(isinstance(f, str) for f in features):
+        raise ConfigError(f"{config_json}: features must be a string or a list of strings")
     try:
         lfcc_cfg = LfccConfig(**raw.get("lfcc", {}))
     except TypeError as exc:
@@ -282,9 +288,9 @@ def load_run_setup(manifest_csv, config_json=None, seed=None, workers=None):
     config = RunConfig(
         seed=int(seed),
         features=tuple(features),
-        gmm_components=int(raw.get("gmm_components", 512)),
-        em_iters=int(raw.get("em_iters", 10)),
-        extra_bits=int(raw.get("extra_bits", 5)),
+        gmm_components=raw.get("gmm_components", 512),
+        em_iters=raw.get("em_iters", 10),
+        extra_bits=raw.get("extra_bits", 5),
         lfcc=lfcc_cfg,
         workers=int(workers if workers is not None else raw.get("workers", 1)),
     )
@@ -422,16 +428,11 @@ class _MatrixRunner:
 
         return self._memo(self._transformed, (index, chain), build)
 
-    def features(self, index: int, chain: tuple, feature: str) -> np.ndarray:
+    def features(self, index: int, chain: tuple, feature: str) -> FeatureMatrix:
         def build():
-            extractor = get_extractor(feature)
-            cfg = self.config.lfcc if feature == "lfcc" else None
-            return extractor(self.transformed(index, chain), cfg).frames
+            return get_extractor(feature)(self.transformed(index, chain), self.config.lfcc)
 
         return self._memo(self._features, (index, chain, feature), build)
-
-    def _feature_fingerprint(self, feature: str) -> str:
-        return self.config.lfcc.fingerprint() if feature == "lfcc" else feature
 
     # -- training ----------------------------------------------------------
 
@@ -444,18 +445,16 @@ class _MatrixRunner:
     def model(self, label: str, provenance: str, feature: str) -> GmmModel:
         def build():
             chain = self._train_chain(label, provenance)
-            rows = [
-                self.features(i, chain, feature)
-                for i, _ in self.manifest.select(f"train:{label}")
-            ]
+            train = self.manifest.select(f"train:{label}")
+            rows, fingerprint = stack_features([self.features(i, chain, feature) for i, _ in train])
             role = SeedRole.MODEL_GENUINE if label == "genuine" else SeedRole.MODEL_SPOOF
             return train_gmm(
-                np.vstack(rows),
+                rows,
                 k=self.config.gmm_components,
                 iters=self.config.em_iters,
                 seed=role_seed(self.config.seed, role),
                 provenance=provenance,
-                feature_fingerprint=self._feature_fingerprint(feature),
+                feature_fingerprint=fingerprint,
             )
 
         return self._memo(self._models, (label, provenance, feature), build)
@@ -489,8 +488,8 @@ class _MatrixRunner:
             if entry.subset != "test":
                 continue
             chain = self._test_chain(spec, entry.label)
-            rows = self.features(index, chain, spec.feature)
-            llr = score_trial(genuine_model, spoof_model, rows)
+            features = self.features(index, chain, spec.feature)
+            llr = score_trial(genuine_model, spoof_model, features)
             (genuine_scores if entry.label == "genuine" else spoof_scores).append(llr)
         eer = eer_from_scores(genuine_scores, spoof_scores)
         return ScenarioResult(
@@ -602,16 +601,10 @@ def run_matrix(
     runner = _MatrixRunner(manifest, config, cache_dir=cache_dir)
     specs = enumerate_scenarios(config.features, extra_bits=config.extra_bits, seed=config.seed)
     results = []
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as executor:
-            outcomes = executor.map(runner.run_scenario_guarded, specs)
-            for result in outcomes:
-                results.append(result)
-                if progress is not None:
-                    progress(result)
-    else:
-        for spec in specs:
-            result = runner.run_scenario_guarded(spec)
+    with ThreadPoolExecutor(max_workers=config.workers) as pool:
+        # One worker runs on the calling thread, so Ctrl-C stops it at once.
+        mapper = pool.map if config.workers > 1 else map
+        for result in mapper(runner.run_scenario_guarded, specs):
             results.append(result)
             if progress is not None:
                 progress(result)

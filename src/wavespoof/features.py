@@ -1,14 +1,17 @@
 """LFCC front end: framed power spectra through a linear triangular
 filterbank, log compression, orthonormal DCT, optional log-energy, and
-regression deltas. Extractors are looked up by id so alternative front ends
-(e.g. a constant-Q variant) can plug in behind the same FeatureMatrix
-contract.
+regression deltas. Extractors are looked up by id and share one contract,
+fn(waveform, cfg: LfccConfig) -> FeatureMatrix whose meta is the fingerprint.
+They all receive the run's LfccConfig, so an alternative front end (e.g. a
+constant-Q variant) takes its settings from it and the result cache digest,
+which hashes that config, covers it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -33,8 +36,8 @@ class LfccConfig:
     delta_window: int = 2
 
     def __post_init__(self):
-        if self.frame_len_ms <= 0 or self.frame_hop_ms <= 0:
-            raise InputError("frame sizes must be positive")
+        if not all(math.isfinite(ms) and ms > 0 for ms in (self.frame_len_ms, self.frame_hop_ms)):
+            raise InputError("frame sizes must be finite and positive")
         if self.fft_size < 2 or self.fft_size & (self.fft_size - 1):
             raise InputError("fft_size must be a power of two")
         if not 1 <= self.num_ceps <= self.num_filters:
@@ -160,7 +163,7 @@ _EXTRACTORS = {}
 
 
 def register_extractor(name: str, fn) -> None:
-    """Register fn(waveform, config) under an extractor id."""
+    """Register fn(waveform, cfg: LfccConfig) -> FeatureMatrix under an id."""
     _EXTRACTORS[name] = fn
 
 
@@ -175,6 +178,16 @@ def get_extractor(name: str):
 
 
 register_extractor("lfcc", lfcc)
+
+
+def stack_features(matrices):
+    """Rows of all matrices stacked in order, and their shared fingerprint.
+
+    Raises ConfigError unless the matrices share one (fingerprint, width)."""
+    kinds = sorted({(fm.meta or "-", fm.num_coeffs) for fm in matrices})
+    if len(kinds) != 1:
+        raise ConfigError(f"feature matrices must share one (fingerprint, width); got {kinds}")
+    return np.vstack([fm.frames for fm in matrices]), matrices[0].meta
 
 
 def save_features(path, fm: FeatureMatrix) -> None:

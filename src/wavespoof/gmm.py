@@ -92,14 +92,21 @@ def _kmeans_pp_init(rows: np.ndarray, k: int, rng) -> np.ndarray:
     return centers
 
 
-def _component_logpdf(block: np.ndarray, means, variances, log_weights, log_norm):
+def _block_logliks(rows, weights, means, variances):
+    """Yield (start, block, ll, lse) per row block, in fixed order: ll holds the
+    weighted component log densities of the block's rows, lse their log-sum-exp."""
     inv = 1.0 / variances
-    quad = (
-        (block * block) @ inv.T
-        - 2.0 * (block @ (means * inv).T)
-        + (means * means * inv).sum(axis=1)[None, :]
-    )
-    return log_weights[None, :] + log_norm[None, :] - 0.5 * quad
+    scaled_means = means * inv
+    mean_term = (means * means * inv).sum(axis=1)[None, :]
+    log_norm = -0.5 * (means.shape[1] * np.log(2.0 * np.pi) + np.log(variances).sum(axis=1))
+    log_prior = (np.log(weights) + log_norm)[None, :]
+    for start in range(0, rows.shape[0], _BLOCK_ROWS):
+        block = rows[start : start + _BLOCK_ROWS]
+        ll = log_prior - 0.5 * (
+            (block * block) @ inv.T - 2.0 * (block @ scaled_means.T) + mean_term
+        )
+        peak = ll.max(axis=1, keepdims=True)
+        yield start, block, ll, peak + np.log(np.exp(ll - peak).sum(axis=1, keepdims=True))
 
 
 def _accumulate(rows, weights, means, variances):
@@ -109,19 +116,13 @@ def _accumulate(rows, weights, means, variances):
     index and value of the highest single responsibility seen).
     """
     k, f = means.shape
-    log_weights = np.log(weights)
-    log_norm = -0.5 * (f * np.log(2.0 * np.pi) + np.log(variances).sum(axis=1))
     occupancy = np.zeros(k)
     sum_x = np.zeros((k, f))
     sum_xx = np.zeros((k, f))
     total = 0.0
     best_resp = -1.0
     best_row = 0
-    for start in range(0, rows.shape[0], _BLOCK_ROWS):
-        block = rows[start : start + _BLOCK_ROWS]
-        ll = _component_logpdf(block, means, variances, log_weights, log_norm)
-        peak = ll.max(axis=1, keepdims=True)
-        lse = peak + np.log(np.exp(ll - peak).sum(axis=1, keepdims=True))
+    for start, block, ll, lse in _block_logliks(rows, weights, means, variances):
         total += float(lse.sum())
         resp = np.exp(ll - lse)
         occupancy += resp.sum(axis=0)
@@ -207,16 +208,9 @@ def gmm_loglik(model: GmmModel, features) -> float:
         raise InputError(
             f"feature width {rows.shape[1]} does not match the model's {model.num_features}"
         )
-    log_weights = np.log(model.weights)
-    log_norm = -0.5 * (
-        model.num_features * np.log(2.0 * np.pi) + np.log(model.variances).sum(axis=1)
-    )
     total = 0.0
-    for start in range(0, rows.shape[0], _BLOCK_ROWS):
-        block = rows[start : start + _BLOCK_ROWS]
-        ll = _component_logpdf(block, model.means, model.variances, log_weights, log_norm)
-        peak = ll.max(axis=1, keepdims=True)
-        total += float((peak + np.log(np.exp(ll - peak).sum(axis=1, keepdims=True))).sum())
+    for _, _, _, lse in _block_logliks(rows, model.weights, model.means, model.variances):
+        total += float(lse.sum())
     return total / rows.shape[0]
 
 

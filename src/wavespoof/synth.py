@@ -18,7 +18,6 @@ import json
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import InputError
 from .waveform import Waveform, amp_to_index, write_wav
@@ -29,6 +28,8 @@ SPOOF_GATE = 0.012
 
 
 def _ar1(innovations: np.ndarray, pole: float) -> np.ndarray:
+    from scipy.signal import lfilter  # about 1 s to import; only corpus generation needs it
+
     return lfilter([1.0], [1.0, -pole], innovations)
 
 

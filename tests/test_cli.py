@@ -1,8 +1,14 @@
 """End-to-end command-line checks, run in process via main(argv)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import wavespoof
 from wavespoof import load_features, load_gmm, load_pmf, load_scores, read_wav
 from wavespoof.cli import main
 
@@ -210,3 +216,26 @@ def test_exit_codes_and_error_format(corpus, tmp_path, capsys):
     capsys.readouterr()
     assert main(["genuinize", "--mode", "random", wav, str(tmp_path / "o.wav")]) == 6
     assert "error: ConfigError:" in capsys.readouterr().err
+
+    # 6: wrong-typed run config value
+    bad_config = tmp_path / "bad.json"
+    bad_config.write_text('{"gmm_components": "x"}')
+    capsys.readouterr()
+    assert main(["run-matrix", "--manifest", str(corpus / "manifest.csv"),
+                 "--config", str(bad_config), "--seed", "7",
+                 "--out", str(tmp_path / "r.csv")]) == 6
+    assert "error: ConfigError:" in capsys.readouterr().err
+
+    # 5: non-finite frame size
+    for frame_ms in ("nan", "inf"):
+        capsys.readouterr()
+        assert main(["extract-features", "--frame-ms", frame_ms,
+                     "--out", str(tmp_path / "f.feat"), wav]) == 5
+        assert "error: InputError:" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    src = Path(wavespoof.__file__).resolve().parents[1]
+    probe = "import sys, wavespoof.cli; sys.exit('scipy.signal' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    assert subprocess.run([sys.executable, "-c", probe], env=env, timeout=120).returncode == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 
@@ -8,6 +9,7 @@ from wavespoof import (
     ACTIONS,
     ConfigError,
     DatasetManifest,
+    FeatureMatrix,
     InputError,
     LfccConfig,
     ManifestEntry,
@@ -26,6 +28,7 @@ from wavespoof import (
     make_toy_corpus,
     read_manifest_csv,
     read_wav,
+    register_extractor,
     results_to_csv,
     role_seed,
     run_matrix,
@@ -34,6 +37,8 @@ from wavespoof import (
     train_gmm,
     validate_manifest,
 )
+from wavespoof.experiment import _MatrixRunner
+from wavespoof.features import _EXTRACTORS
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +158,20 @@ def test_load_run_setup_validation(tmp_path):
     _, rc = load_run_setup(manifest_csv, config)
     assert rc.seed == 2 and rc.extra_bits == 4
 
+    # wrong-typed values: integers must be JSON integers, features strings
+    for bad in (
+        {"seed": 1, "gmm_components": "x"},
+        {"seed": 1, "workers": "two"},
+        {"seed": 1, "features": 5},
+        {"seed": 1, "features": ["lfcc", 3]},
+        {"seed": "abc"},
+        {"seed": 1, "extra_bits": 1.7},
+        {"seed": 1, "em_iters": True},
+    ):
+        config.write_text(json.dumps(bad))
+        with pytest.raises(ConfigError):
+            load_run_setup(manifest_csv, config)
+
 
 def test_run_config_validation():
     with pytest.raises(ConfigError):
@@ -218,6 +237,29 @@ def test_baseline_scenario_matches_hand_assembled_pipeline(corpus):
     assert result.eer == eer_from_scores(genuine_scores, spoof_scores)
     assert result.genuine_trials == len(genuine_scores)
     assert result.spoof_trials == len(spoof_scores)
+
+
+def test_every_extractor_gets_the_run_config_and_models_record_its_meta(corpus):
+    _, _, manifest, config = corpus
+    received = []
+
+    def stub(w, cfg):
+        received.append(cfg)
+        return FeatureMatrix(frames=lfcc(w, cfg).frames, meta="stub-" + cfg.fingerprint())
+
+    register_extractor("stub", stub)
+    try:
+        runner = _MatrixRunner(manifest, dataclasses.replace(config, features=("stub",)))
+        spec = ScenarioSpec(h_train="O", s_train="O", attacker_action="N", cm_action="N",
+                            feature="stub", extra_bits=config.extra_bits, seed=config.seed)
+        runner.run_scenario(spec)
+        assert received and all(cfg is config.lfcc for cfg in received)
+        for model in runner.models_for(spec):
+            assert model.feature_fingerprint == "stub-" + config.lfcc.fingerprint()
+        for model in runner.models_for(dataclasses.replace(spec, feature="lfcc")):
+            assert model.feature_fingerprint == config.lfcc.fingerprint()
+    finally:
+        del _EXTRACTORS["stub"]
 
 
 def test_matrix_csv_shape_and_order(corpus, tmp_path):

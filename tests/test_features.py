@@ -137,6 +137,11 @@ def test_lfcc_validation():
         LfccConfig(num_ceps=21, num_filters=20)
     with pytest.raises(InputError):
         LfccConfig(delta_window=0)
+    for bad in (float("nan"), float("inf"), 0.0):
+        with pytest.raises(InputError):
+            LfccConfig(frame_len_ms=bad)
+        with pytest.raises(InputError):
+            LfccConfig(frame_hop_ms=bad)
 
 
 def test_fingerprint_tracks_config():
