@@ -18,7 +18,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import ConfigError, InputError, ToolError
+from .errors import ConfigError, ToolError
 from .experiment import (
     DatasetManifest,
     load_run_setup,

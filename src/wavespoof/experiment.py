@@ -33,8 +33,8 @@ import os
 import tempfile
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import dataclass, field, fields
 from enum import IntEnum
 from pathlib import Path
 
@@ -244,6 +244,17 @@ _CONFIG_KEYS = {
 }
 
 
+# JSON values accepted for a config field by its annotated type; a JSON bool
+# is never a number.
+_JSON_TYPES = {"int": int, "float": (int, float), "bool": bool}
+
+
+def _json_typed(value, type_name: str) -> bool:
+    if isinstance(value, bool) and type_name != "bool":
+        return False
+    return isinstance(value, _JSON_TYPES[type_name])
+
+
 def load_run_setup(manifest_csv, config_json=None, seed=None, workers=None):
     """Build (DatasetManifest, RunConfig) from the CSV manifest and the
     key-value config file; seed/workers arguments override the config."""
@@ -262,8 +273,17 @@ def load_run_setup(manifest_csv, config_json=None, seed=None, workers=None):
             raise ConfigError(f"{config_json}: unknown config keys {sorted(unknown)}")
         for key in ("seed", "gmm_components", "em_iters", "extra_bits", "workers"):
             value = raw.get(key, 0)
-            if isinstance(value, bool) or not isinstance(value, int):
+            if not _json_typed(value, "int"):
                 raise ConfigError(f"{config_json}: {key!r} must be an integer; got {value!r}")
+        lfcc_raw = raw.get("lfcc", {})
+        if isinstance(lfcc_raw, dict):  # anything else fails in LfccConfig below
+            for option in fields(LfccConfig):
+                value = lfcc_raw.get(option.name, option.default)
+                if not _json_typed(value, option.type):
+                    raise ConfigError(
+                        f"{config_json}: lfcc {option.name!r} must be a JSON {option.type}; "
+                        f"got {value!r}"
+                    )
     manifest = DatasetManifest(
         entries=entries,
         attacker_pmf_source=raw.get("attacker_pmf_source", "test:genuine"),
@@ -379,12 +399,30 @@ class _MatrixRunner:
     # -- memo helpers ------------------------------------------------------
 
     def _memo(self, store, key, build):
-        with self._lock:
-            if key in store:
-                return store[key]
-        value = build()
-        with self._lock:
-            return store.setdefault(key, value)
+        # store maps each key to the Future of its one build. A caller that
+        # finds a build in flight waits for it (build dependencies form a
+        # DAG, so no wait closes a cycle). A failed build is dropped from the
+        # store, and its waiters retry, so each one fails or succeeds on its
+        # own as if it had been first.
+        while True:
+            with self._lock:
+                future = store.get(key)
+                if future is None:
+                    future = store[key] = Future()
+                    break
+            try:
+                return future.result()
+            except Exception:
+                continue
+        try:
+            value = build()
+        except BaseException as exc:
+            with self._lock:
+                del store[key]
+            future.set_exception(exc)
+            raise
+        future.set_result(value)
+        return value
 
     def waveform(self, index: int):
         entry = self.manifest.entries[index]

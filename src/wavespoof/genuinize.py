@@ -13,9 +13,12 @@ cumulative probability at k. One kernel serves all three modes:
   pool of precomputed CDFs, redrawn for every file.
 
 genuinize() is the one entry point that dispatches on the mode. The kernel
-computes segment values only for the levels the file occupies; integer
-prefix sums do not change across zero-mass levels, so this equals a lookup
-in the full 2**16 x 2**d extended source CDF bit for bit.
+computes at most one value per sample, from integer prefix sums over the
+levels the file occupies, and finds each sample's match inside the bracket
+that the matches of its segment's two edges give (see _match). Integer
+prefix sums do not change across zero-mass levels, so the result equals a
+lookup in the full 2**16 x 2**d extended source CDF bit for bit, while
+memory stays O(N + levels) instead of O(levels x 2**d).
 
 All randomness is derived from (seed, file ordinal) through named numpy
 machinery: SeedSequence([seed, ordinal]).spawn(2) yields the dither stream
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ConfigError, InputError
-from .pmf import MAX_EXTENDED_LEVELS, Cdf, _extended_segment_values
+from .pmf import MAX_EXTENDED_LEVELS, Cdf, sub_level_values
 from .waveform import Waveform
 
 MODES = ("basic", "perturbed", "random")
@@ -65,8 +68,35 @@ def file_streams(seed: int, ordinal: int):
     return np.random.default_rng(dither_ss), np.random.default_rng(choice_ss)
 
 
+def _search_brackets(cum: np.ndarray, values: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Count of cum entries <= each value, given that the count lies in
+    [lo, hi] and lo < hi; a binary search per value, vectorized."""
+    found = lo.copy()
+    open_ = np.arange(lo.size)
+    while open_.size:
+        mid = (lo + hi) >> 1
+        below = cum[mid] <= values
+        lo = np.where(below, mid + 1, lo)
+        hi = np.where(below, hi, mid)
+        found[open_] = lo
+        keep = np.flatnonzero(lo < hi)
+        open_, lo, hi, values = open_[keep], lo[keep], hi[keep], values[keep]
+    return found
+
+
 def _match(src: Waveform, target: Cdf, d: int, dither_rng) -> Waveform:
-    """The kernel behind every mode: match src at 2**d sub-levels per index."""
+    """The kernel behind every mode: match src at 2**d sub-levels per index.
+
+    A sample of index k at sub-level i has the value of sub-level i of
+    segment k of the extended source CDF (pmf.sub_level_values), which lies
+    between the segment's edges F(k-1) and F(k). Its match, the largest
+    1-based q with target.cum[q] <= value (ties resolve to the top of a run
+    of equal cumulative values), therefore lies between the edges' matches.
+    One sorted search of the occupied levels' edges yields those brackets.
+    The end sub-level i = 2**d (every sample at d=0) has the value F(k) and
+    takes the upper bracket as it is; the others are resolved by a binary
+    search inside their bracket. Memory is O(N + levels).
+    """
     levels = target.num_levels
     if int(src.samples.max()) > levels:
         raise InputError("source sample index exceeds the target grid")
@@ -76,21 +106,31 @@ def _match(src: Waveform, target: Cdf, d: int, dither_rng) -> Waveform:
             f"cap is {MAX_EXTENDED_LEVELS}"
         )
     sub = 1 << d
-    _, row_of, counts = np.unique(src.samples, return_inverse=True, return_counts=True)
     total = src.samples.size
-    segment_values = _extended_segment_values(np.cumsum(counts) / total, counts / total, sub)
-    # Largest 1-based q with target.cum[q] <= v; ties (runs of equal
-    # cumulative value) resolve to the top of the run. When no q qualifies
-    # (v below the first positive-mass bin) fall back to the smallest
-    # positive-mass index.
-    lut = np.searchsorted(target.cum, segment_values, side="right")
-    lut[lut == 0] = np.searchsorted(target.cum, 0.0, side="right") + 1
-    # Sample n ~ U{0..2**d - 1} sends index k to extended level
-    # m = k * 2**d - n, i.e. sub-level i = 2**d - n of segment k.
-    column = sub - 1 - dither_rng.integers(0, sub, size=total) if d else 0
-    return Waveform(
-        samples=lut[row_of, column], sample_rate=src.sample_rate, source_path=src.source_path
-    )
+    counts = np.bincount(src.samples)
+    occupied = np.flatnonzero(counts > 0)
+    # Each sample's rank among the occupied levels; no sample reads the
+    # entries of unoccupied levels, which stay unset.
+    rank = np.empty(counts.size, dtype=np.intp)
+    rank[occupied] = np.arange(occupied.size)
+    row = rank[src.samples]
+    counts = counts[occupied]
+    # Occupied level u spans [edges[u], edges[u + 1]] of the source CDF.
+    edges = np.concatenate(([0.0], np.cumsum(counts) / total))
+    bracket = np.searchsorted(target.cum, edges, side="right")
+    q = bracket[row + 1]
+    if d:
+        # Sample n ~ U{0..2**d - 1} sends index k to extended level
+        # m = k * 2**d - n, i.e. sub-level i = 2**d - n of segment k.
+        sub_level = sub - dither_rng.integers(0, sub, size=total)
+        inner = np.flatnonzero((sub_level != sub) & (bracket[row] < q))
+        r = row[inner]
+        values = sub_level_values(edges[r], counts[r] / total, edges[r + 1], sub_level[inner], sub)
+        q[inner] = _search_brackets(target.cum, values, bracket[r], q[inner])
+    # No q qualifies when the value lies below the first positive-mass bin:
+    # fall back to the smallest positive-mass index.
+    q[q == 0] = np.searchsorted(target.cum, 0.0, side="right") + 1
+    return Waveform(samples=q, sample_rate=src.sample_rate, source_path=src.source_path)
 
 
 def genuinize_basic(src: Waveform, target: Cdf) -> Waveform:

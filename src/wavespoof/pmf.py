@@ -170,15 +170,11 @@ def cdf_from_pmf(p: Pmf) -> Cdf:
     return Cdf(cum=cum)
 
 
-def _extended_segment_values(cum: np.ndarray, mass: np.ndarray, sub_levels: int) -> np.ndarray:
-    # Uniform density inside each base segment. The segment-end column is
-    # pinned to the base CDF so boundaries agree exactly, and the interior is
-    # clipped against it so the flattened vector stays monotone.
-    base = np.concatenate(([0.0], cum[:-1]))
-    frac = np.arange(1, sub_levels + 1) / sub_levels
-    vals = np.minimum(base[:, None] + frac[None, :] * mass[:, None], cum[:, None])
-    vals[:, -1] = cum
-    return vals
+def sub_level_values(base, mass, cum, sub_level, sub_levels: int):
+    """Value of sub-level sub_level (1..sub_levels) of segments that start at
+    base, hold mass and end at cum: base + (sub_level / sub_levels) * mass,
+    clipped to cum so the values stay monotone. Broadcasts elementwise."""
+    return np.minimum(base + (sub_level / sub_levels) * mass, cum)
 
 
 def extend_cdf(p: Pmf, d: int, max_levels: int = MAX_EXTENDED_LEVELS) -> ExtendedCdf:
@@ -201,7 +197,14 @@ def extend_cdf(p: Pmf, d: int, max_levels: int = MAX_EXTENDED_LEVELS) -> Extende
         raise CapacityError(
             f"extended CDF would need {levels << d} levels; cap is {max_levels}"
         )
-    vals = _extended_segment_values(base.cum, p.mass, 1 << d)
+    # Uniform density inside each base segment. The segment-end column is
+    # pinned to the base CDF so boundaries agree exactly.
+    sub = 1 << d
+    starts = np.concatenate(([0.0], base.cum[:-1]))
+    vals = sub_level_values(
+        starts[:, None], p.mass[:, None], base.cum[:, None], np.arange(1, sub + 1), sub
+    )
+    vals[:, -1] = base.cum
     return ExtendedCdf(cum=vals.reshape(-1), base_bits=base_bits, extra_bits=d)
 
 

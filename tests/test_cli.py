@@ -226,6 +226,15 @@ def test_exit_codes_and_error_format(corpus, tmp_path, capsys):
                  "--out", str(tmp_path / "r.csv")]) == 6
     assert "error: ConfigError:" in capsys.readouterr().err
 
+    # 6: wrong-typed lfcc option in the run config
+    for lfcc_options in ('{"num_ceps": 19.0}', '{"include_energy": "no"}'):
+        bad_config.write_text('{"lfcc": %s}' % lfcc_options)
+        capsys.readouterr()
+        assert main(["run-matrix", "--manifest", str(corpus / "manifest.csv"),
+                     "--config", str(bad_config), "--seed", "7",
+                     "--out", str(tmp_path / "r.csv")]) == 6
+        assert "error: ConfigError:" in capsys.readouterr().err
+
     # 5: non-finite frame size
     for frame_ms in ("nan", "inf"):
         capsys.readouterr()

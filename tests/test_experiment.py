@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import logging
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -158,6 +161,11 @@ def test_load_run_setup_validation(tmp_path):
     _, rc = load_run_setup(manifest_csv, config)
     assert rc.seed == 2 and rc.extra_bits == 4
 
+    # frame sizes take any JSON number
+    config.write_text(json.dumps({"seed": 2, "lfcc": {"frame_len_ms": 25, "frame_hop_ms": 12.5}}))
+    _, rc = load_run_setup(manifest_csv, config)
+    assert rc.lfcc == LfccConfig(frame_len_ms=25.0, frame_hop_ms=12.5)
+
     # wrong-typed values: integers must be JSON integers, features strings
     for bad in (
         {"seed": 1, "gmm_components": "x"},
@@ -167,6 +175,15 @@ def test_load_run_setup_validation(tmp_path):
         {"seed": "abc"},
         {"seed": 1, "extra_bits": 1.7},
         {"seed": 1, "em_iters": True},
+        {"seed": 1, "lfcc": {"num_ceps": 19.0}},
+        {"seed": 1, "lfcc": {"fft_size": True}},
+        {"seed": 1, "lfcc": {"num_filters": "20"}},
+        {"seed": 1, "lfcc": {"delta_window": None}},
+        {"seed": 1, "lfcc": {"include_energy": "no"}},
+        {"seed": 1, "lfcc": {"include_energy": 1}},
+        {"seed": 1, "lfcc": {"frame_len_ms": "20"}},
+        {"seed": 1, "lfcc": {"frame_hop_ms": False}},
+        {"seed": 1, "lfcc": 5},
     ):
         config.write_text(json.dumps(bad))
         with pytest.raises(ConfigError):
@@ -337,6 +354,93 @@ def test_matrix_parallel_equals_serial(corpus, tmp_path):
     serial = run_matrix(manifest, config)
     parallel = run_matrix(manifest, dataclasses.replace(config, workers=3))
     assert [(r.spec, r.eer) for r in serial] == [(r.spec, r.eer) for r in parallel]
+
+
+def test_matrix_trains_each_model_once_across_workers(corpus, monkeypatch):
+    # genuine/spoof x O/G/R: six models serve all 45 scenarios, however the
+    # two workers interleave
+    _, _, manifest, config = corpus
+    trained = []
+
+    def counting_train_gmm(*args, **kwargs):
+        trained.append(kwargs["provenance"])
+        return train_gmm(*args, **kwargs)
+
+    monkeypatch.setattr("wavespoof.experiment.train_gmm", counting_train_gmm)
+    results = run_matrix(manifest, dataclasses.replace(config, workers=2))
+    assert all(r.error is None for r in results)
+    assert len(trained) == 6
+
+
+def test_memo_waits_for_a_build_in_flight_and_forgets_failures(corpus):
+    _, _, manifest, config = corpus
+    runner = _MatrixRunner(manifest, config)
+    store, outcome, builds = {}, {}, []
+    started, release = threading.Event(), threading.Event()
+
+    def failing_build():
+        builds.append("failing")
+        started.set()
+        release.wait(10)
+        raise ConfigError("first build fails")
+
+    def build():
+        builds.append("working")
+        return "value"
+
+    def first_caller():
+        try:
+            runner._memo(store, "key", failing_build)
+        except ConfigError as exc:
+            outcome["first"] = exc
+
+    def second_caller():
+        outcome["second"] = runner._memo(store, "key", build)
+
+    first = threading.Thread(target=first_caller)
+    first.start()
+    started.wait(10)
+    second = threading.Thread(target=second_caller)
+    second.start()
+    second.join(0.2)
+    assert builds == ["failing"] and second.is_alive()  # waiting, not building
+    release.set()
+    first.join(10)
+    second.join(10)
+    # the failure reaches its own caller only; the waiter then builds itself
+    assert isinstance(outcome["first"], ConfigError) and outcome["second"] == "value"
+    assert builds == ["failing", "working"]
+    assert runner._memo(store, "key", build) == "value" and len(builds) == 2
+
+
+def test_memo_builds_each_key_once_under_thread_contention(corpus):
+    _, _, manifest, config = corpus
+    runner = _MatrixRunner(manifest, config)
+    store, builds, results = {}, [], []
+
+    def build(key):
+        builds.append(key)
+        time.sleep(0.01)  # a window in which other threads ask for the key
+        return object()
+
+    def caller(offset):
+        for step in range(200):
+            key = (offset + step) % 5
+            results.append((key, runner._memo(store, key, lambda: build(key))))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=(i,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(builds) == list(range(5))
+    assert len(results) == 1600 and len({(key, id(v)) for key, v in results}) == 5
 
 
 def test_matrix_failures_are_reported_not_cached(corpus, tmp_path):

@@ -270,30 +270,70 @@ def _grid_source(kind, rng):
         return rng.integers(1, levels + 1, size=40)
     if kind == "gapped":  # a handful of levels with wide empty runs between
         return rng.choice(rng.integers(1, levels + 1, size=7), size=3000)
-    # peaked: a narrow Laplacian around the grid centre, mostly a few atoms
-    samples = np.round(rng.laplace(32768.5, 3.0, size=5000))
+    if kind == "tied":  # four levels of equal power-of-two counts
+        return rng.permutation(np.repeat(rng.choice(levels, size=4, replace=False) + 1, 1024))
+    if kind in ("dense", "coarse"):  # 4 s of 16 kHz speech: ~25k occupied levels
+        samples = np.round(rng.laplace(32768.5, 6000.0, size=64000))
+    else:  # peaked: a narrow Laplacian around the grid centre, mostly a few atoms
+        samples = np.round(rng.laplace(32768.5, 3.0, size=5000))
     return np.clip(samples, 1, levels).astype(np.int64)
 
 
-@pytest.mark.parametrize("d", [0, 3, 5])
-@pytest.mark.parametrize("kind", ["sparse", "gapped", "peaked"])
-def test_occupied_level_kernel_matches_full_grid_table(kind, d):
-    # the kernel builds segment values for occupied levels only; this pins
-    # it to a lookup in the full 2**16 x 2**d extended source CDF
-    rng = np.random.default_rng(70 + d)
-    src = _wave(_grid_source(kind, rng))
+def _grid_target_counts(kind, rng):
+    if kind == "coarse":  # a few positive-mass levels: brackets span thousands
+        counts = np.zeros(1 << 16, dtype=np.int64)
+        counts[rng.choice(np.arange(1000, 1 << 16), size=4, replace=False)] = [1, 5, 2, 9]
+        return counts
+    if kind == "tied":  # cumulative values k/256, which sub-level values hit exactly
+        counts = np.zeros(1 << 16, dtype=np.int64)
+        counts[255::256] = 1
+        return counts
     counts = rng.integers(0, 4, size=1 << 16)
     counts[:1000] = 0  # leading zero mass exercises the fallback
-    target = _cdf_from_counts(counts)
-    params = GenuinizeParams(mode="perturbed", extra_bits=d, seed=29)
-    out = genuinize_perturbed(src, target, params, ordinal=5)
+    return counts
 
+
+def _full_grid_lookup(src, target, d, seed, ordinal):
+    # a lookup in the full 2**16 x 2**d extended source CDF, with the
+    # kernel's dither stream
     sub = 1 << d
     table = extend_cdf(estimate_pmf([src]), d).cum
-    dither_rng, _ = file_streams(29, 5)
+    dither_rng, _ = file_streams(seed, ordinal)
     noise = dither_rng.integers(0, sub, size=src.samples.size)
     q = np.searchsorted(target.cum, table[src.samples * sub - noise - 1], side="right")
     q[q == 0] = np.searchsorted(target.cum, 0.0, side="right") + 1
+    return q
+
+
+@pytest.mark.parametrize("d", [0, 1, 3, 5])
+@pytest.mark.parametrize("kind", ["sparse", "gapped", "peaked", "dense", "coarse", "tied"])
+def test_occupied_level_kernel_matches_full_grid_table(kind, d):
+    # the kernel computes one value per sample and searches it inside the
+    # bracket of its segment's edges; this pins it to a lookup in the full
+    # 2**16 x 2**d extended source CDF
+    rng = np.random.default_rng(70 + d)
+    src = _wave(_grid_source(kind, rng))
+    target = _cdf_from_counts(_grid_target_counts(kind, rng))
+    params = GenuinizeParams(mode="perturbed", extra_bits=d, seed=29)
+    out = genuinize_perturbed(src, target, params, ordinal=5)
+
+    q = _full_grid_lookup(src, target, d, 29, 5)
     assert np.array_equal(out.samples, q)
     if d == 0:
         assert np.array_equal(genuinize_basic(src, target).samples, q)
+
+
+def test_random_kernel_matches_full_grid_table_per_drawn_reference():
+    rng = np.random.default_rng(90)
+    src = _wave(_grid_source("dense", rng))
+    pool = [_cdf_from_counts(_grid_target_counts(kind, rng)) for kind in ("fine", "coarse")]
+    pool.append(_cdf_from_counts(estimate_pmf([src]).counts))
+    params = GenuinizeParams(mode="random", extra_bits=5, seed=41)
+    drawn = set()
+    for ordinal in range(4):
+        _, choice_rng = file_streams(41, ordinal)
+        chosen = int(choice_rng.integers(0, len(pool)))
+        drawn.add(chosen)
+        out = genuinize_random(src, pool, params, ordinal=ordinal)
+        assert np.array_equal(out.samples, _full_grid_lookup(src, pool[chosen], 5, 41, ordinal))
+    assert len(drawn) > 1
