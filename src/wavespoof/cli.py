@@ -26,8 +26,10 @@ from .experiment import (
     run_matrix,
 )
 from .features import LfccConfig, get_extractor, load_features, save_features, stack_features
-from .genuinize import GenuinizeParams, genuinize
+from .genuinize import DEFAULT_EXTRA_BITS, GenuinizeParams, genuinize
 from .gmm import (
+    DEFAULT_COMPONENTS,
+    DEFAULT_ITERS,
     ScoreSet,
     Trial,
     compute_eer,
@@ -40,7 +42,7 @@ from .gmm import (
 )
 from .pmf import cdf_from_pmf, estimate_pmf, load_pmf, save_pmf, tv_distance
 from .synth import make_toy_corpus
-from .vad import VadConfig, energy_vad, format_runs
+from .vad import DEFAULT_ALPHA, VadConfig, energy_vad, format_runs
 from .waveform import read_wav, write_wav
 
 
@@ -62,13 +64,14 @@ def _positive_int(text: str) -> int:
 
 
 def _add_lfcc_flags(sub) -> None:
+    defaults = LfccConfig()
     sub.add_argument("--feature", default="lfcc", help="feature extractor id")
-    sub.add_argument("--frame-ms", type=float, default=20.0)
-    sub.add_argument("--hop-ms", type=float, default=10.0)
-    sub.add_argument("--fft-size", type=_positive_int, default=512)
-    sub.add_argument("--num-filters", type=_positive_int, default=20)
-    sub.add_argument("--num-ceps", type=_positive_int, default=19)
-    sub.add_argument("--delta-window", type=_positive_int, default=2)
+    sub.add_argument("--frame-ms", type=float, default=defaults.frame_len_ms)
+    sub.add_argument("--hop-ms", type=float, default=defaults.frame_hop_ms)
+    sub.add_argument("--fft-size", type=_positive_int, default=defaults.fft_size)
+    sub.add_argument("--num-filters", type=_positive_int, default=defaults.num_filters)
+    sub.add_argument("--num-ceps", type=_positive_int, default=defaults.num_ceps)
+    sub.add_argument("--delta-window", type=_positive_int, default=defaults.delta_window)
     sub.add_argument("--no-energy", action="store_true", help="drop the log-energy coefficient")
 
 
@@ -94,16 +97,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("estimate-pmf", help="estimate an amplitude PMF from WAV files")
     sub.add_argument("--out", required=True, help="output path (.csv or binary)")
     sub.add_argument("--keep", choices=("all", "speech", "nonspeech"), default="all")
-    sub.add_argument("--alpha", type=float, default=0.03, help="VAD energy threshold factor")
+    sub.add_argument("--alpha", type=float, default=DEFAULT_ALPHA,
+                     help="VAD energy threshold factor")
     sub.add_argument("inputs", nargs="+", help="WAV files")
 
     sub = commands.add_parser("genuinize", help="quantile-match WAV amplitudes to a target PMF")
     sub.add_argument("--mode", choices=("basic", "perturbed", "random"), required=True)
     sub.add_argument("--target", help="target PMF file (basic and perturbed modes)")
     sub.add_argument("--pool", nargs="+", help="reference WAVs (random mode, single-file form)")
-    sub.add_argument("--pool-selector", default="train:genuine",
+    sub.add_argument("--pool-selector", default=DatasetManifest.cm_pmf_source,
                      help="manifest selector for the random-mode pool (batch form)")
-    sub.add_argument("--d-bits", type=_nonneg_int, default=5, help="dither sub-level bits")
+    sub.add_argument("--d-bits", type=_nonneg_int, default=DEFAULT_EXTRA_BITS,
+                     help="dither sub-level bits")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--ordinal", type=_nonneg_int, default=0,
                      help="file ordinal for stream derivation (single-file form)")
@@ -114,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("paths", nargs="*", help="single-file form: input WAV, output WAV")
 
     sub = commands.add_parser("vad", help="run the energy voice-activity detector")
-    sub.add_argument("--alpha", type=float, default=0.03)
+    sub.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     sub.add_argument("--out", help="write run-length text here instead of stdout")
     sub.add_argument("input", help="WAV file")
 
@@ -124,8 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("input", help="WAV file")
 
     sub = commands.add_parser("train-gmm", help="fit a diagonal-covariance GMM to features")
-    sub.add_argument("--components", type=_positive_int, default=512)
-    sub.add_argument("--iters", type=_positive_int, default=10)
+    sub.add_argument("--components", type=_positive_int, default=DEFAULT_COMPONENTS)
+    sub.add_argument("--iters", type=_positive_int, default=DEFAULT_ITERS)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--provenance", choices=("O", "G", "R"), default="O",
                      help="training-material treatment tag stored in the model")

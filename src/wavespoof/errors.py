@@ -1,4 +1,5 @@
-"""Exception types shared across the toolkit, mapped to CLI exit codes."""
+"""Exception types shared across the toolkit, mapped to CLI exit codes, and
+the reader of headed text files that reports their faults as one of them."""
 
 
 class ToolError(Exception):
@@ -29,3 +30,19 @@ class CapacityError(ToolError):
     """A requested allocation exceeds the configured memory cap."""
 
     exit_code = 7
+
+
+def text_rows(path, header: str, encoding: str, error: type):
+    """(line number, stripped line) of each non-blank line after the header;
+    a wrong header or bytes that are not text raise error, naming the path."""
+    try:
+        with open(path, "r", encoding=encoding, newline="") as fh:
+            found = fh.readline().strip()
+            if found != header:
+                raise error(f"{path}: expected header {header!r}, got {found!r}")
+            for lineno, line in enumerate(fh, start=2):
+                line = line.strip()
+                if line:
+                    yield lineno, line
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not {encoding} text ({exc})") from exc

@@ -40,10 +40,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, InputError, ToolError
+from .errors import ConfigError, InputError, ToolError, text_rows
 from .features import FeatureMatrix, LfccConfig, get_extractor, stack_features
-from .genuinize import GenuinizeParams, genuinize
-from .gmm import GmmModel, eer_from_scores, score_trial, train_gmm
+from .genuinize import DEFAULT_EXTRA_BITS, GenuinizeParams, genuinize
+from .gmm import DEFAULT_COMPONENTS, DEFAULT_ITERS, GmmModel, eer_from_scores, score_trial, train_gmm
 from .pmf import cdf_from_pmf, estimate_pmf
 from .waveform import read_wav
 
@@ -93,17 +93,33 @@ class ManifestEntry:
             raise ConfigError(f"subset must be one of {SUBSETS}; got {self.subset!r}")
 
 
+def _parse_selector(selector) -> tuple:
+    """(subset, label) of a `subset:label` selector."""
+    parts = tuple(selector.split(":")) if isinstance(selector, str) else ()
+    if len(parts) != 2 or parts[0] not in SUBSETS or parts[1] not in LABELS:
+        raise ConfigError(
+            f"selector must be subset:label, subset in {SUBSETS} and label in {LABELS}; "
+            f"got {selector!r}"
+        )
+    return parts
+
+
 @dataclass(frozen=True)
 class DatasetManifest:
-    """Labelled file list plus the two PMF-source selectors (subset:label)."""
+    """Labelled file list plus the PMF-source selectors (subset:label) named
+    in SELECTORS, which are checked when the manifest is built."""
 
     entries: tuple
     attacker_pmf_source: str = "test:genuine"
     cm_pmf_source: str = "train:genuine"
     root: str | None = None
 
+    SELECTORS = ("attacker_pmf_source", "cm_pmf_source")
+
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
+        for name in self.SELECTORS:
+            _parse_selector(getattr(self, name))
 
     def resolve(self, entry: ManifestEntry) -> Path:
         path = Path(entry.path)
@@ -113,12 +129,7 @@ class DatasetManifest:
 
     def select(self, selector: str):
         """Indices and entries matching a `subset:label` selector."""
-        try:
-            subset, label = selector.split(":")
-        except ValueError as exc:
-            raise ConfigError(f"selector must look like subset:label; got {selector!r}") from exc
-        if subset not in SUBSETS or label not in LABELS:
-            raise ConfigError(f"unknown selector {selector!r}")
+        subset, label = _parse_selector(selector)
         return [
             (pos, entry)
             for pos, entry in enumerate(self.entries)
@@ -130,16 +141,16 @@ class DatasetManifest:
 class RunConfig:
     seed: int
     features: tuple = ("lfcc",)
-    gmm_components: int = 512
-    em_iters: int = 10
-    extra_bits: int = 5
+    gmm_components: int = DEFAULT_COMPONENTS
+    em_iters: int = DEFAULT_ITERS
+    extra_bits: int = DEFAULT_EXTRA_BITS
     lfcc: LfccConfig = field(default_factory=LfccConfig)
     workers: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "features", tuple(self.features))
-        if not self.features:
-            raise ConfigError("at least one feature extractor id is required")
+        if not self.features or not all(isinstance(f, str) for f in self.features):
+            raise ConfigError("features must be one or more extractor ids (strings)")
         if self.gmm_components < 1 or self.em_iters < 1:
             raise ConfigError("gmm_components and em_iters must be positive")
         if self.extra_bits < 0:
@@ -155,7 +166,7 @@ class ScenarioSpec:
     attacker_action: str
     cm_action: str
     feature: str
-    extra_bits: int = 5
+    extra_bits: int = DEFAULT_EXTRA_BITS
     seed: int = 0
 
     def __post_init__(self):
@@ -191,7 +202,7 @@ class ScenarioResult:
     error: str | None = None
 
 
-def enumerate_scenarios(features, extra_bits: int = 5, seed: int = 0):
+def enumerate_scenarios(features, extra_bits: int = DEFAULT_EXTRA_BITS, seed: int = 0):
     """All 45 coherent scenarios per feature, in canonical order."""
     specs = []
     for feature in features:
@@ -215,106 +226,78 @@ def enumerate_scenarios(features, extra_bits: int = 5, seed: int = 0):
 def read_manifest_csv(path) -> tuple:
     """Entries from a `path,label,subset` CSV; paths stay relative."""
     entries = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        header = fh.readline().strip()
-        if header != _MANIFEST_HEADER:
-            raise ConfigError(f"{path}: expected header {_MANIFEST_HEADER!r}, got {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.rsplit(",", 2)
-            if len(parts) != 3:
-                raise ConfigError(f"{path}:{lineno}: malformed row {line!r}")
-            entries.append(ManifestEntry(path=parts[0], label=parts[1], subset=parts[2]))
+    for lineno, line in text_rows(path, _MANIFEST_HEADER, "utf-8", ConfigError):
+        parts = line.rsplit(",", 2)
+        if len(parts) != 3:
+            raise ConfigError(f"{path}:{lineno}: malformed row {line!r}")
+        entries.append(ManifestEntry(path=parts[0], label=parts[1], subset=parts[2]))
     return tuple(entries)
 
 
-_CONFIG_KEYS = {
-    "attacker_pmf_source",
-    "cm_pmf_source",
-    "feature",
-    "features",
-    "gmm_components",
-    "em_iters",
-    "extra_bits",
-    "seed",
-    "workers",
-    "lfcc",
-}
+# JSON values accepted for a config value by its field's annotated type (a
+# string stands for a one-item list of features); a JSON bool is never a number.
+_JSON_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str,
+               "tuple": (str, list), "LfccConfig": dict}
 
 
-# JSON values accepted for a config field by its annotated type; a JSON bool
-# is never a number.
-_JSON_TYPES = {"int": int, "float": (int, float), "bool": bool}
-
-
-def _json_typed(value, type_name: str) -> bool:
-    if isinstance(value, bool) and type_name != "bool":
-        return False
-    return isinstance(value, _JSON_TYPES[type_name])
+def _check_json_types(values: dict, types: dict, where: str) -> None:
+    """Reject a key that types does not name, or a value whose JSON type does
+    not fit its key's annotation in types."""
+    unknown = set(values) - set(types)
+    if unknown:
+        raise ConfigError(f"{where}unknown config keys {sorted(unknown)}")
+    for name, value in values.items():
+        accepted = _JSON_TYPES[types[name]]
+        if (isinstance(value, bool) and accepted is not bool) or not isinstance(value, accepted):
+            raise ConfigError(f"{where}{name!r} has type {types[name]}; got {value!r}")
 
 
 def load_run_setup(manifest_csv, config_json=None, seed=None, workers=None):
     """Build (DatasetManifest, RunConfig) from the CSV manifest and the
-    key-value config file; seed/workers arguments override the config."""
+    key-value config file; seed/workers arguments override the config.
+
+    The config's keys, JSON types and defaults are those of the RunConfig
+    fields (the LfccConfig fields under "lfcc") and the DatasetManifest
+    SELECTORS; "feature" is an alias of "features".
+    """
     entries = read_manifest_csv(manifest_csv)
+    where = f"{config_json}: "
     raw = {}
     if config_json is not None:
-        with open(config_json, "r", encoding="utf-8") as fh:
-            try:
+        try:
+            with open(config_json, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{config_json}: invalid JSON ({exc})") from exc
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{where}invalid JSON ({exc})") from exc
         if not isinstance(raw, dict):
-            raise ConfigError(f"{config_json}: config must be a JSON object")
-        unknown = set(raw) - _CONFIG_KEYS
-        if unknown:
-            raise ConfigError(f"{config_json}: unknown config keys {sorted(unknown)}")
-        for key in ("seed", "gmm_components", "em_iters", "extra_bits", "workers"):
-            value = raw.get(key, 0)
-            if not _json_typed(value, "int"):
-                raise ConfigError(f"{config_json}: {key!r} must be an integer; got {value!r}")
-        lfcc_raw = raw.get("lfcc", {})
-        if isinstance(lfcc_raw, dict):  # anything else fails in LfccConfig below
-            for option in fields(LfccConfig):
-                value = lfcc_raw.get(option.name, option.default)
-                if not _json_typed(value, option.type):
-                    raise ConfigError(
-                        f"{config_json}: lfcc {option.name!r} must be a JSON {option.type}; "
-                        f"got {value!r}"
-                    )
+            raise ConfigError(f"{where}config must be a JSON object")
+    run_types = {f.name: f.type for f in fields(RunConfig)}
+    selectors = {
+        f.name: f.type for f in fields(DatasetManifest) if f.name in DatasetManifest.SELECTORS
+    }
+    _check_json_types(raw, {**run_types, **selectors, "feature": "str"}, where)
+    lfcc_types = {f.name: f.type for f in fields(LfccConfig)}
+    _check_json_types(raw.get("lfcc", {}), lfcc_types, f"{where}lfcc ")
     manifest = DatasetManifest(
         entries=entries,
-        attacker_pmf_source=raw.get("attacker_pmf_source", "test:genuine"),
-        cm_pmf_source=raw.get("cm_pmf_source", "train:genuine"),
         root=str(Path(manifest_csv).resolve().parent),
+        **{name: raw[name] for name in selectors if name in raw},
     )
-    if seed is None:
-        seed = raw.get("seed")
-    if seed is None:
+    values = {name: raw[name] for name in run_types if name in raw}
+    features = values.get("features", raw.get("feature"))
+    if features is not None:
+        values["features"] = [features] if isinstance(features, str) else features
+    if seed is not None:
+        values["seed"] = int(seed)
+    if workers is not None:
+        values["workers"] = int(workers)
+    if "seed" not in values:
         raise ConfigError("a run seed is required (config key 'seed' or the seed argument)")
-    features = raw.get("features")
-    if features is None:
-        features = [raw.get("feature", "lfcc")]
-    if isinstance(features, str):
-        features = [features]
-    if not isinstance(features, list) or not all(isinstance(f, str) for f in features):
-        raise ConfigError(f"{config_json}: features must be a string or a list of strings")
     try:
-        lfcc_cfg = LfccConfig(**raw.get("lfcc", {}))
-    except TypeError as exc:
-        raise ConfigError(f"{config_json}: bad lfcc options ({exc})") from exc
-    config = RunConfig(
-        seed=int(seed),
-        features=tuple(features),
-        gmm_components=raw.get("gmm_components", 512),
-        em_iters=raw.get("em_iters", 10),
-        extra_bits=raw.get("extra_bits", 5),
-        lfcc=lfcc_cfg,
-        workers=int(workers if workers is not None else raw.get("workers", 1)),
-    )
-    return manifest, config
+        values["lfcc"] = LfccConfig(**values.get("lfcc", {}))
+    except InputError as exc:
+        raise ConfigError(f"{where}lfcc: {exc}") from exc
+    return manifest, RunConfig(**values)
 
 
 def validate_manifest(manifest: DatasetManifest) -> None:
@@ -338,7 +321,7 @@ def apply_action(
     action: str,
     target=None,
     pool=None,
-    extra_bits: int = 5,
+    extra_bits: int = DEFAULT_EXTRA_BITS,
     seed: int = 0,
     ordinals=None,
 ):
@@ -598,6 +581,9 @@ class _MatrixRunner:
         os.replace(tmp_name, path)
 
     def run_scenario(self, spec: ScenarioSpec) -> ScenarioResult:
+        # results are computed with the config's d and seed, filed under the spec's
+        if (spec.extra_bits, spec.seed) != (self.config.extra_bits, self.config.seed):
+            raise ConfigError(f"scenario {spec.key()} disagrees with the run config's d or seed")
         cached = self._load_cached(spec)
         if cached is not None:
             return cached

@@ -38,6 +38,8 @@ from .pmf import MAX_EXTENDED_LEVELS, Cdf, sub_level_values
 from .waveform import Waveform
 
 MODES = ("basic", "perturbed", "random")
+# d, the dither sub-level bits of the paper's countermeasure setting.
+DEFAULT_EXTRA_BITS = 5
 
 _SEED_MASK = (1 << 64) - 1
 
@@ -51,7 +53,7 @@ class GenuinizeParams:
     """
 
     mode: str
-    extra_bits: int = 5
+    extra_bits: int = DEFAULT_EXTRA_BITS
     seed: int = 0
 
     def __post_init__(self):

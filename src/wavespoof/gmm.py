@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FormatError, InputError
+from .errors import FormatError, InputError, text_rows
 
 log = logging.getLogger(__name__)
 
@@ -287,22 +287,15 @@ def save_scores(path, scores: ScoreSet) -> None:
 
 
 def load_scores(path) -> ScoreSet:
-    with open(path, "r", encoding="ascii", newline="") as fh:
-        header = fh.readline().strip()
-        if header != _SCORE_HEADER:
-            raise FormatError(f"{path}: expected header {_SCORE_HEADER!r}, got {header!r}")
-        trials = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.rsplit(",", 2)
-            if len(parts) != 3:
-                raise FormatError(f"{path}:{lineno}: malformed row {line!r}")
-            try:
-                trials.append(Trial(file_id=parts[0], label=parts[1], score=float(parts[2])))
-            except (ValueError, InputError) as exc:
-                raise FormatError(f"{path}:{lineno}: malformed row {line!r}") from exc
+    trials = []
+    for lineno, line in text_rows(path, _SCORE_HEADER, "ascii", FormatError):
+        parts = line.rsplit(",", 2)
+        if len(parts) != 3:
+            raise FormatError(f"{path}:{lineno}: malformed row {line!r}")
+        try:
+            trials.append(Trial(file_id=parts[0], label=parts[1], score=float(parts[2])))
+        except (ValueError, InputError) as exc:
+            raise FormatError(f"{path}:{lineno}: malformed row {line!r}") from exc
     return ScoreSet(trials=tuple(trials))
 
 

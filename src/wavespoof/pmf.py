@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, FormatError, InputError
+from .errors import CapacityError, FormatError, InputError, text_rows
 from .waveform import NUM_LEVELS
 
 PROB_TOL = 1e-9
@@ -229,24 +229,17 @@ def save_pmf_csv(path, p: Pmf) -> None:
 
 
 def load_pmf_csv(path, num_levels=NUM_LEVELS) -> Pmf:
-    with open(path, "r", encoding="ascii", newline="") as fh:
-        header = fh.readline().strip()
-        if header != _CSV_HEADER:
-            raise FormatError(f"{path}: expected header {_CSV_HEADER!r}, got {header!r}")
-        mass = np.zeros(num_levels, dtype=np.float64)
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                index_text, prob_text = line.split(",")
-                index = int(index_text)
-                prob = float(prob_text)
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: malformed row {line!r}") from exc
-            if not 1 <= index <= num_levels:
-                raise FormatError(f"{path}:{lineno}: index {index} outside 1..{num_levels}")
-            mass[index - 1] = prob
+    mass = np.zeros(num_levels, dtype=np.float64)
+    for lineno, line in text_rows(path, _CSV_HEADER, "ascii", FormatError):
+        try:
+            index_text, prob_text = line.split(",")
+            index = int(index_text)
+            prob = float(prob_text)
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: malformed row {line!r}") from exc
+        if not 1 <= index <= num_levels:
+            raise FormatError(f"{path}:{lineno}: index {index} outside 1..{num_levels}")
+        mass[index - 1] = prob
     return Pmf(mass=mass)
 
 

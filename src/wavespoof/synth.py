@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError
+from .genuinize import DEFAULT_EXTRA_BITS
 from .waveform import Waveform, amp_to_index, write_wav
 
 GENUINE_POLE = 0.92
@@ -99,7 +100,7 @@ def make_toy_corpus(
         "features": ["lfcc"],
         "gmm_components": 4,
         "em_iters": 5,
-        "extra_bits": 5,
+        "extra_bits": DEFAULT_EXTRA_BITS,
         "lfcc": {"fft_size": 256, "num_filters": 20, "num_ceps": 19},
     }
     (out_dir / "config.json").write_text(json.dumps(config, indent=2) + "\n", encoding="ascii")

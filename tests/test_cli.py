@@ -9,8 +9,19 @@ import numpy as np
 import pytest
 
 import wavespoof
-from wavespoof import load_features, load_gmm, load_pmf, load_scores, read_wav
-from wavespoof.cli import main
+from wavespoof import (
+    DatasetManifest,
+    LfccConfig,
+    load_features,
+    load_gmm,
+    load_pmf,
+    load_scores,
+    read_wav,
+)
+from wavespoof.cli import _lfcc_config, main, parse_args
+from wavespoof.genuinize import DEFAULT_EXTRA_BITS
+from wavespoof.gmm import DEFAULT_COMPONENTS, DEFAULT_ITERS
+from wavespoof.vad import DEFAULT_ALPHA
 
 
 @pytest.fixture(scope="module")
@@ -235,12 +246,59 @@ def test_exit_codes_and_error_format(corpus, tmp_path, capsys):
                      "--out", str(tmp_path / "r.csv")]) == 6
         assert "error: ConfigError:" in capsys.readouterr().err
 
+    # 6: out-of-range values and bad selectors in the run config, before any
+    # scenario runs or a results CSV is written
+    results = tmp_path / "never.csv"
+    for config_text in ('{"lfcc": {"fft_size": 300}}', '{"lfcc": {"num_ceps": 30}}',
+                        '{"attacker_pmf_source": 5}', '{"cm_pmf_source": "train:bogus"}',
+                        '{"cm_pmf_source": "test:genuine:x"}'):
+        bad_config.write_text(config_text)
+        capsys.readouterr()
+        assert main(["run-matrix", "--manifest", str(corpus / "manifest.csv"),
+                     "--config", str(bad_config), "--seed", "7", "--out", str(results)]) == 6
+        assert "error: ConfigError:" in capsys.readouterr().err
+        assert not results.exists()
+
     # 5: non-finite frame size
     for frame_ms in ("nan", "inf"):
         capsys.readouterr()
         assert main(["extract-features", "--frame-ms", frame_ms,
                      "--out", str(tmp_path / "f.feat"), wav]) == 5
         assert "error: InputError:" in capsys.readouterr().err
+
+    # 6 and 4: bytes that are not text in a manifest, config, PMF or scores file
+    bytes_manifest = tmp_path / "bytes_manifest.csv"
+    bytes_manifest.write_bytes(b"path,label,subset\n\xff.wav,genuine,train\n")
+    bad_config.write_bytes(b'{"seed": 1, "cm_pmf_source": "\xff"}')
+    bytes_pmf = tmp_path / "bytes_pmf.csv"
+    bytes_pmf.write_bytes(b"index,probability\n1,0.5\xff\n")
+    bytes_scores = tmp_path / "bytes_scores.csv"
+    bytes_scores.write_bytes(b"file_id,label,score\n\xff,genuine,1.0\n")
+    for argv, path, code, kind in (
+        (["run-matrix", "--manifest", str(bytes_manifest), "--seed", "7", "--out", str(results)],
+         bytes_manifest, 6, "ConfigError"),
+        (["run-matrix", "--manifest", str(corpus / "manifest.csv"), "--config", str(bad_config),
+          "--seed", "7", "--out", str(results)], bad_config, 6, "ConfigError"),
+        (["pmf-distance", str(bytes_pmf), str(bytes_pmf)], bytes_pmf, 4, "FormatError"),
+        (["genuinize", "--mode", "perturbed", "--target", str(bytes_pmf), wav,
+          str(tmp_path / "o.wav")], bytes_pmf, 4, "FormatError"),
+        (["eer", str(bytes_scores)], bytes_scores, 4, "FormatError"),
+    ):
+        capsys.readouterr()
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {kind}: {path}:") and err.count("\n") == 1
+
+
+def test_parser_defaults_come_from_their_owners():
+    assert _lfcc_config(parse_args(["extract-features", "--out", "f", "in.wav"])) == LfccConfig()
+    train = parse_args(["train-gmm", "--out", "m", "in.feat"])
+    assert (train.components, train.iters) == (DEFAULT_COMPONENTS, DEFAULT_ITERS)
+    gen = parse_args(["genuinize", "--mode", "random"])
+    assert gen.d_bits == DEFAULT_EXTRA_BITS
+    assert gen.pool_selector == DatasetManifest(entries=()).cm_pmf_source
+    assert parse_args(["vad", "in.wav"]).alpha == DEFAULT_ALPHA
+    assert parse_args(["estimate-pmf", "--out", "p", "in.wav"]).alpha == DEFAULT_ALPHA
 
 
 def test_cli_import_leaves_scipy_signal_unloaded():

@@ -184,10 +184,26 @@ def test_load_run_setup_validation(tmp_path):
         {"seed": 1, "lfcc": {"frame_len_ms": "20"}},
         {"seed": 1, "lfcc": {"frame_hop_ms": False}},
         {"seed": 1, "lfcc": 5},
+        # values out of range and selectors that are not subset:label
+        {"seed": 1, "lfcc": {"fft_size": 300}},
+        {"seed": 1, "lfcc": {"num_ceps": 30}},
+        {"seed": 1, "attacker_pmf_source": 5},
+        {"seed": 1, "cm_pmf_source": "train:bogus"},
+        {"seed": 1, "cm_pmf_source": "test:genuine:x"},
     ):
         config.write_text(json.dumps(bad))
         with pytest.raises(ConfigError):
             load_run_setup(manifest_csv, config)
+
+
+def test_run_scenario_rejects_a_spec_that_disagrees_with_its_config(corpus):
+    _, _, manifest, config = corpus
+    for mismatch in ({"extra_bits": config.extra_bits + 1}, {"seed": config.seed + 1}):
+        settings = {"extra_bits": config.extra_bits, "seed": config.seed, **mismatch}
+        spec = ScenarioSpec(h_train="O", s_train="O", attacker_action="N", cm_action="N",
+                            feature="lfcc", **settings)
+        with pytest.raises(ConfigError):
+            run_scenario(manifest, spec, config)
 
 
 def test_run_config_validation():

@@ -37,3 +37,53 @@ def test_package_modules_use_every_import():
         and (unused := unused_imports(path.read_text(encoding="utf-8")))
     }
     assert found == {}
+
+
+def unreferenced_constants(sources):
+    """Module-level UPPER_CASE names that no module of sources (a mapping of
+    module name to source text) references, as (module, line, name)."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                if (
+                    isinstance(target, ast.Name)
+                    and target.id.lstrip("_").isupper()
+                    and target.id not in referenced
+                ):
+                    found.append((module, node.lineno, target.id))
+    return sorted(found)
+
+
+def test_unreferenced_constants_are_detected():
+    sources = {
+        "a": "LIMIT = 3\n_USED = 1\nUNUSED = 2\nlower = 4\nTYPED: int = 5\nprint(_USED)\n",
+        "b": "from .a import LIMIT\nimport c\nc.SHARED\n",
+        "c": "SHARED = 1\nORPHAN = SHARED\n",
+    }
+    assert unreferenced_constants(sources) == [
+        ("a", 3, "UNUSED"),
+        ("a", 5, "TYPED"),
+        ("c", 2, "ORPHAN"),
+    ]
+
+
+def test_package_constants_are_referenced():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert unreferenced_constants(sources) == []
