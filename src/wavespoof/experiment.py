@@ -22,6 +22,14 @@ derives per-file streams from (role seed, manifest ordinal). Results are
 cached per scenario under a digest of the scenario spec, the config, and the
 manifest including file content hashes; cache writes are atomic
 (write-then-rename), so interrupted runs resume cleanly.
+
+run_matrix runs in three stages over one _MatrixRunner: it reads each
+scenario's cache entry once; trains the distinct (label, provenance,
+feature) models the uncached scenarios need, concurrently across the
+workers; then runs the uncached scenarios. The 45 cells per feature share
+six models, and a test file's treatment chain depends only on the actions,
+so each (model, test file, chain) mean log-likelihood is computed once and
+memoized; a scenario subtracts its two sides and computes the EER.
 """
 
 from __future__ import annotations
@@ -43,7 +51,7 @@ import numpy as np
 from .errors import ConfigError, InputError, ToolError, text_rows
 from .features import FeatureMatrix, LfccConfig, get_extractor, stack_features
 from .genuinize import DEFAULT_EXTRA_BITS, GenuinizeParams, genuinize
-from .gmm import DEFAULT_COMPONENTS, DEFAULT_ITERS, GmmModel, eer_from_scores, score_trial, train_gmm
+from .gmm import DEFAULT_COMPONENTS, DEFAULT_ITERS, GmmModel, eer_from_scores, gmm_loglik, train_gmm
 from .pmf import cdf_from_pmf, estimate_pmf
 from .waveform import read_wav
 
@@ -361,7 +369,8 @@ def apply_action(
 
 class _MatrixRunner:
     """Shared state for one matrix run: lazily loaded waveforms, PMFs,
-    transformed audio, features, and trained models, all memoized."""
+    transformed audio, features, trained models and per-file mean
+    log-likelihoods, all memoized."""
 
     def __init__(self, manifest: DatasetManifest, config: RunConfig, cache_dir=None):
         validate_manifest(manifest)
@@ -375,6 +384,7 @@ class _MatrixRunner:
         self._transformed = {}
         self._features = {}
         self._models = {}
+        self._logliks = {}
         self._digest = None
         if self.cache_dir is not None:
             (self.cache_dir / "results").mkdir(parents=True, exist_ok=True)
@@ -500,26 +510,48 @@ class _MatrixRunner:
             )
         return tuple(chain)
 
+    def mean_loglik(self, label: str, provenance: str, feature: str, index: int,
+                    chain: tuple) -> tuple:
+        """(mean log-likelihood, seconds) of one test file's treated features
+        under one model. The seconds count the gmm_loglik pass only, not the
+        model or features it waits for."""
+
+        def build():
+            model = self.model(label, provenance, feature)
+            features = self.features(index, chain, feature)
+            started = time.perf_counter()
+            value = gmm_loglik(model, features)
+            return value, time.perf_counter() - started
+
+        return self._memo(self._logliks, (label, provenance, feature, index, chain), build)
+
     def _compute(self, spec: ScenarioSpec) -> ScenarioResult:
-        started = time.perf_counter()
-        genuine_model, spoof_model = self.models_for(spec)
-        genuine_scores = []
-        spoof_scores = []
+        """Score one scenario from the shared passes and store its result."""
+        # seconds: the passes this scenario uses plus its own subtraction and
+        # EER, so it does not depend on which scenario built a shared stage
+        sides = []
         for index, entry in enumerate(self.manifest.entries):
-            if entry.subset != "test":
-                continue
-            chain = self._test_chain(spec, entry.label)
-            features = self.features(index, chain, spec.feature)
-            llr = score_trial(genuine_model, spoof_model, features)
-            (genuine_scores if entry.label == "genuine" else spoof_scores).append(llr)
-        eer = eer_from_scores(genuine_scores, spoof_scores)
-        return ScenarioResult(
+            if entry.subset == "test":
+                chain = self._test_chain(spec, entry.label)
+                genuine = self.mean_loglik("genuine", spec.h_train, spec.feature, index, chain)
+                spoof = self.mean_loglik("spoof", spec.s_train, spec.feature, index, chain)
+                sides.append((entry.label, genuine, spoof))
+        started = time.perf_counter()
+        scores = {label: [] for label in LABELS}
+        seconds = 0.0
+        for label, (genuine, genuine_s), (spoof, spoof_s) in sides:
+            scores[label].append(genuine - spoof)
+            seconds += genuine_s + spoof_s
+        eer = eer_from_scores(scores["genuine"], scores["spoof"])
+        result = ScenarioResult(
             spec=spec,
             eer=eer,
-            genuine_trials=len(genuine_scores),
-            spoof_trials=len(spoof_scores),
-            seconds=time.perf_counter() - started,
+            genuine_trials=len(scores["genuine"]),
+            spoof_trials=len(scores["spoof"]),
+            seconds=seconds + time.perf_counter() - started,
         )
+        self._store(result)
+        return result
 
     # -- result cache --------------------------------------------------------
 
@@ -571,7 +603,7 @@ class _MatrixRunner:
 
     def _store(self, result: ScenarioResult) -> None:
         path = self._result_path(result.spec)
-        if path is None or result.error is not None:
+        if path is None:
             return
         data = {name: getattr(result, name) for name in _CACHED_FIELDS}
         data["spec"] = result.spec.key()
@@ -585,15 +617,21 @@ class _MatrixRunner:
         if (spec.extra_bits, spec.seed) != (self.config.extra_bits, self.config.seed):
             raise ConfigError(f"scenario {spec.key()} disagrees with the run config's d or seed")
         cached = self._load_cached(spec)
-        if cached is not None:
-            return cached
-        result = self._compute(spec)
-        self._store(result)
-        return result
+        return cached if cached is not None else self._compute(spec)
 
-    def run_scenario_guarded(self, spec: ScenarioSpec) -> ScenarioResult:
+    def train_guarded(self, key: tuple) -> None:
+        """Build one (label, provenance, feature) model ahead of scoring. A
+        failed build is not kept, so on a ToolError each scenario that needs
+        the model raises it again as its own failed row."""
         try:
-            return self.run_scenario(spec)
+            self.model(*key)
+        except ToolError:
+            pass
+
+    def compute_guarded(self, spec: ScenarioSpec) -> ScenarioResult:
+        """Compute an uncached scenario; a ToolError becomes its failed row."""
+        try:
+            return self._compute(spec)
         except ToolError as exc:
             return ScenarioResult(
                 spec=spec, eer=None, genuine_trials=0, spoof_trials=0, seconds=0.0,
@@ -617,18 +655,36 @@ def run_matrix(
 ):
     """Run the full matrix for every configured feature.
 
-    Scenario failures are recorded on their row (empty EER) and do not stop
-    the run. Results come back in canonical order; out_csv, when given,
-    receives the CSV rendering. Scenarios run concurrently when
+    Three stages: read each scenario's cache entry once, train the models
+    the uncached scenarios need, then score those scenarios. Scenario
+    failures are recorded on their row (empty EER) and do not stop the run.
+    Results come back in canonical order; out_csv, when given, receives the
+    CSV rendering. Training and scoring run concurrently when
     config.workers > 1; results are independent of the worker count.
     """
     runner = _MatrixRunner(manifest, config, cache_dir=cache_dir)
     specs = enumerate_scenarios(config.features, extra_bits=config.extra_bits, seed=config.seed)
     results = []
+    uncached = []
+    for spec in specs:
+        cached = runner._load_cached(spec)
+        if cached is None:
+            uncached.append(spec)
+            continue
+        results.append(cached)
+        if progress is not None:
+            progress(cached)
+    models = dict.fromkeys(
+        (label, provenance, spec.feature)
+        for spec in uncached
+        for label, provenance in zip(LABELS, (spec.h_train, spec.s_train))
+    )
     with ThreadPoolExecutor(max_workers=config.workers) as pool:
         # One worker runs on the calling thread, so Ctrl-C stops it at once.
         mapper = pool.map if config.workers > 1 else map
-        for result in mapper(runner.run_scenario_guarded, specs):
+        for _ in mapper(runner.train_guarded, models):
+            pass
+        for result in mapper(runner.compute_guarded, uncached):
             results.append(result)
             if progress is not None:
                 progress(result)

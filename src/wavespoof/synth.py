@@ -15,6 +15,7 @@ JSON sized so the whole 45-scenario matrix runs in well under a minute.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -74,11 +75,15 @@ def make_toy_corpus(
     """
     if files_per_class < 2:
         raise InputError("files_per_class must be at least 2")
-    if duration_s <= 0 or sample_rate <= 0:
-        raise InputError("duration and sample rate must be positive")
+    if not (math.isfinite(duration_s) and duration_s > 0) or sample_rate <= 0:
+        raise InputError("duration must be finite and positive, and sample rate positive")
     out_dir = Path(out_dir)
     num_samples = int(round(duration_s * sample_rate))
     edge = int(round(0.01 * sample_rate))
+    if num_samples < edge:
+        raise InputError(
+            f"duration gives {num_samples} samples, fewer than the {edge}-sample fade"
+        )
     rng = np.random.default_rng(seed)
     rows = []
     for subset in ("train", "test"):

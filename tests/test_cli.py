@@ -266,6 +266,14 @@ def test_exit_codes_and_error_format(corpus, tmp_path, capsys):
                      "--out", str(tmp_path / "f.feat"), wav]) == 5
         assert "error: InputError:" in capsys.readouterr().err
 
+    # 5: a corpus duration that is not finite, or shorter than the 10 ms fade
+    for duration in ("nan", "inf", "0.001"):
+        capsys.readouterr()
+        assert main(["make-corpus", "--out", str(tmp_path / "c"), "--files-per-class", "2",
+                     "--duration", duration]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: InputError:") and err.count("\n") == 1
+
     # 6 and 4: bytes that are not text in a manifest, config, PMF or scores file
     bytes_manifest = tmp_path / "bytes_manifest.csv"
     bytes_manifest.write_bytes(b"path,label,subset\n\xff.wav,genuine,train\n")

@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+import wavespoof.gmm
 from wavespoof import (
     ACTIONS,
     ConfigError,
@@ -386,6 +387,96 @@ def test_matrix_trains_each_model_once_across_workers(corpus, monkeypatch):
     results = run_matrix(manifest, dataclasses.replace(config, workers=2))
     assert all(r.error is None for r in results)
     assert len(trained) == 6
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_matrix_scores_each_model_file_chain_once(corpus, monkeypatch, workers):
+    # a genuine test file has 3 chains (cm action), a spoof file 9 (attacker
+    # x cm), and each chain is scored under all six models once
+    _, _, manifest, config = corpus
+    loglik = wavespoof.gmm.gmm_loglik
+    passes = []
+    llrs = {}
+    local = threading.local()
+
+    def counting_loglik(*args, **kwargs):
+        passes.append(1)
+        return loglik(*args, **kwargs)
+
+    def recording_compute(self, spec):
+        local.spec = spec
+        return compute(self, spec)
+
+    def recording_eer(genuine_scores, spoof_scores):
+        llrs[local.spec] = (list(genuine_scores), list(spoof_scores))
+        return eer_from_scores(genuine_scores, spoof_scores)
+
+    compute = _MatrixRunner._compute
+    monkeypatch.setattr("wavespoof.gmm.gmm_loglik", counting_loglik)
+    monkeypatch.setattr("wavespoof.experiment.gmm_loglik", counting_loglik, raising=False)
+    monkeypatch.setattr(_MatrixRunner, "_compute", recording_compute)
+    monkeypatch.setattr("wavespoof.experiment.eer_from_scores", recording_eer)
+    results = run_matrix(manifest, dataclasses.replace(config, workers=workers))
+    monkeypatch.undo()
+
+    test_genuine = manifest.select("test:genuine")
+    test_spoof = manifest.select("test:spoof")
+    assert all(r.error is None for r in results)
+    assert len(passes) == 18 * len(test_genuine) + 54 * len(test_spoof) == 432
+    naive = _MatrixRunner(manifest, config)
+    assert len(llrs) == 45
+    for spec, (genuine_llrs, spoof_llrs) in llrs.items():
+        genuine_model, spoof_model = naive.models_for(spec)
+
+        def score(index, label):
+            features = naive.features(index, naive._test_chain(spec, label), spec.feature)
+            return score_trial(genuine_model, spoof_model, features)
+
+        assert genuine_llrs == [score(i, "genuine") for i, _ in test_genuine]
+        assert spoof_llrs == [score(i, "spoof") for i, _ in test_spoof]
+
+
+def test_matrix_seconds_count_scoring_not_training(corpus, monkeypatch):
+    # seconds covers a scenario's own log-likelihood passes, subtraction and
+    # EER, so no row is charged for a model it happened to build first
+    _, _, manifest, config = corpus
+    delay = 0.25
+
+    def slow_train_gmm(*args, **kwargs):
+        time.sleep(delay)
+        return train_gmm(*args, **kwargs)
+
+    monkeypatch.setattr("wavespoof.experiment.train_gmm", slow_train_gmm)
+    for workers in (1, 2):
+        results = run_matrix(manifest, dataclasses.replace(config, workers=workers))
+        assert all(r.error is None for r in results)
+        assert all(0.0 < r.seconds < delay for r in results)
+
+
+def test_matrix_warm_rerun_does_no_work(corpus, tmp_path, monkeypatch):
+    _, _, manifest, config = corpus
+    cache = tmp_path / "cache"
+    csv_cold = tmp_path / "cold.csv"
+    csv_warm = tmp_path / "warm.csv"
+    run_matrix(manifest, config, cache_dir=cache, out_csv=csv_cold)
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr("wavespoof.experiment.train_gmm", counting("train_gmm", train_gmm))
+    loglik = counting("gmm_loglik", wavespoof.gmm.gmm_loglik)
+    monkeypatch.setattr("wavespoof.gmm.gmm_loglik", loglik)
+    monkeypatch.setattr("wavespoof.experiment.gmm_loglik", loglik, raising=False)
+    monkeypatch.setitem(_EXTRACTORS, "lfcc", counting("lfcc", _EXTRACTORS["lfcc"]))
+    run_matrix(manifest, dataclasses.replace(config, workers=2), cache_dir=cache,
+               out_csv=csv_warm)
+    assert calls == []
+    assert csv_cold.read_bytes() == csv_warm.read_bytes()
 
 
 def test_memo_waits_for_a_build_in_flight_and_forgets_failures(corpus):
