@@ -60,7 +60,6 @@ from .gmm import (
 )
 from .pmf import (
     Cdf,
-    ExtendedCdf,
     Pmf,
     cdf_from_pmf,
     estimate_pmf,

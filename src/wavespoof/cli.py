@@ -15,18 +15,14 @@ logic lives here. Errors exit with a stable per-kind code and a one-line
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
 from .errors import ConfigError, ToolError
-from .experiment import (
-    DatasetManifest,
-    load_run_setup,
-    read_manifest_csv,
-    run_matrix,
-)
+from .experiment import DatasetManifest, load_run_setup, run_matrix
 from .features import LfccConfig, get_extractor, load_features, save_features, stack_features
-from .genuinize import DEFAULT_EXTRA_BITS, GenuinizeParams, genuinize
+from .genuinize import DEFAULT_EXTRA_BITS, GenuinizeParams, genuinize, reference_pool
 from .gmm import (
     DEFAULT_COMPONENTS,
     DEFAULT_ITERS,
@@ -199,52 +195,70 @@ def _cmd_estimate_pmf(args) -> int:
     return 0
 
 
-def _target_and_pool(args, pool_paths, missing_pool: str):
-    """Target CDF (basic, perturbed) or reference CDF pool (random)."""
-    if args.mode != "random":
-        if args.target is None:
-            raise ConfigError(f"--mode {args.mode} requires --target")
-        return cdf_from_pmf(load_pmf(args.target)), None
-    if not pool_paths:
-        raise ConfigError(missing_pool)
-    return None, [cdf_from_pmf(estimate_pmf([read_wav(p)])) for p in pool_paths]
+def _references(args, pool_paths) -> tuple:
+    """Reference set: the --target CDF (basic, perturbed) or one CDF per
+    pool file (random)."""
+    if args.mode == "random":
+        if not pool_paths:
+            raise ConfigError("--mode random needs reference WAVs: --pool, or in the batch "
+                              f"form manifest rows matching --pool-selector {args.pool_selector}")
+        return reference_pool(read_wav(p) for p in pool_paths)
+    if args.target is None:
+        raise ConfigError(f"--mode {args.mode} requires --target")
+    return (cdf_from_pmf(load_pmf(args.target)),)
+
+
+def _mirror_path(manifest: DatasetManifest, entry, out_dir: str, suffix: str) -> Path:
+    """A batch row's output: its path relative to the manifest's directory,
+    ".." collapsed, under out_dir, with suffix in place of .wav."""
+    path = Path(entry.path)
+    if path.is_absolute():  # the manifest's root is resolved, so resolve this too
+        path = path.parent.resolve() / path.name
+    path = Path(os.path.normpath(Path(manifest.root) / path))
+    if not path.is_relative_to(manifest.root):
+        raise ConfigError(f"manifest row {entry.path!r} lies outside {manifest.root}, "
+                          "so it has no place under --out-dir")
+    rel = path.relative_to(manifest.root)
+    return Path(out_dir) / rel.parent / (rel.name.removesuffix(".wav") + suffix)
 
 
 def _cmd_genuinize(args) -> int:
     params = GenuinizeParams(mode=args.mode, extra_bits=args.d_bits, seed=args.seed)
     batch = args.manifest is not None
-    if batch:
-        if args.out_dir is None:
-            raise ConfigError("batch genuinize requires --out-dir")
-        if args.paths:
-            raise ConfigError("use either a manifest or an input/output pair, not both")
-        entries = read_manifest_csv(args.manifest)
-        manifest = DatasetManifest(entries=entries, root=str(Path(args.manifest).resolve().parent))
-        pool_paths = None
-        if args.mode == "random":
-            pool_paths = [manifest.resolve(e) for _, e in manifest.select(args.pool_selector)]
-        target, pool = _target_and_pool(
-            args, pool_paths, f"selector {args.pool_selector!r} matches no manifest rows"
-        )
-        suffix = ".rgen.wav" if args.mode == "random" else ".gen.wav"
-        for ordinal, entry in enumerate(manifest.entries):
-            if args.subset and entry.subset != args.subset:
-                continue
-            if args.label and entry.label != args.label:
-                continue
-            src = read_wav(manifest.resolve(entry))
-            out = genuinize(src, params, target=target, pool=pool, ordinal=ordinal)
-            rel = Path(entry.path)
-            name = rel.name[: -len(".wav")] + suffix if rel.name.endswith(".wav") else rel.name + suffix
-            dest = Path(args.out_dir) / rel.parent / name
-            dest.parent.mkdir(parents=True, exist_ok=True)
-            write_wav(dest, out)
+    for flag, value, read in (
+        ("--pool", args.pool, args.mode == "random" and not batch),
+        ("--target", args.target, args.mode != "random"),
+        ("--out-dir", args.out_dir, batch),
+        ("--subset", args.subset, batch),
+        ("--label", args.label, batch),
+    ):
+        if value is not None and not read:
+            form = "batch" if batch else "single-file"
+            raise ConfigError(f"{form} genuinize --mode {args.mode} does not read {flag}")
+    if not batch:
+        if len(args.paths) != 2:
+            raise ConfigError("single-file genuinize takes exactly: input.wav output.wav")
+        references = _references(args, args.pool)
+        write_wav(args.paths[1], genuinize(read_wav(args.paths[0]), params, references, args.ordinal))
         return 0
-    if len(args.paths) != 2:
-        raise ConfigError("single-file genuinize takes exactly: input.wav output.wav")
-    src = read_wav(args.paths[0])
-    target, pool = _target_and_pool(args, args.pool, "--mode random requires --pool")
-    write_wav(args.paths[1], genuinize(src, params, target=target, pool=pool, ordinal=args.ordinal))
+    if args.out_dir is None:
+        raise ConfigError("batch genuinize requires --out-dir")
+    if args.paths:
+        raise ConfigError("use either a manifest or an input/output pair, not both")
+    manifest = DatasetManifest.from_csv(args.manifest)
+    suffix = ".rgen.wav" if args.mode == "random" else ".gen.wav"
+    jobs = [
+        (ordinal, entry, _mirror_path(manifest, entry, args.out_dir, suffix))
+        for ordinal, entry in enumerate(manifest.entries)
+        if args.subset in (None, entry.subset) and args.label in (None, entry.label)
+    ]
+    pool_paths = ([manifest.resolve(e) for _, e in manifest.select(args.pool_selector)]
+                  if args.mode == "random" else None)
+    references = _references(args, pool_paths)
+    for ordinal, entry, dest in jobs:
+        out = genuinize(read_wav(manifest.resolve(entry)), params, references, ordinal)
+        dest.parent.mkdir(parents=True, exist_ok=True)
+        write_wav(dest, out)
     return 0
 
 
@@ -289,8 +303,7 @@ def _cmd_score(args) -> int:
     if args.manifest is not None:
         if args.inputs:
             raise ConfigError("use either --manifest or listed WAVs, not both")
-        entries = read_manifest_csv(args.manifest)
-        manifest = DatasetManifest(entries=entries, root=str(Path(args.manifest).resolve().parent))
+        manifest = DatasetManifest.from_csv(args.manifest)
         for entry in manifest.entries:
             if args.subset != "all" and entry.subset != args.subset:
                 continue

@@ -10,10 +10,14 @@ untreated spoof side, or mixed G/R treatments, would defend against an
 attack the attacker is not making), so the matrix is 5 x 3 x 3 = 45 cells
 per feature.
 
-The attacker's target PMF comes from the manifest's attacker_pmf_source
-selector (test-side genuine speech); the countermeasure's PMF comes from
-cm_pmf_source (training genuine speech) and is the same PMF used to
-genuinize training material.
+The attacker's references come from the manifest's attacker_pmf_source
+selector (test-side genuine speech); the countermeasure's come from
+cm_pmf_source (training genuine speech) and are the same references used to
+genuinize training material. A treatment needs only its reference set (a
+sequence of Cdfs, see genuinize): action G uses one CDF, the pooled PMF of
+the selector's files, and R one CDF per file (genuinize.reference_pool).
+_treat is the one step that applies an action to a file; the matrix runner
+and apply_action both call it.
 
 Every random draw derives from the single run seed through documented
 SeedSequence layers: role_seed(seed, role) isolates consumers (attacker,
@@ -50,7 +54,7 @@ import numpy as np
 
 from .errors import ConfigError, InputError, ToolError, text_rows
 from .features import FeatureMatrix, LfccConfig, get_extractor, stack_features
-from .genuinize import DEFAULT_EXTRA_BITS, GenuinizeParams, genuinize
+from .genuinize import DEFAULT_EXTRA_BITS, GenuinizeParams, genuinize, reference_pool
 from .gmm import DEFAULT_COMPONENTS, DEFAULT_ITERS, GmmModel, eer_from_scores, gmm_loglik, train_gmm
 from .pmf import cdf_from_pmf, estimate_pmf
 from .waveform import read_wav
@@ -128,6 +132,13 @@ class DatasetManifest:
         object.__setattr__(self, "entries", tuple(self.entries))
         for name in self.SELECTORS:
             _parse_selector(getattr(self, name))
+
+    @classmethod
+    def from_csv(cls, path, **selectors) -> DatasetManifest:
+        """Manifest of a `path,label,subset` CSV whose relative rows resolve
+        against the CSV's directory."""
+        return cls(entries=read_manifest_csv(path), root=str(Path(path).resolve().parent),
+                   **selectors)
 
     def resolve(self, entry: ManifestEntry) -> Path:
         path = Path(entry.path)
@@ -268,7 +279,6 @@ def load_run_setup(manifest_csv, config_json=None, seed=None, workers=None):
     fields (the LfccConfig fields under "lfcc") and the DatasetManifest
     SELECTORS; "feature" is an alias of "features".
     """
-    entries = read_manifest_csv(manifest_csv)
     where = f"{config_json}: "
     raw = {}
     if config_json is not None:
@@ -286,10 +296,8 @@ def load_run_setup(manifest_csv, config_json=None, seed=None, workers=None):
     _check_json_types(raw, {**run_types, **selectors, "feature": "str"}, where)
     lfcc_types = {f.name: f.type for f in fields(LfccConfig)}
     _check_json_types(raw.get("lfcc", {}), lfcc_types, f"{where}lfcc ")
-    manifest = DatasetManifest(
-        entries=entries,
-        root=str(Path(manifest_csv).resolve().parent),
-        **{name: raw[name] for name in selectors if name in raw},
+    manifest = DatasetManifest.from_csv(
+        manifest_csv, **{name: raw[name] for name in selectors if name in raw}
     )
     values = {name: raw[name] for name in run_types if name in raw}
     features = values.get("features", raw.get("feature"))
@@ -322,6 +330,13 @@ def validate_manifest(manifest: DatasetManifest) -> None:
             raise ConfigError(f"manifest path does not exist: {path}")
 
 
+def _treat(w, action: str, references, extra_bits: int, seed: int, ordinal: int):
+    """One file through one treating action (G or R) against its reference
+    set: the one place an action becomes a genuinization."""
+    params = GenuinizeParams(mode=_ACTION_MODES[action], extra_bits=extra_bits, seed=seed)
+    return genuinize(w, params, references, ordinal)
+
+
 def apply_action(
     waveforms,
     labels,
@@ -337,9 +352,10 @@ def apply_action(
 
     side="attacker" touches spoof-labelled files only; side="countermeasure"
     touches every file. action "N" returns the inputs unchanged, "G" applies
-    perturbed genuinization toward target, "R" applies random genuinization
-    against the CDFs of the pool's waveforms (built once per call). ordinals
-    feed the per-file RNG streams (defaults to positions within the list).
+    perturbed genuinization toward the target CDF, "R" applies random
+    genuinization against the reference pool of the pool's waveforms (built
+    once per call). ordinals, one per waveform, feed the per-file RNG streams
+    (defaults to positions within the list).
     """
     if side not in ("attacker", "countermeasure"):
         raise InputError(f"side must be attacker or countermeasure; got {side!r}")
@@ -347,22 +363,19 @@ def apply_action(
         raise InputError(f"action must be one of {ACTIONS}; got {action!r}")
     waveforms = list(waveforms)
     labels = list(labels)
-    if len(labels) != len(waveforms):
-        raise InputError("need one label per waveform")
+    ordinals = range(len(waveforms)) if ordinals is None else list(ordinals)
+    if len(labels) != len(waveforms) or len(ordinals) != len(waveforms):
+        raise InputError("need one label and one ordinal per waveform")
     if action == "N":
         return waveforms
     if action == "G" and target is None:
         raise ConfigError("action G requires a target CDF")
     if action == "R" and not pool:
         raise ConfigError("action R requires a non-empty reference pool")
-    if ordinals is None:
-        ordinals = range(len(waveforms))
-    if action == "R":
-        pool = [cdf_from_pmf(estimate_pmf([w])) for w in pool]
-    params = GenuinizeParams(mode=_ACTION_MODES[action], extra_bits=extra_bits, seed=seed)
+    references = (target,) if action == "G" else reference_pool(pool)
     return [
         w if side == "attacker" and label == "genuine"
-        else genuinize(w, params, target=target, pool=pool, ordinal=ordinal)
+        else _treat(w, action, references, extra_bits, seed, ordinal)
         for w, label, ordinal in zip(waveforms, labels, ordinals)
     ]
 
@@ -379,8 +392,7 @@ class _MatrixRunner:
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self._lock = threading.Lock()
         self._waveforms = {}
-        self._targets = {}
-        self._pools = {}
+        self._references = {}
         self._transformed = {}
         self._features = {}
         self._models = {}
@@ -423,39 +435,34 @@ class _MatrixRunner:
             self._waveforms, index, lambda: read_wav(self.manifest.resolve(entry))
         )
 
-    def target_cdf(self, selector: str):
+    def references(self, action: str, selector: str) -> tuple:
+        """Reference set of a treating action over the selector's files: G
+        the pooled CDF of all of them, R one CDF per file."""
+
         def build():
-            rows = self.manifest.select(selector)
-            return cdf_from_pmf(estimate_pmf([self.waveform(i) for i, _ in rows]))
+            waveforms = [self.waveform(i) for i, _ in self.manifest.select(selector)]
+            if action == "G":
+                return (cdf_from_pmf(estimate_pmf(waveforms)),)
+            return reference_pool(waveforms)
 
-        return self._memo(self._targets, selector, build)
-
-    def pool(self, selector: str):
-        def build():
-            rows = self.manifest.select(selector)
-            return [cdf_from_pmf(estimate_pmf([self.waveform(i)])) for i, _ in rows]
-
-        return self._memo(self._pools, selector, build)
+        return self._memo(self._references, (action, selector), build)
 
     # -- transform / feature pipeline --------------------------------------
-
-    def _apply_step(self, w, step, ordinal: int):
-        action, role, selector = step
-        params = GenuinizeParams(
-            mode=_ACTION_MODES[action],
-            extra_bits=self.config.extra_bits,
-            seed=role_seed(self.config.seed, role),
-        )
-        if action == "G":
-            return genuinize(w, params, target=self.target_cdf(selector), ordinal=ordinal)
-        return genuinize(w, params, pool=self.pool(selector), ordinal=ordinal)
 
     def transformed(self, index: int, chain: tuple):
         if not chain:
             return self.waveform(index)
 
         def build():
-            return self._apply_step(self.transformed(index, chain[:-1]), chain[-1], index)
+            action, role, selector = chain[-1]
+            return _treat(
+                self.transformed(index, chain[:-1]),
+                action,
+                self.references(action, selector),
+                self.config.extra_bits,
+                role_seed(self.config.seed, role),
+                index,
+            )
 
         return self._memo(self._transformed, (index, chain), build)
 
@@ -489,12 +496,6 @@ class _MatrixRunner:
             )
 
         return self._memo(self._models, (label, provenance, feature), build)
-
-    def models_for(self, spec: ScenarioSpec):
-        return (
-            self.model("genuine", spec.h_train, spec.feature),
-            self.model("spoof", spec.s_train, spec.feature),
-        )
 
     # -- scenario execution -------------------------------------------------
 

@@ -154,11 +154,6 @@ def lfcc(w: Waveform, cfg: LfccConfig | None = None) -> FeatureMatrix:
     return FeatureMatrix(frames=append_deltas(static, cfg.delta_window), meta=cfg.fingerprint())
 
 
-def filterbank_log_energies(w: Waveform, cfg: LfccConfig | None = None) -> np.ndarray:
-    """Log filterbank energies only (the DCT input), for diagnostics."""
-    return _framed_log_energies(w, cfg or LfccConfig())[1]
-
-
 _EXTRACTORS = {}
 
 

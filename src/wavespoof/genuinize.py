@@ -12,13 +12,18 @@ cumulative probability at k. One kernel serves all three modes:
 - random: perturbed matching against a reference CDF drawn uniformly from a
   pool of precomputed CDFs, redrawn for every file.
 
-genuinize() is the one entry point that dispatches on the mode. The kernel
-computes at most one value per sample, from integer prefix sums over the
-levels the file occupies, and finds each sample's match inside the bracket
-that the matches of its segment's two edges give (see _match). Integer
-prefix sums do not change across zero-mass levels, so the result equals a
-lookup in the full 2**16 x 2**d extended source CDF bit for bit, while
-memory stays O(N + levels) instead of O(levels x 2**d).
+Every caller treats a file against a reference set, a sequence of target
+Cdfs: basic and perturbed match against its one CDF, random draws one CDF
+from it per file. genuinize(src, params, references, ordinal) is the one
+entry point that dispatches on the mode; reference_pool builds the per-file
+reference CDFs of a pool.
+
+The kernel computes at most one value per sample, from integer prefix sums
+over the levels the file occupies, and finds each sample's match inside the
+bracket that the matches of its segment's two edges give (see _match).
+Integer prefix sums do not change across zero-mass levels, so the result
+equals a lookup in the full 2**16 x 2**d extended source CDF bit for bit,
+while memory stays O(N + levels) instead of O(levels x 2**d).
 
 All randomness is derived from (seed, file ordinal) through named numpy
 machinery: SeedSequence([seed, ordinal]).spawn(2) yields the dither stream
@@ -34,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ConfigError, InputError
-from .pmf import MAX_EXTENDED_LEVELS, Cdf, sub_level_values
+from .pmf import MAX_EXTENDED_LEVELS, Cdf, cdf_from_pmf, estimate_pmf, sub_level_values
 from .waveform import Waveform
 
 MODES = ("basic", "perturbed", "random")
@@ -157,13 +162,12 @@ def genuinize_perturbed(
 def genuinize_random(src: Waveform, pool, params: GenuinizeParams, ordinal: int = 0) -> Waveform:
     """Perturbed matching against one reference CDF drawn from pool.
 
-    pool holds the references' per-file CDFs, built once by the caller. The
+    pool is a reference set, usually built once by reference_pool. The
     reference is drawn uniformly (from the choice stream); a new one is
     drawn for every (seed, ordinal) pair.
     """
     if params.mode != "random":
         raise InputError("genuinize_random requires params.mode='random'")
-    pool = list(pool or ())
     if not pool:
         raise ConfigError("reference pool is empty")
     dither_rng, choice_rng = file_streams(params.seed, ordinal)
@@ -171,15 +175,21 @@ def genuinize_random(src: Waveform, pool, params: GenuinizeParams, ordinal: int 
     return _match(src, reference, params.extra_bits, dither_rng)
 
 
-def genuinize(
-    src: Waveform, params: GenuinizeParams, target: Cdf | None = None, pool=None, ordinal: int = 0
-) -> Waveform:
-    """Genuinize one file in params.mode: basic and perturbed match against
-    target, random against a CDF drawn from pool (see genuinize_random)."""
+def reference_pool(waveforms) -> tuple:
+    """One reference CDF per waveform: the reference set random mode draws
+    from. waveforms may be any iterable, so each file can be dropped once
+    its CDF is built."""
+    return tuple(cdf_from_pmf(estimate_pmf([w])) for w in waveforms)
+
+
+def genuinize(src: Waveform, params: GenuinizeParams, references, ordinal: int = 0) -> Waveform:
+    """Genuinize one file in params.mode against a reference set (a sequence
+    of Cdfs): basic and perturbed take exactly one CDF, random draws one per
+    (seed, ordinal) (see genuinize_random)."""
     if params.mode == "random":
-        return genuinize_random(src, pool, params, ordinal)
-    if target is None:
-        raise ConfigError(f"mode {params.mode!r} requires a target CDF")
+        return genuinize_random(src, references, params, ordinal)
+    if len(references) != 1:
+        raise ConfigError(f"mode {params.mode!r} takes one reference CDF, not {len(references)}")
     if params.mode == "basic":
-        return genuinize_basic(src, target)
-    return genuinize_perturbed(src, target, params, ordinal)
+        return genuinize_basic(src, references[0])
+    return genuinize_perturbed(src, references[0], params, ordinal)

@@ -84,27 +84,6 @@ class Cdf:
         return int(self.cum.size)
 
 
-@dataclass(frozen=True)
-class ExtendedCdf:
-    """CDF refined to 2**extra_bits sub-levels per base index."""
-
-    cum: np.ndarray
-    base_bits: int
-    extra_bits: int
-
-    def __post_init__(self):
-        cum = np.ascontiguousarray(self.cum, dtype=np.float64)
-        expected = 1 << (self.base_bits + self.extra_bits)
-        if cum.ndim != 1 or cum.size != expected:
-            raise InputError("extended CDF length must be 2**(base_bits + extra_bits)")
-        cum.setflags(write=False)
-        object.__setattr__(self, "cum", cum)
-
-    @property
-    def num_levels(self) -> int:
-        return int(self.cum.size)
-
-
 def estimate_pmf(waveforms, masks=None, keep="all", num_levels=NUM_LEVELS) -> Pmf:
     """Pool one or more waveforms into a PMF over num_levels indices.
 
@@ -177,8 +156,9 @@ def sub_level_values(base, mass, cum, sub_level, sub_levels: int):
     return np.minimum(base + (sub_level / sub_levels) * mass, cum)
 
 
-def extend_cdf(p: Pmf, d: int, max_levels: int = MAX_EXTENDED_LEVELS) -> ExtendedCdf:
-    """Refine the CDF of p to 2**d sub-levels per index.
+def extend_cdf(p: Pmf, d: int, max_levels: int = MAX_EXTENDED_LEVELS) -> Cdf:
+    """Refine the CDF of p to 2**d sub-levels per index, a Cdf over
+    p.num_levels * 2**d levels.
 
     Sub-level i of segment k (i in 1..2**d) takes the value
     F(k-1) + (i / 2**d) * mass[k], i.e. the mass of each segment is spread
@@ -189,10 +169,9 @@ def extend_cdf(p: Pmf, d: int, max_levels: int = MAX_EXTENDED_LEVELS) -> Extende
     levels = p.num_levels
     if levels & (levels - 1):
         raise InputError("extend_cdf requires a power-of-two level count")
-    base_bits = levels.bit_length() - 1
     base = cdf_from_pmf(p)
     if d == 0:
-        return ExtendedCdf(cum=base.cum.copy(), base_bits=base_bits, extra_bits=0)
+        return base
     if (levels << d) > max_levels:
         raise CapacityError(
             f"extended CDF would need {levels << d} levels; cap is {max_levels}"
@@ -205,7 +184,7 @@ def extend_cdf(p: Pmf, d: int, max_levels: int = MAX_EXTENDED_LEVELS) -> Extende
         starts[:, None], p.mass[:, None], base.cum[:, None], np.arange(1, sub + 1), sub
     )
     vals[:, -1] = base.cum
-    return ExtendedCdf(cum=vals.reshape(-1), base_bits=base_bits, extra_bits=d)
+    return Cdf(cum=vals.reshape(-1))
 
 
 def tv_distance(a, b) -> float:

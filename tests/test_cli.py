@@ -89,6 +89,45 @@ def test_genuinize_single_and_batch(corpus, tmp_path):
     assert len(sorted(tree.rglob("*.rgen.wav"))) == 8
 
 
+def test_batch_genuinize_mirrors_rows_under_out_dir(corpus, tmp_path, capsys):
+    # absolute rows and rows through ".." land under --out-dir at their path
+    # relative to the manifest's directory; a row outside it is refused
+    # before any file is written
+    root = tmp_path / "corpus"
+    (root / "audio").mkdir(parents=True)
+    for label in ("genuine", "spoof"):
+        wav = Path(wavs(corpus, "train", label)[0])
+        (root / "audio" / f"{label}.wav").write_bytes(wav.read_bytes())
+    names = sorted(p.name for p in (root / "audio").iterdir())
+    target = tmp_path / "target.csv"
+    assert main(["estimate-pmf", "--out", str(target), str(root / "audio" / names[0])]) == 0
+    rows = {
+        "abs.csv": [str(root / "audio" / names[0]), str(root / "audio" / names[1])],
+        "dotdot.csv": [f"../{root.name}/audio/{names[0]}", f"audio/../audio/{names[1]}"],
+    }
+    for manifest_name, paths in rows.items():
+        manifest = root / manifest_name
+        manifest.write_text("path,label,subset\n" + "".join(
+            f"{path},{label},train\n" for path, label in zip(paths, ("genuine", "spoof"))))
+        out_dir = tmp_path / manifest_name
+        assert main(["genuinize", "--mode", "perturbed", "--target", str(target),
+                     "--manifest", str(manifest), "--out-dir", str(out_dir)]) == 0
+        assert sorted(p.relative_to(out_dir).as_posix() for p in out_dir.rglob("*.wav")) == [
+            f"audio/{name[:-len('.wav')]}.gen.wav" for name in names
+        ]
+    assert sorted(p.name for p in (root / "audio").iterdir()) == names
+
+    (root / "sub").mkdir()
+    outside = root / "sub" / "m.csv"
+    for row in (f"../audio/{names[0]}", str(root / "audio" / names[0])):
+        outside.write_text(f"path,label,subset\naudio.wav,genuine,train\n{row},spoof,train\n")
+        capsys.readouterr()
+        assert main(["genuinize", "--mode", "perturbed", "--target", str(target),
+                     "--manifest", str(outside), "--out-dir", str(tmp_path / "never")]) == 6
+        assert "error: ConfigError:" in capsys.readouterr().err
+        assert not (tmp_path / "never").exists()
+
+
 def test_vad_output(corpus, tmp_path, capsys):
     wav = wavs(corpus, "train", "genuine")[0]
     capsys.readouterr()
@@ -227,6 +266,25 @@ def test_exit_codes_and_error_format(corpus, tmp_path, capsys):
     capsys.readouterr()
     assert main(["genuinize", "--mode", "random", wav, str(tmp_path / "o.wav")]) == 6
     assert "error: ConfigError:" in capsys.readouterr().err
+
+    # 6: a genuinize flag that the chosen form or mode would ignore
+    target = tmp_path / "target.csv"
+    assert main(["estimate-pmf", "--out", str(target), wav]) == 0
+    single = [wav, str(tmp_path / "o.wav")]
+    batch = ["--manifest", str(corpus / "manifest.csv"), "--out-dir", str(tmp_path / "ignored")]
+    for flags in (
+        ["--mode", "random", "--pool", wav, *batch],
+        ["--mode", "perturbed", "--target", str(target), "--pool", wav, *single],
+        ["--mode", "random", "--target", str(target), "--pool", wav, *single],
+        ["--mode", "random", "--target", str(target), *batch],
+        ["--mode", "perturbed", "--target", str(target), "--out-dir", str(tmp_path), *single],
+        ["--mode", "perturbed", "--target", str(target), "--subset", "test", *single],
+        ["--mode", "perturbed", "--target", str(target), "--label", "spoof", *single],
+    ):
+        capsys.readouterr()
+        assert main(["genuinize", *flags]) == 6, flags
+        assert "error: ConfigError:" in capsys.readouterr().err
+    assert not (tmp_path / "o.wav").exists() and not (tmp_path / "ignored").exists()
 
     # 6: wrong-typed run config value
     bad_config = tmp_path / "bad.json"

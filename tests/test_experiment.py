@@ -109,8 +109,37 @@ def test_apply_action_semantics():
         apply_action(waves, labels, side="attacker", action="R", pool=[])
     with pytest.raises(InputError):
         apply_action(waves, labels[:2], side="attacker", action="N")
+    for ordinals in ([0], [0, 1, 2, 3, 4]):
+        with pytest.raises(InputError):
+            apply_action(waves, labels, side="countermeasure", action="G", target=target,
+                         ordinals=ordinals)
     with pytest.raises(InputError):
         apply_action(waves, labels, side="both", action="N")
+
+
+@pytest.mark.parametrize("side", ["attacker", "countermeasure"])
+@pytest.mark.parametrize("action", ["G", "R"])
+def test_apply_action_matches_the_matrix_runner(corpus, side, action):
+    # the public path and the runner share one treatment step, so with the
+    # runner's seed role, ordinals and references their outputs are identical
+    _, _, manifest, config = corpus
+    runner = _MatrixRunner(manifest, config)
+    if side == "attacker":
+        role, selector = SeedRole.ATTACKER, manifest.attacker_pmf_source
+    else:
+        role, selector = SeedRole.COUNTERMEASURE, manifest.cm_pmf_source
+    test = [(i, entry.label) for i, entry in enumerate(manifest.entries) if entry.subset == "test"]
+    references = {"G": {"target": runner.references("G", selector)[0]},
+                  "R": {"pool": [runner.waveform(i) for i, _ in manifest.select(selector)]}}
+    treated = apply_action(
+        [runner.waveform(i) for i, _ in test], [label for _, label in test], side=side,
+        action=action, extra_bits=config.extra_bits, seed=role_seed(config.seed, role),
+        ordinals=[i for i, _ in test], **references[action],
+    )
+    step = ((action, int(role), selector),)
+    for (index, label), out in zip(test, treated):
+        chain = () if side == "attacker" and label == "genuine" else step
+        assert out.samples.tobytes() == runner.transformed(index, chain).samples.tobytes()
 
 
 def test_manifest_csv_round_trip(tmp_path):
@@ -288,9 +317,10 @@ def test_every_extractor_gets_the_run_config_and_models_record_its_meta(corpus):
                             feature="stub", extra_bits=config.extra_bits, seed=config.seed)
         runner.run_scenario(spec)
         assert received and all(cfg is config.lfcc for cfg in received)
-        for model in runner.models_for(spec):
+        for label in ("genuine", "spoof"):
+            model = runner.model(label, "O", "stub")
             assert model.feature_fingerprint == "stub-" + config.lfcc.fingerprint()
-        for model in runner.models_for(dataclasses.replace(spec, feature="lfcc")):
+            model = runner.model(label, "O", "lfcc")
             assert model.feature_fingerprint == config.lfcc.fingerprint()
     finally:
         del _EXTRACTORS["stub"]
@@ -426,7 +456,8 @@ def test_matrix_scores_each_model_file_chain_once(corpus, monkeypatch, workers):
     naive = _MatrixRunner(manifest, config)
     assert len(llrs) == 45
     for spec, (genuine_llrs, spoof_llrs) in llrs.items():
-        genuine_model, spoof_model = naive.models_for(spec)
+        genuine_model = naive.model("genuine", spec.h_train, spec.feature)
+        spoof_model = naive.model("spoof", spec.s_train, spec.feature)
 
         def score(index, label):
             features = naive.features(index, naive._test_chain(spec, label), spec.feature)

@@ -21,6 +21,7 @@ from wavespoof import (
     genuinize_random,
     tv_distance,
 )
+from wavespoof.genuinize import genuinize
 from oracles import basic_genuinize_oracle, extended_value_oracle, match_one, pmf_by_counting
 
 
@@ -230,6 +231,12 @@ def test_mode_and_pool_validation():
         genuinize_perturbed(src, TARGET8, rparams)
     with pytest.raises(ConfigError):
         genuinize_random(src, [], rparams)
+    with pytest.raises(ConfigError):
+        genuinize(src, rparams, ())
+    for mode in ("basic", "perturbed"):
+        for references in ((), (TARGET8, TARGET8)):
+            with pytest.raises(ConfigError):
+                genuinize(src, GenuinizeParams(mode=mode), references)
     with pytest.raises(InputError):
         GenuinizeParams(mode="fancy")
     with pytest.raises(InputError):

@@ -134,7 +134,7 @@ def test_extend_cdf_d0_is_verbatim():
     p = _random_power_of_two_pmf(np.random.default_rng(3), 8)
     ext = extend_cdf(p, 0)
     assert np.array_equal(ext.cum, cdf_from_pmf(p).cum)
-    assert ext.extra_bits == 0 and ext.base_bits == 3
+    assert ext.num_levels == 8
 
 
 def test_extend_cdf_errors():

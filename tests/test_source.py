@@ -39,10 +39,8 @@ def test_package_modules_use_every_import():
     assert found == {}
 
 
-def unreferenced_constants(sources):
-    """Module-level UPPER_CASE names that no module of sources (a mapping of
-    module name to source text) references, as (module, line, name)."""
-    trees = {module: ast.parse(source) for module, source in sources.items()}
+def _referenced_names(trees):
+    """Every name that the trees load, read as an attribute or import."""
     referenced = set()
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -52,6 +50,14 @@ def unreferenced_constants(sources):
                 referenced.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 referenced.update(alias.name for alias in node.names)
+    return referenced
+
+
+def unreferenced_constants(sources):
+    """Module-level UPPER_CASE names that no module of sources (a mapping of
+    module name to source text) references, as (module, line, name)."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    referenced = _referenced_names(trees)
     found = []
     for module, tree in trees.items():
         for node in tree.body:
@@ -87,3 +93,56 @@ def test_unreferenced_constants_are_detected():
 def test_package_constants_are_referenced():
     sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
     assert unreferenced_constants(sources) == []
+
+
+def unreferenced_private_functions(sources):
+    """Module-level _-prefixed functions and methods of _-prefixed classes
+    (dunders aside) that no module of sources references, as (module, line,
+    name); a method is named Class.method."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    referenced = _referenced_names(trees)
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, functions) and node.name.startswith("_"):
+                candidates = [(node, node.name)]
+            elif isinstance(node, ast.ClassDef) and node.name.startswith("_"):
+                candidates = [
+                    (method, f"{node.name}.{method.name}")
+                    for method in node.body
+                    if isinstance(method, functions)
+                    and not (method.name.startswith("__") and method.name.endswith("__"))
+                ]
+            else:
+                continue
+            found.extend(
+                (module, fn.lineno, name) for fn, name in candidates if fn.name not in referenced
+            )
+    return sorted(found)
+
+
+def test_unreferenced_private_functions_are_detected():
+    sources = {
+        "a": (
+            "def _used():\n    pass\n"
+            "def _orphan():\n    pass\n"
+            "def public():\n    _used()\n"
+            "class _Runner:\n"
+            "    def __init__(self):\n        self.step()\n"
+            "    def step(self):\n        pass\n"
+            "    def leftover(self):\n        pass\n"
+            "class Public:\n    def unused(self):\n        pass\n"
+        ),
+        "b": "from .a import _helper\n",
+        "c": "def _helper():\n    pass\n",
+    }
+    assert unreferenced_private_functions(sources) == [
+        ("a", 3, "_orphan"),
+        ("a", 12, "_Runner.leftover"),
+    ]
+
+
+def test_package_private_functions_are_referenced():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert unreferenced_private_functions(sources) == []
