@@ -1,5 +1,9 @@
-"""Exception types shared across the toolkit, mapped to CLI exit codes, and
-the reader of headed text files that reports their faults as one of them."""
+"""Exception types shared across the toolkit, mapped to CLI exit codes, the
+reader of headed text files that reports their faults as one of them, and
+frozen_array, the one check that every value type stores its arrays through:
+non-empty, of the declared dimension, finite when float, and read-only."""
+
+import numpy as np
 
 
 class ToolError(Exception):
@@ -46,3 +50,18 @@ def text_rows(path, header: str, encoding: str, error: type):
                     yield lineno, line
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not {encoding} text ({exc})") from exc
+
+
+def frozen_array(owner, name: str, dtype, ndim: int) -> np.ndarray:
+    """Store owner.<name> as a read-only contiguous ndim-D array of dtype and
+    return it. An empty array, another dimension or, for a float dtype, a
+    non-finite value raises InputError naming the owner's type and field."""
+    array = np.ascontiguousarray(getattr(owner, name), dtype=dtype)
+    field = f"{type(owner).__name__}.{name}"
+    if array.ndim != ndim or array.size == 0:
+        raise InputError(f"{field} must be a non-empty {ndim}-D array")
+    if array.dtype.kind == "f" and not np.isfinite(array).all():
+        raise InputError(f"{field} holds a non-finite value")
+    array.setflags(write=False)
+    object.__setattr__(owner, name, array)
+    return array

@@ -400,6 +400,7 @@ class _MatrixRunner:
         self._digest = None
         if self.cache_dir is not None:
             (self.cache_dir / "results").mkdir(parents=True, exist_ok=True)
+            self._digest = self._inputs_digest()
 
     # -- memo helpers ------------------------------------------------------
 
@@ -556,10 +557,9 @@ class _MatrixRunner:
 
     # -- result cache --------------------------------------------------------
 
-    def digest(self) -> str:
-        with self._lock:
-            if self._digest is not None:
-                return self._digest
+    def _inputs_digest(self) -> str:
+        """Hash of the audio, selectors and config that every cached result
+        depends on."""
         payload = {
             "entries": [
                 (
@@ -578,15 +578,12 @@ class _MatrixRunner:
             "extra_bits": self.config.extra_bits,
             "lfcc": self.config.lfcc.fingerprint(),
         }
-        digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
-        with self._lock:
-            self._digest = digest
-        return digest
+        return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
     def _result_path(self, spec: ScenarioSpec) -> Path | None:
         if self.cache_dir is None:
             return None
-        name = hashlib.sha256(f"{self.digest()}|{spec.key()}".encode()).hexdigest()
+        name = hashlib.sha256(f"{self._digest}|{spec.key()}".encode()).hexdigest()
         return self.cache_dir / "results" / f"{name}.json"
 
     def _load_cached(self, spec: ScenarioSpec) -> ScenarioResult | None:

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.fft
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, FormatError, InputError
+from .errors import ConfigError, FormatError, InputError, frozen_array
 from .waveform import Waveform, index_to_amp
 
 LOG_FLOOR = 1e-12
@@ -58,13 +58,7 @@ class FeatureMatrix:
     meta: str = ""
 
     def __post_init__(self):
-        frames = np.ascontiguousarray(self.frames)
-        if frames.ndim != 2 or frames.size == 0:
-            raise InputError("feature matrix must be 2-D and non-empty")
-        if not np.all(np.isfinite(frames)):
-            raise InputError("feature matrix contains non-finite entries")
-        frames.setflags(write=False)
-        object.__setattr__(self, "frames", frames)
+        frozen_array(self, "frames", np.float64, 2)
 
     @property
     def num_frames(self) -> int:

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FormatError, InputError, text_rows
+from .errors import ConfigError, FormatError, InputError, frozen_array, text_rows
 
 log = logging.getLogger(__name__)
 
@@ -38,10 +38,12 @@ class GmmModel:
     loglik_trace: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        weights = np.ascontiguousarray(self.weights, dtype=np.float64)
-        means = np.ascontiguousarray(self.means, dtype=np.float64)
-        variances = np.ascontiguousarray(self.variances, dtype=np.float64)
-        if weights.ndim != 1 or means.ndim != 2 or variances.shape != means.shape:
+        weights = frozen_array(self, "weights", np.float64, 1)
+        means = frozen_array(self, "means", np.float64, 2)
+        variances = frozen_array(self, "variances", np.float64, 2)
+        if self.loglik_trace is not None:
+            frozen_array(self, "loglik_trace", np.float64, 1)
+        if variances.shape != means.shape:
             raise InputError("inconsistent GMM parameter shapes")
         if weights.size != means.shape[0]:
             raise InputError("one weight per component required")
@@ -49,9 +51,6 @@ class GmmModel:
             raise InputError("weights must be a probability vector")
         if variances.min() <= 0.0:
             raise InputError("variances must be strictly positive")
-        for name, arr in (("weights", weights), ("means", means), ("variances", variances)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
 
     @property
     def num_components(self) -> int:
@@ -141,15 +140,14 @@ def train_gmm(
     k: int,
     iters: int = DEFAULT_ITERS,
     seed: int = 0,
-    tol: float = DEFAULT_TOL,
     provenance: str = "O",
     feature_fingerprint: str = "",
 ) -> GmmModel:
     """EM training from a k-means++-style seeded initialization.
 
     Stops after iters iterations or when the relative log-likelihood
-    improvement falls below tol, whichever comes first. Variances are
-    floored each M-step at 1e-4 of the global per-dimension variance; a
+    improvement falls below DEFAULT_TOL, whichever comes first. Variances
+    are floored each M-step at 1e-4 of the global per-dimension variance; a
     component that loses all its mass is re-seeded from the datum with the
     highest single responsibility. The per-iteration total log-likelihood
     trace is attached to the returned model.
@@ -188,7 +186,7 @@ def train_gmm(
                 variances[j] = np.maximum(global_variance, floor)
         weights = weights / weights.sum()
         variances = np.maximum(variances, floor)
-        if previous is not None and abs(total - previous) <= tol * abs(previous):
+        if previous is not None and abs(total - previous) <= DEFAULT_TOL * abs(previous):
             break
         previous = total
     return GmmModel(
@@ -202,7 +200,17 @@ def train_gmm(
 
 
 def gmm_loglik(model: GmmModel, features) -> float:
-    """Mean per-frame log-likelihood of the rows under the model."""
+    """Mean per-frame log-likelihood of the rows under the model.
+
+    A FeatureMatrix must carry the fingerprint the model records, if any
+    (ConfigError otherwise); raw row arrays carry none and are not checked.
+    """
+    recorded = model.feature_fingerprint
+    meta = getattr(features, "meta", None)
+    if recorded and meta is not None and meta != recorded:
+        raise ConfigError(
+            f"model was trained on features {recorded}, but these are {meta or '-'}"
+        )
     rows = _as_rows(features)
     if rows.shape[1] != model.num_features:
         raise InputError(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, FormatError, InputError, text_rows
+from .errors import CapacityError, FormatError, InputError, frozen_array, text_rows
 from .waveform import NUM_LEVELS
 
 PROB_TOL = 1e-9
@@ -38,24 +38,18 @@ class Pmf:
     counts: np.ndarray | None = None
 
     def __post_init__(self):
-        mass = np.ascontiguousarray(self.mass, dtype=np.float64)
-        if mass.ndim != 1 or mass.size == 0:
-            raise InputError("PMF mass must be a non-empty 1-D vector")
+        mass = frozen_array(self, "mass", np.float64, 1)
         if mass.min() < 0.0:
             raise InputError("PMF mass must be non-negative")
         if abs(float(mass.sum()) - 1.0) > PROB_TOL:
             raise InputError("PMF mass must sum to 1 within 1e-9")
-        mass.setflags(write=False)
-        object.__setattr__(self, "mass", mass)
         object.__setattr__(self, "total_count", int(self.total_count))
         if self.counts is not None:
-            counts = np.ascontiguousarray(self.counts, dtype=np.int64)
+            counts = frozen_array(self, "counts", np.int64, 1)
             if counts.shape != mass.shape:
                 raise InputError("histogram counts must match the PMF length")
             if int(counts.sum()) != self.total_count:
                 raise InputError("histogram counts inconsistent with total_count")
-            counts.setflags(write=False)
-            object.__setattr__(self, "counts", counts)
 
     @property
     def num_levels(self) -> int:
@@ -69,15 +63,11 @@ class Cdf:
     cum: np.ndarray
 
     def __post_init__(self):
-        cum = np.ascontiguousarray(self.cum, dtype=np.float64)
-        if cum.ndim != 1 or cum.size == 0:
-            raise InputError("CDF must be a non-empty 1-D vector")
+        cum = frozen_array(self, "cum", np.float64, 1)
         if cum.size > 1 and np.any(np.diff(cum) < 0.0):
             raise InputError("CDF must be non-decreasing")
         if abs(float(cum[-1]) - 1.0) > PROB_TOL:
             raise InputError("CDF must end at 1 within 1e-9")
-        cum.setflags(write=False)
-        object.__setattr__(self, "cum", cum)
 
     @property
     def num_levels(self) -> int:
@@ -156,26 +146,25 @@ def sub_level_values(base, mass, cum, sub_level, sub_levels: int):
     return np.minimum(base + (sub_level / sub_levels) * mass, cum)
 
 
-def extend_cdf(p: Pmf, d: int, max_levels: int = MAX_EXTENDED_LEVELS) -> Cdf:
+def extend_cdf(p: Pmf, d: int) -> Cdf:
     """Refine the CDF of p to 2**d sub-levels per index, a Cdf over
     p.num_levels * 2**d levels.
 
     Sub-level i of segment k (i in 1..2**d) takes the value
     F(k-1) + (i / 2**d) * mass[k], i.e. the mass of each segment is spread
-    uniformly across its sub-levels. d=0 returns the base CDF verbatim.
+    uniformly across its sub-levels. d=0 returns the base CDF verbatim; more
+    than MAX_EXTENDED_LEVELS levels raise CapacityError.
     """
     if d < 0:
         raise InputError("extra bits d must be non-negative")
-    levels = p.num_levels
-    if levels & (levels - 1):
-        raise InputError("extend_cdf requires a power-of-two level count")
-    base = cdf_from_pmf(p)
     if d == 0:
-        return base
-    if (levels << d) > max_levels:
+        return cdf_from_pmf(p)
+    levels = p.num_levels << d
+    if levels > MAX_EXTENDED_LEVELS:
         raise CapacityError(
-            f"extended CDF would need {levels << d} levels; cap is {max_levels}"
+            f"extended CDF would need {levels} levels; cap is {MAX_EXTENDED_LEVELS}"
         )
+    base = cdf_from_pmf(p)
     # Uniform density inside each base segment. The segment-end column is
     # pinned to the base CDF so boundaries agree exactly.
     sub = 1 << d

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import FormatError, InputError
+from .errors import FormatError, InputError, frozen_array
 from .waveform import Waveform, index_to_amp
 
 DEFAULT_ALPHA = 0.03
@@ -46,11 +46,7 @@ class VadMask:
     speech: np.ndarray
 
     def __post_init__(self):
-        speech = np.ascontiguousarray(self.speech, dtype=bool)
-        if speech.ndim != 1 or speech.size == 0:
-            raise InputError("mask requires a non-empty 1-D boolean vector")
-        speech.setflags(write=False)
-        object.__setattr__(self, "speech", speech)
+        frozen_array(self, "speech", bool, 1)
 
     def __len__(self) -> int:
         return int(self.speech.size)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, InputError
+from .errors import FormatError, InputError, frozen_array
 
 BASE_BITS = 16
 NUM_LEVELS = 1 << BASE_BITS
@@ -33,15 +33,11 @@ class Waveform:
     source_path: str | None = None
 
     def __post_init__(self):
-        samples = np.ascontiguousarray(self.samples, dtype=np.int64)
-        if samples.ndim != 1 or samples.size == 0:
-            raise InputError("waveform requires a non-empty 1-D sample vector")
+        samples = frozen_array(self, "samples", np.int64, 1)
         if samples.min() < 1 or samples.max() > NUM_LEVELS:
             raise InputError(f"sample indices must lie in 1..{NUM_LEVELS}")
         if int(self.sample_rate) <= 0:
             raise InputError("sample rate must be positive")
-        samples.setflags(write=False)
-        object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "sample_rate", int(self.sample_rate))
 
     def __len__(self) -> int:

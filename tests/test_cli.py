@@ -262,6 +262,18 @@ def test_exit_codes_and_error_format(corpus, tmp_path, capsys):
     assert main(["vad", "--alpha", "1.5", wav]) == 5
     assert "error: InputError:" in capsys.readouterr().err
 
+    # 5: a PMF file that holds a NaN, rejected before any output is written
+    nan_pmf = tmp_path / "nan.csv"
+    nan_pmf.write_text("index,probability\n30000,nan\n30001,1.0\n")
+    out_wav = tmp_path / "nan.wav"
+    for argv in (["pmf-distance", str(nan_pmf), str(nan_pmf)],
+                 ["genuinize", "--mode", "perturbed", "--target", str(nan_pmf), wav,
+                  str(out_wav)]):
+        capsys.readouterr()
+        assert main(argv) == 5, argv
+        assert "error: InputError:" in capsys.readouterr().err
+    assert not out_wav.exists()
+
     # 6: inconsistent request
     capsys.readouterr()
     assert main(["genuinize", "--mode", "random", wav, str(tmp_path / "o.wav")]) == 6

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from wavespoof import (
+    ConfigError,
+    FeatureMatrix,
     FormatError,
     GmmModel,
     InputError,
@@ -53,6 +55,23 @@ def test_loglik_width_mismatch():
     model = _random_model(np.random.default_rng(0), 2, 3)
     with pytest.raises(InputError):
         gmm_loglik(model, np.ones((5, 4)))
+
+
+def test_loglik_checks_the_recorded_fingerprint():
+    rng = np.random.default_rng(21)
+    base = _random_model(rng, 2, 3)
+    model = GmmModel(weights=base.weights, means=base.means, variances=base.variances,
+                     feature_fingerprint="lfcc-aaa")
+    rows = rng.normal(size=(5, 3))
+    value = gmm_loglik(model, rows)  # raw rows carry no fingerprint
+    assert gmm_loglik(model, FeatureMatrix(frames=rows, meta="lfcc-aaa")) == value
+    for meta in ("lfcc-bbb", ""):
+        with pytest.raises(ConfigError):
+            gmm_loglik(model, FeatureMatrix(frames=rows, meta=meta))
+        with pytest.raises(ConfigError):
+            score_trial(model, base, FeatureMatrix(frames=rows, meta=meta))
+    # a model that records no fingerprint scores any matrix
+    assert gmm_loglik(base, FeatureMatrix(frames=rows, meta="lfcc-bbb")) == value
 
 
 def test_train_single_component_closed_form():
@@ -229,3 +248,11 @@ def test_model_file_errors(tmp_path):
     (tmp_path / "trunc.gmm").write_bytes(blob[:-8])
     with pytest.raises(FormatError):
         load_gmm(tmp_path / "trunc.gmm")
+    # NaN compares false, so it would pass the weight and variance checks
+    start = blob.index(b"\n") + 1
+    nan = np.array([np.nan], dtype="<f8").tobytes()
+    for field, offset in (("weights", 0), ("means", 8), ("variances", 24)):
+        at = start + offset
+        (tmp_path / "nan.gmm").write_bytes(blob[:at] + nan + blob[at + 8 :])
+        with pytest.raises(InputError, match=f"GmmModel.{field}"):
+            load_gmm(tmp_path / "nan.gmm")

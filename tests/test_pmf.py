@@ -77,6 +77,9 @@ def test_pmf_validation():
     p = Pmf(mass=np.array([0.25, 0.75]))
     with pytest.raises(ValueError):
         p.mass[0] = 0.0
+    # NaN compares false, so it would pass the sign and sum checks
+    with pytest.raises(InputError, match="Pmf.mass"):
+        Pmf(mass=np.array([np.nan, 1.0]))
 
 
 def test_cdf_from_counts_matches_fsum_oracle():
@@ -105,6 +108,9 @@ def test_cdf_validation():
         Cdf(cum=np.array([0.5, 0.4, 1.0]))
     with pytest.raises(InputError):
         Cdf(cum=np.array([0.5, 0.9]))
+    # NaN compares false, so it would pass the ordering and end checks
+    with pytest.raises(InputError, match="Cdf.cum"):
+        Cdf(cum=np.array([0.5, np.nan, 1.0]))
 
 
 def _random_power_of_two_pmf(rng, levels):
@@ -141,10 +147,12 @@ def test_extend_cdf_errors():
     p = _random_power_of_two_pmf(np.random.default_rng(4), 8)
     with pytest.raises(InputError):
         extend_cdf(p, -1)
-    with pytest.raises(InputError):
-        extend_cdf(Pmf(mass=np.array([0.5, 0.25, 0.25])), 1)
+    # any level count refines; segment ends are the base CDF
+    odd = Pmf(mass=np.array([0.5, 0.25, 0.25]))
+    assert np.array_equal(extend_cdf(odd, 1).cum[1::2], cdf_from_pmf(odd).cum)
+    # 2**16 levels at d=11 exceed the 2**26-level cap before any allocation
     with pytest.raises(CapacityError):
-        extend_cdf(p, 3, max_levels=32)
+        extend_cdf(_random_power_of_two_pmf(np.random.default_rng(5), 1 << 16), 11)
 
 
 def test_tv_distance():
@@ -186,6 +194,9 @@ def test_pmf_csv_errors(tmp_path):
     bad.write_text("index,probability\n9,1.0\n")
     with pytest.raises(FormatError):
         load_pmf_csv(bad, num_levels=8)
+    bad.write_text("index,probability\n3,nan\n4,1.0\n")
+    with pytest.raises(InputError):
+        load_pmf_csv(bad, num_levels=8)
 
 
 def test_pmf_binary_round_trip(tmp_path):
@@ -210,6 +221,10 @@ def test_pmf_binary_errors(tmp_path):
         load_pmf_binary(tmp_path / "vers.gpmf")
     with pytest.raises(InputError):
         save_pmf_binary(tmp_path / "odd.gpmf", Pmf(mass=np.array([0.5, 0.25, 0.25])))
+    nan = np.array([np.nan], dtype="<f8").tobytes()
+    (tmp_path / "nan.gpmf").write_bytes(blob[:6] + nan + blob[14:])
+    with pytest.raises(InputError):
+        load_pmf_binary(tmp_path / "nan.gpmf")
 
 
 def test_save_load_dispatch(tmp_path):

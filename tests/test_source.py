@@ -146,3 +146,33 @@ def test_unreferenced_private_functions_are_detected():
 def test_package_private_functions_are_referenced():
     sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
     assert unreferenced_private_functions(sources) == []
+
+
+def setflags_calls(sources):
+    """(module, line) of each .setflags(...) call in sources, a mapping of
+    module name to source text."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "setflags"
+            ):
+                found.append((module, node.lineno))
+    return sorted(found)
+
+
+def test_setflags_calls_are_detected():
+    sources = {
+        "a": "import numpy as np\nx = np.zeros(3)\nx.setflags(write=False)\n",
+        "b": "def f(y):\n    return y.flags.writeable\n",
+        "c": "def g(arr):\n    arr.copy().setflags(write=False)\n",
+    }
+    assert setflags_calls(sources) == [("a", 3), ("c", 2)]
+
+
+def test_only_frozen_array_freezes_arrays():
+    # errors.frozen_array is the one owner of a valid, read-only array field
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert [module for module, _ in setflags_calls(sources)] == ["errors.py"]
