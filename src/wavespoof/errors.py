@@ -1,7 +1,8 @@
 """Exception types shared across the toolkit, mapped to CLI exit codes, the
 reader of headed text files that reports their faults as one of them, and
 frozen_array, the one check that every value type stores its arrays through:
-non-empty, of the declared dimension, finite when float, and read-only."""
+non-empty, of the declared dimension, converted without changing a value,
+finite when float, and read-only."""
 
 import numpy as np
 
@@ -54,14 +55,19 @@ def text_rows(path, header: str, encoding: str, error: type):
 
 def frozen_array(owner, name: str, dtype, ndim: int) -> np.ndarray:
     """Store owner.<name> as a read-only contiguous ndim-D array of dtype and
-    return it. An empty array, another dimension or, for a float dtype, a
-    non-finite value raises InputError naming the owner's type and field."""
-    array = np.ascontiguousarray(getattr(owner, name), dtype=dtype)
+    return it. An empty array, another dimension, a value that the conversion
+    to dtype changes or, for a float dtype, a non-finite value raises
+    InputError naming the owner's type and field."""
+    source = np.asarray(getattr(owner, name))
+    with np.errstate(invalid="ignore"):  # a NaN cast to int is caught below
+        array = np.ascontiguousarray(source, dtype=dtype)
     field = f"{type(owner).__name__}.{name}"
     if array.ndim != ndim or array.size == 0:
         raise InputError(f"{field} must be a non-empty {ndim}-D array")
     if array.dtype.kind == "f" and not np.isfinite(array).all():
         raise InputError(f"{field} holds a non-finite value")
+    if source.dtype != array.dtype and not np.array_equal(array, source):
+        raise InputError(f"{field} holds a value that {array.dtype} cannot represent")
     array.setflags(write=False)
     object.__setattr__(owner, name, array)
     return array

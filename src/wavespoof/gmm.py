@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -60,6 +61,12 @@ class GmmModel:
     def num_features(self) -> int:
         return int(self.means.shape[1])
 
+    @cached_property
+    def kernel(self) -> tuple[np.ndarray, np.ndarray]:
+        """(const, proj) of the fused log density (see _kernel), computed
+        once per model and reused by every scoring pass."""
+        return _kernel(self.weights, self.means, self.variances)
+
 
 def _as_rows(features) -> np.ndarray:
     rows = np.ascontiguousarray(getattr(features, "frames", features), dtype=np.float64)
@@ -70,69 +77,99 @@ def _as_rows(features) -> np.ndarray:
 
 def _kmeans_pp_init(rows: np.ndarray, k: int, rng) -> np.ndarray:
     # Distance-weighted seeding on a bounded subsample keeps init cheap on
-    # large corpora while staying fully determined by the rng.
+    # large corpora while staying fully determined by the rng. Each center's
+    # squared distances are |x|^2 - 2 x.c + |c|^2: one GEMV against row norms
+    # computed once. A value below that sum's rounding error is set to 0, so
+    # a duplicate of a center is never drawn again, as with exact distances.
     n = rows.shape[0]
     if n > _INIT_SUBSAMPLE:
         pick = rng.choice(n, size=_INIT_SUBSAMPLE, replace=False)
         pool = rows[pick]
     else:
         pool = rows
-    centers = np.empty((k, rows.shape[1]))
-    centers[0] = pool[rng.integers(0, pool.shape[0])]
-    dist2 = ((pool - centers[0]) ** 2).sum(axis=1)
-    for j in range(1, k):
+    norms = np.einsum("ij,ij->i", pool, pool)
+    rounding = 4 * pool.shape[1] * np.finfo(np.float64).eps
+
+    def dist2_to(chosen):
+        dist2 = pool @ pool[chosen]
+        dist2 *= -2.0
+        dist2 += norms
+        dist2 += norms[chosen]
+        dist2[dist2 <= rounding * (norms + norms[chosen])] = 0.0
+        return dist2
+
+    chosen = rng.integers(0, pool.shape[0])
+    picks = [chosen]
+    dist2 = dist2_to(chosen)
+    for _ in range(1, k):
         total = dist2.sum()
         if total > 0.0:
             chosen = rng.choice(pool.shape[0], p=dist2 / total)
         else:
             chosen = rng.integers(0, pool.shape[0])
-        centers[j] = pool[chosen]
-        dist2 = np.minimum(dist2, ((pool - centers[j]) ** 2).sum(axis=1))
-    return centers
+        picks.append(chosen)
+        np.minimum(dist2, dist2_to(chosen), out=dist2)
+    return pool[picks]
 
 
-def _block_logliks(rows, weights, means, variances):
-    """Yield (start, block, ll, lse) per row block, in fixed order: ll holds the
-    weighted component log densities of the block's rows, lse their log-sum-exp."""
+def _kernel(weights, means, variances):
+    """(const, proj) of the fused log density: the weighted component log
+    densities of a row x are [x*x, x] @ proj + const, with proj the (2f, K)
+    matrix [-1/(2 var); mean/var] and const = log w + log_norm - sum(mean^2/var)/2."""
     inv = 1.0 / variances
     scaled_means = means * inv
-    mean_term = (means * means * inv).sum(axis=1)[None, :]
     log_norm = -0.5 * (means.shape[1] * np.log(2.0 * np.pi) + np.log(variances).sum(axis=1))
-    log_prior = (np.log(weights) + log_norm)[None, :]
+    const = np.log(weights) + log_norm - 0.5 * (means * scaled_means).sum(axis=1)
+    return const, np.hstack([-0.5 * inv, scaled_means]).T
+
+
+def _block_logliks(rows, const, proj):
+    """Yield (start, stats, dens, mass, loglik) per row block, in fixed order.
+
+    stats is [x*x, x] for the block's rows; dens holds their weighted
+    component densities scaled by exp(-peak), peak being each row's largest
+    log density, and mass their row sums; a row's log-likelihood is
+    peak + log(mass), and loglik is the block's sum of them. dens is the
+    caller's to overwrite.
+    """
+    f = rows.shape[1]
     for start in range(0, rows.shape[0], _BLOCK_ROWS):
         block = rows[start : start + _BLOCK_ROWS]
-        ll = log_prior - 0.5 * (
-            (block * block) @ inv.T - 2.0 * (block @ scaled_means.T) + mean_term
-        )
-        peak = ll.max(axis=1, keepdims=True)
-        yield start, block, ll, peak + np.log(np.exp(ll - peak).sum(axis=1, keepdims=True))
+        stats = np.empty((block.shape[0], 2 * f))
+        np.multiply(block, block, out=stats[:, :f])
+        stats[:, f:] = block
+        dens = stats @ proj
+        dens += const
+        peak = dens.max(axis=1, keepdims=True)
+        dens -= peak
+        np.exp(dens, out=dens)
+        mass = dens.sum(axis=1, keepdims=True)
+        yield start, stats, dens, mass, float((peak + np.log(mass)).sum())
 
 
 def _accumulate(rows, weights, means, variances):
     """One E-step over row blocks, merged in fixed order.
 
     Returns (occupancy, weighted sums, weighted squared sums, total loglik,
-    index and value of the highest single responsibility seen).
+    index of the row with the highest single responsibility). A row's
+    highest responsibility is 1/mass, since its peak density is exp(0).
     """
     k, f = means.shape
     occupancy = np.zeros(k)
-    sum_x = np.zeros((k, f))
-    sum_xx = np.zeros((k, f))
+    moments = np.zeros((2 * f, k))
     total = 0.0
-    best_resp = -1.0
+    least_mass = np.inf
     best_row = 0
-    for start, block, ll, lse in _block_logliks(rows, weights, means, variances):
-        total += float(lse.sum())
-        resp = np.exp(ll - lse)
-        occupancy += resp.sum(axis=0)
-        sum_x += resp.T @ block
-        sum_xx += resp.T @ (block * block)
-        row_peaks = resp.max(axis=1)
-        local = int(np.argmax(row_peaks))
-        if row_peaks[local] > best_resp:
-            best_resp = float(row_peaks[local])
+    for start, stats, dens, mass, loglik in _block_logliks(rows, *_kernel(weights, means, variances)):
+        total += loglik
+        dens /= mass
+        occupancy += dens.sum(axis=0)
+        moments += stats.T @ dens
+        local = int(np.argmin(mass))
+        if mass[local, 0] < least_mass:
+            least_mass = float(mass[local, 0])
             best_row = start + local
-    return occupancy, sum_x, sum_xx, total, best_row
+    return occupancy, moments[f:].T, moments[:f].T, total, best_row
 
 
 def train_gmm(
@@ -217,8 +254,8 @@ def gmm_loglik(model: GmmModel, features) -> float:
             f"feature width {rows.shape[1]} does not match the model's {model.num_features}"
         )
     total = 0.0
-    for _, _, _, lse in _block_logliks(rows, model.weights, model.means, model.variances):
-        total += float(lse.sum())
+    for _, _, _, _, loglik in _block_logliks(rows, *model.kernel):
+        total += loglik
     return total / rows.shape[0]
 
 
@@ -338,10 +375,13 @@ def load_gmm(path) -> GmmModel:
     weights = np.frombuffer(payload, dtype="<f8", count=k)
     means = np.frombuffer(payload, dtype="<f8", count=k * f, offset=8 * k).reshape(k, f)
     variances = np.frombuffer(payload, dtype="<f8", count=k * f, offset=8 * (k + k * f)).reshape(k, f)
-    return GmmModel(
-        weights=weights,
-        means=means,
-        variances=variances,
-        provenance=parts[3],
-        feature_fingerprint="" if parts[4] == "-" else parts[4],
-    )
+    try:
+        return GmmModel(
+            weights=weights,
+            means=means,
+            variances=variances,
+            provenance=parts[3],
+            feature_fingerprint="" if parts[4] == "-" else parts[4],
+        )
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from exc

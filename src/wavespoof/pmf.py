@@ -208,7 +208,10 @@ def load_pmf_csv(path, num_levels=NUM_LEVELS) -> Pmf:
         if not 1 <= index <= num_levels:
             raise FormatError(f"{path}:{lineno}: index {index} outside 1..{num_levels}")
         mass[index - 1] = prob
-    return Pmf(mass=mass)
+    try:
+        return Pmf(mass=mass)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def save_pmf_binary(path, p: Pmf) -> None:
@@ -238,7 +241,10 @@ def load_pmf_binary(path) -> Pmf:
     if len(blob) != expected:
         raise FormatError(f"{path}: expected {expected} bytes, got {len(blob)}")
     mass = np.frombuffer(blob, dtype="<f8", offset=6).astype(np.float64)
-    return Pmf(mass=mass)
+    try:
+        return Pmf(mass=mass)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def save_pmf(path, p: Pmf) -> None:

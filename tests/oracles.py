@@ -151,6 +151,39 @@ def gmm_loglik_oracle(rows, weights, means, variances):
     return total / len(rows)
 
 
+def em_step_oracle(rows, weights, means, variances):
+    """One E-step by loops: (occupancy, sum of resp * x, sum of resp * x^2,
+    total log-likelihood, index of the row holding the highest single
+    responsibility). Each component's sums are taken with math.fsum."""
+    k_count, width = len(weights), len(rows[0])
+    resps = []
+    total_terms = []
+    for row in rows:
+        terms = []
+        for k in range(k_count):
+            quad = 0.0
+            norm = 0.0
+            for c in range(width):
+                diff = row[c] - means[k][c]
+                quad += diff * diff / variances[k][c]
+                norm += math.log(2.0 * math.pi * variances[k][c])
+            terms.append(math.log(weights[k]) - 0.5 * (norm + quad))
+        peak = max(terms)
+        lse = peak + math.log(math.fsum(math.exp(t - peak) for t in terms))
+        total_terms.append(lse)
+        resps.append([math.exp(t - lse) for t in terms])
+    occupancy = [math.fsum(r[k] for r in resps) for k in range(k_count)]
+    sum_x = [[math.fsum(r[k] * row[c] for r, row in zip(resps, rows)) for c in range(width)]
+             for k in range(k_count)]
+    sum_xx = [[math.fsum(r[k] * row[c] * row[c] for r, row in zip(resps, rows))
+               for c in range(width)] for k in range(k_count)]
+    best_row = 0
+    for i, r in enumerate(resps):
+        if max(r) > max(resps[best_row]):
+            best_row = i
+    return occupancy, sum_x, sum_xx, math.fsum(total_terms), best_row
+
+
 def eer_oracle(genuine, spoof):
     """EER in percent from a literal threshold sweep.
 

@@ -274,6 +274,13 @@ def test_exit_codes_and_error_format(corpus, tmp_path, capsys):
         assert "error: InputError:" in capsys.readouterr().err
     assert not out_wav.exists()
 
+    # 5: the value error of a loaded file names that file
+    good_pmf = tmp_path / "good.csv"
+    good_pmf.write_text("index,probability\n30000,0.5\n30001,0.5\n")
+    capsys.readouterr()
+    assert main(["pmf-distance", str(good_pmf), str(nan_pmf)]) == 5
+    assert f"error: InputError: {nan_pmf}: " in capsys.readouterr().err
+
     # 6: inconsistent request
     capsys.readouterr()
     assert main(["genuinize", "--mode", "random", wav, str(tmp_path / "o.wav")]) == 6

@@ -19,7 +19,8 @@ from wavespoof import (
     score_trial,
     train_gmm,
 )
-from oracles import eer_oracle, gmm_loglik_oracle
+from wavespoof.gmm import _BLOCK_ROWS, _INIT_SUBSAMPLE, _accumulate, _kmeans_pp_init
+from oracles import eer_oracle, em_step_oracle, gmm_loglik_oracle
 
 
 def _random_model(rng, k, f):
@@ -49,6 +50,66 @@ def test_loglik_matches_loop_oracle():
         rows.tolist(), model.weights.tolist(), model.means.tolist(), model.variances.tolist()
     )
     assert gmm_loglik(model, rows) == pytest.approx(want, abs=1e-9)
+
+
+def _check_estep(rows, model):
+    got = _accumulate(rows, model.weights, model.means, model.variances)
+    want = em_step_oracle(
+        rows.tolist(), model.weights.tolist(), model.means.tolist(), model.variances.tolist()
+    )
+    for name, g, w in zip(("occupancy", "sum_x", "sum_xx", "total"), got, want):
+        assert np.ravel(g).tolist() == pytest.approx(np.ravel(w).tolist(), rel=1e-9), name
+    assert got[4] == want[4]
+    return got[4]
+
+
+def test_estep_matches_loop_oracle():
+    rng = np.random.default_rng(22)
+    for k, f in ((3, 4), (5, 2)):
+        model = _random_model(rng, k, f)
+        _check_estep(rng.normal(1.5, 2.0, size=(150, f)), model)
+
+
+def test_estep_merges_row_blocks_like_the_loop_oracle():
+    # more rows than one block, overlapping components so that no
+    # responsibility saturates at 1; the highest one is a row of the second block
+    rng = np.random.default_rng(23)
+    model = GmmModel(weights=np.array([0.2, 0.5, 0.3]),
+                     means=np.array([[1.0, 1.5], [1.5, 1.0], [2.0, 2.0]]),
+                     variances=np.array([[1.0, 1.2], [0.8, 1.0], [1.1, 0.9]]))
+    rows = rng.normal(1.5, 0.7, size=(_BLOCK_ROWS + 300, 2))
+    rows[_BLOCK_ROWS + 100] = [5.0, 5.0]
+    assert _check_estep(rows, model) == _BLOCK_ROWS + 100
+
+
+def _exact_kmeans_pp(rows, k, rng):
+    """k-means++ seeding with exact squared distances, the same rng calls."""
+    pool = rows[rng.choice(rows.shape[0], size=_INIT_SUBSAMPLE, replace=False)] \
+        if rows.shape[0] > _INIT_SUBSAMPLE else rows
+    centers = [pool[rng.integers(0, pool.shape[0])]]
+    dist2 = ((pool - centers[0]) ** 2).sum(axis=1)
+    for _ in range(1, k):
+        total = dist2.sum()
+        if total > 0.0:
+            chosen = rng.choice(pool.shape[0], p=dist2 / total)
+        else:
+            chosen = rng.integers(0, pool.shape[0])
+        centers.append(pool[chosen])
+        dist2 = np.minimum(dist2, ((pool - centers[-1]) ** 2).sum(axis=1))
+    return np.array(centers)
+
+
+def test_seeding_picks_the_centers_of_exact_distances():
+    rng = np.random.default_rng(24)
+    distinct = rng.normal(0.3, 1.7, size=(40, 5))
+    # at k=45 every distinct row is a center before the end: the remaining
+    # centers come from the zero-total branch
+    for n, k in ((300, 12), (300, 45), (_INIT_SUBSAMPLE + 500, 20)):
+        rows = distinct[rng.integers(0, distinct.shape[0], size=n)]  # duplicated rows
+        for seed in range(3):
+            got = _kmeans_pp_init(rows, k, np.random.default_rng(seed))
+            want = _exact_kmeans_pp(rows, k, np.random.default_rng(seed))
+            assert np.array_equal(got, want), (n, seed)
 
 
 def test_loglik_width_mismatch():

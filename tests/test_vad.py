@@ -32,6 +32,15 @@ def test_config_validation():
         VadConfig(frame_hop=0)
 
 
+def test_mask_rejects_a_conversion_that_changes_a_value():
+    # a cast to bool would make 0.3 and NaN speech
+    for speech in (np.array([0.3, np.nan, 0.0]), np.array([2, 0]), np.array([1.0, np.nan])):
+        with pytest.raises(InputError, match="VadMask.speech"):
+            VadMask(speech=speech)
+    for speech in (np.array([1.0, 0.0]), np.array([1, 0], dtype=np.uint8), [True, False]):
+        assert VadMask(speech=speech).speech.tolist() == [True, False]
+
+
 def test_for_rate_defaults():
     cfg = VadConfig.for_rate(8000)
     assert cfg.frame_len == 160 and cfg.frame_hop == 80 and cfg.alpha == 0.03

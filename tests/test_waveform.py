@@ -61,6 +61,18 @@ def test_waveform_validation():
         w.samples[0] = 5
 
 
+def test_waveform_rejects_a_conversion_that_changes_a_value():
+    # a cast to the int64 grid would truncate 1.7 to 1 or wrap a large index
+    for samples in (np.array([1.7, 2.9]), np.array([1.0, np.nan]),
+                    np.array([2**64 - 1], dtype=np.uint64)):
+        with pytest.raises(InputError, match="Waveform.samples"):
+            Waveform(samples=samples, sample_rate=8000)
+    # a conversion that keeps every value is accepted
+    for samples in (np.array([1.0, 2.0]), np.array([1, 2], dtype=np.int16), [1, 2]):
+        w = Waveform(samples=samples, sample_rate=8000)
+        assert w.samples.dtype == np.int64 and w.samples.tolist() == [1, 2]
+
+
 def test_wav_round_trip(tmp_path):
     rng = np.random.default_rng(3)
     w = Waveform(samples=rng.integers(1, 65537, size=777), sample_rate=16000)
