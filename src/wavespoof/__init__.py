@@ -69,7 +69,7 @@ from .pmf import (
     tv_distance,
 )
 from .synth import make_toy_corpus
-from .vad import VadConfig, VadMask, energy_vad, format_runs, mask_to_runs, parse_runs
+from .vad import VadConfig, VadMask, energy_vad, format_runs, mask_to_runs
 from .waveform import (
     BASE_BITS,
     NUM_LEVELS,

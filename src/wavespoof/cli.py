@@ -5,8 +5,8 @@ logic lives here. Errors exit with a stable per-kind code and a one-line
 `error: <Kind>: <message>` on stderr:
 
     2  usage error (bad flag or subcommand)
-    3  I/O failure (missing file, truncated payload)
-    4  malformed file format
+    3  missing or unreadable file
+    4  malformed file format (a payload of the wrong size included)
     5  invalid input data
     6  invalid configuration
     7  resource limit exceeded

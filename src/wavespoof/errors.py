@@ -1,8 +1,13 @@
-"""Exception types shared across the toolkit, mapped to CLI exit codes, the
-reader of headed text files that reports their faults as one of them, and
-frozen_array, the one check that every value type stores its arrays through:
-non-empty, of the declared dimension, converted without changing a value,
-finite when float, and read-only."""
+"""Exception types shared across the toolkit, mapped to CLI exit codes; the
+one owner of reading a stored file (reading names the file in each fault,
+text_rows reads headed text, write_headed/read_headed are the one codec of a
+`MAGIC f1 … fn` line heading a binary payload, payload_arrays the one rule
+for a payload of the wrong size); and frozen_array, the one check that every
+value type stores its arrays through: non-empty, of the declared dimension,
+converted without changing a value, finite when float, and read-only."""
+
+import math
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -37,20 +42,86 @@ class CapacityError(ToolError):
     exit_code = 7
 
 
-def text_rows(path, header: str, encoding: str, error: type):
-    """(line number, stripped line) of each non-blank line after the header;
-    a wrong header or bytes that are not text raise error, naming the path."""
+@contextmanager
+def reading(path):
+    """Context of a body that reads path: a ToolError raised in it is raised
+    again as the same type, its message prefixed `path: `."""
+    try:
+        yield
+    except ToolError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
+def text_rows(path, header: str, encoding: str, error: type, parse) -> list:
+    """parse(*fields) of each non-blank stripped line after the header, in
+    order; a line splits from the right into as many comma-separated fields
+    as the header names. A wrong header, bytes that are not text, another
+    field count, or a ValueError or InputError from parse raise error; a
+    fault in a row is prefixed `line <n>: `. Run it inside reading(path)."""
+    width = header.count(",")
+    rows = []
     try:
         with open(path, "r", encoding=encoding, newline="") as fh:
             found = fh.readline().strip()
             if found != header:
-                raise error(f"{path}: expected header {header!r}, got {found!r}")
+                raise error(f"expected header {header!r}, got {found!r}")
             for lineno, line in enumerate(fh, start=2):
                 line = line.strip()
-                if line:
-                    yield lineno, line
+                if not line:
+                    continue
+                fields = line.rsplit(",", width)
+                try:
+                    if len(fields) != width + 1:
+                        raise ValueError(f"{len(fields)} fields")
+                    rows.append(parse(*fields))
+                except (ValueError, InputError) as exc:
+                    raise error(f"line {lineno}: malformed row {line!r}") from exc
+                except ToolError as exc:
+                    raise type(exc)(f"line {lineno}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise error(f"{path}: not {encoding} text ({exc})") from exc
+        raise error(f"not {encoding} text ({exc})") from exc
+    return rows
+
+
+def write_headed(path, magic: str, fields, dtype, *arrays) -> None:
+    """Write the ASCII line `magic f1 … fn` (an empty field as `-`), then each
+    array's values as dtype, row-major."""
+    header = " ".join([magic, *(str(value) or "-" for value in fields)])
+    with open(path, "wb") as fh:
+        fh.write(f"{header}\n".encode("ascii"))
+        for array in arrays:
+            fh.write(np.asarray(array).astype(dtype).tobytes())
+
+
+def read_headed(path, magic: str, kinds) -> tuple:
+    """(fields, payload) of a file that write_headed wrote; kinds gives the
+    type of each field, int (a non-negative decimal) or str (`-` reads as
+    empty). Any other header raises FormatError. Run it inside reading(path)."""
+    with open(path, "rb") as fh:
+        header = fh.readline().decode("ascii", errors="replace").strip()
+        payload = fh.read()
+    found, *texts = header.split(" ")
+    if found != magic or len(texts) != len(kinds) or not all(
+        kind is str or text.isdigit() for kind, text in zip(kinds, texts)
+    ):
+        raise FormatError(f"bad {magic} header {header!r}")
+    fields = tuple(int(t) if k is int else "" if t == "-" else t for k, t in zip(kinds, texts))
+    return fields, payload
+
+
+def payload_arrays(payload: bytes, dtype, *shapes) -> list:
+    """Arrays of dtype in the given shapes, read in order from payload. A
+    payload of another size than the shapes need is a FormatError."""
+    dtype = np.dtype(dtype)
+    counts = [math.prod(shape) for shape in shapes]
+    expected = dtype.itemsize * sum(counts)
+    if len(payload) != expected:
+        raise FormatError(f"payload of {len(payload)} bytes; its header promises {expected}")
+    arrays, offset = [], 0
+    for shape, count in zip(shapes, counts):
+        arrays.append(np.frombuffer(payload, dtype=dtype, count=count, offset=offset).reshape(shape))
+        offset += dtype.itemsize * count
+    return arrays
 
 
 def frozen_array(owner, name: str, dtype, ndim: int) -> np.ndarray:

@@ -52,7 +52,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, InputError, ToolError, text_rows
+from .errors import ConfigError, InputError, ToolError, reading, text_rows
 from .features import FeatureMatrix, LfccConfig, get_extractor, stack_features
 from .genuinize import DEFAULT_EXTRA_BITS, GenuinizeParams, genuinize, reference_pool
 from .gmm import DEFAULT_COMPONENTS, DEFAULT_ITERS, GmmModel, eer_from_scores, gmm_loglik, train_gmm
@@ -244,13 +244,8 @@ def enumerate_scenarios(features, extra_bits: int = DEFAULT_EXTRA_BITS, seed: in
 
 def read_manifest_csv(path) -> tuple:
     """Entries from a `path,label,subset` CSV; paths stay relative."""
-    entries = []
-    for lineno, line in text_rows(path, _MANIFEST_HEADER, "utf-8", ConfigError):
-        parts = line.rsplit(",", 2)
-        if len(parts) != 3:
-            raise ConfigError(f"{path}:{lineno}: malformed row {line!r}")
-        entries.append(ManifestEntry(path=parts[0], label=parts[1], subset=parts[2]))
-    return tuple(entries)
+    with reading(path):
+        return tuple(text_rows(path, _MANIFEST_HEADER, "utf-8", ConfigError, ManifestEntry))
 
 
 # JSON values accepted for a config value by its field's annotated type (a
@@ -259,16 +254,16 @@ _JSON_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str,
                "tuple": (str, list), "LfccConfig": dict}
 
 
-def _check_json_types(values: dict, types: dict, where: str) -> None:
+def _check_json_types(values: dict, types: dict, block: str = "") -> None:
     """Reject a key that types does not name, or a value whose JSON type does
-    not fit its key's annotation in types."""
+    not fit its key's annotation in types; block names the config block."""
     unknown = set(values) - set(types)
     if unknown:
-        raise ConfigError(f"{where}unknown config keys {sorted(unknown)}")
+        raise ConfigError(f"{block}unknown config keys {sorted(unknown)}")
     for name, value in values.items():
         accepted = _JSON_TYPES[types[name]]
         if (isinstance(value, bool) and accepted is not bool) or not isinstance(value, accepted):
-            raise ConfigError(f"{where}{name!r} has type {types[name]}; got {value!r}")
+            raise ConfigError(f"{block}{name!r} has type {types[name]}; got {value!r}")
 
 
 def load_run_setup(manifest_csv, config_json=None, seed=None, workers=None):
@@ -279,27 +274,29 @@ def load_run_setup(manifest_csv, config_json=None, seed=None, workers=None):
     fields (the LfccConfig fields under "lfcc") and the DatasetManifest
     SELECTORS; "feature" is an alias of "features".
     """
-    where = f"{config_json}: "
     raw = {}
     if config_json is not None:
-        try:
-            with open(config_json, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"{where}invalid JSON ({exc})") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError(f"{where}config must be a JSON object")
-    run_types = {f.name: f.type for f in fields(RunConfig)}
-    selectors = {
-        f.name: f.type for f in fields(DatasetManifest) if f.name in DatasetManifest.SELECTORS
-    }
-    _check_json_types(raw, {**run_types, **selectors, "feature": "str"}, where)
-    lfcc_types = {f.name: f.type for f in fields(LfccConfig)}
-    _check_json_types(raw.get("lfcc", {}), lfcc_types, f"{where}lfcc ")
+        with reading(config_json):
+            try:
+                with open(config_json, "r", encoding="utf-8") as fh:
+                    raw = json.load(fh)
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                raise ConfigError(f"invalid JSON ({exc})") from exc
+            if not isinstance(raw, dict):
+                raise ConfigError("config must be a JSON object")
+            selectors = [f for f in fields(DatasetManifest) if f.name in DatasetManifest.SELECTORS]
+            types = {f.name: f.type for f in (*fields(RunConfig), *selectors)}
+            _check_json_types(raw, {**types, "feature": "str"})
+            if "lfcc" in raw:
+                _check_json_types(raw["lfcc"], {f.name: f.type for f in fields(LfccConfig)}, "lfcc ")
+                try:
+                    raw["lfcc"] = LfccConfig(**raw["lfcc"])
+                except InputError as exc:
+                    raise ConfigError(f"lfcc: {exc}") from exc
     manifest = DatasetManifest.from_csv(
-        manifest_csv, **{name: raw[name] for name in selectors if name in raw}
+        manifest_csv, **{name: raw[name] for name in DatasetManifest.SELECTORS if name in raw}
     )
-    values = {name: raw[name] for name in run_types if name in raw}
+    values = {f.name: raw[f.name] for f in fields(RunConfig) if f.name in raw}
     features = values.get("features", raw.get("feature"))
     if features is not None:
         values["features"] = [features] if isinstance(features, str) else features
@@ -309,10 +306,6 @@ def load_run_setup(manifest_csv, config_json=None, seed=None, workers=None):
         values["workers"] = int(workers)
     if "seed" not in values:
         raise ConfigError("a run seed is required (config key 'seed' or the seed argument)")
-    try:
-        values["lfcc"] = LfccConfig(**values.get("lfcc", {}))
-    except InputError as exc:
-        raise ConfigError(f"{where}lfcc: {exc}") from exc
     return manifest, RunConfig(**values)
 
 

@@ -18,7 +18,9 @@ import numpy as np
 import scipy.fft
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, FormatError, InputError, frozen_array
+from .errors import (
+    ConfigError, InputError, frozen_array, payload_arrays, read_headed, reading, write_headed,
+)
 from .waveform import Waveform, index_to_amp
 
 LOG_FLOOR = 1e-12
@@ -61,26 +63,18 @@ class FeatureMatrix:
         frozen_array(self, "frames", np.float64, 2)
 
     @property
-    def num_frames(self) -> int:
-        return int(self.frames.shape[0])
-
-    @property
     def num_coeffs(self) -> int:
         return int(self.frames.shape[1])
 
 
 def _linear_filterbank(num_filters: int, fft_size: int, sample_rate: int) -> np.ndarray:
     """Triangular filters with linearly spaced edges from 0 to Nyquist."""
-    bins = fft_size // 2 + 1
-    freqs = np.arange(bins) * (sample_rate / fft_size)
-    edges = np.linspace(0.0, sample_rate / 2.0, num_filters + 2)
-    bank = np.zeros((num_filters, bins))
-    for j in range(num_filters):
-        left, mid, right = edges[j], edges[j + 1], edges[j + 2]
-        rising = (freqs - left) / (mid - left)
-        falling = (right - freqs) / (right - mid)
-        bank[j] = np.clip(np.minimum(rising, falling), 0.0, None)
-    return bank
+    freqs = np.arange(fft_size // 2 + 1) * (sample_rate / fft_size)
+    edges = np.linspace(0.0, sample_rate / 2.0, num_filters + 2)[:, None]
+    left, mid, right = edges[:-2], edges[1:-1], edges[2:]
+    rising = (freqs - left) / (mid - left)
+    falling = (right - freqs) / (right - mid)
+    return np.clip(np.minimum(rising, falling), 0.0, None)
 
 
 def _regression_delta(m: np.ndarray, window: int) -> np.ndarray:
@@ -180,28 +174,13 @@ def stack_features(matrices):
 
 
 def save_features(path, fm: FeatureMatrix) -> None:
-    """Cache format: one ASCII header line, then row-major LE float32 data."""
-    frames, coeffs = fm.frames.shape
-    meta = fm.meta or "-"
-    with open(path, "wb") as fh:
-        fh.write(f"{_CACHE_MAGIC} {meta} {frames} {coeffs}\n".encode("ascii"))
-        fh.write(fm.frames.astype("<f4").tobytes())
+    """Cache format: the header `FEAT1 <meta> <frames> <coeffs>`, then
+    row-major LE float32 data."""
+    write_headed(path, _CACHE_MAGIC, (fm.meta, *fm.frames.shape), "<f4", fm.frames)
 
 
 def load_features(path) -> FeatureMatrix:
-    with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii", errors="replace").strip()
-        payload = fh.read()
-    parts = header.split(" ")
-    if len(parts) != 4 or parts[0] != _CACHE_MAGIC:
-        raise FormatError(f"{path}: bad feature cache header {header!r}")
-    meta = "" if parts[1] == "-" else parts[1]
-    try:
-        frames, coeffs = int(parts[2]), int(parts[3])
-    except ValueError as exc:
-        raise FormatError(f"{path}: bad feature cache header {header!r}") from exc
-    expected = 4 * frames * coeffs
-    if len(payload) != expected:
-        raise OSError(f"{path}: truncated feature cache ({len(payload)} of {expected} bytes)")
-    data = np.frombuffer(payload, dtype="<f4").reshape(frames, coeffs)
-    return FeatureMatrix(frames=data.astype(np.float64), meta=meta)
+    with reading(path):
+        (meta, frames, coeffs), payload = read_headed(path, _CACHE_MAGIC, (str, int, int))
+        (data,) = payload_arrays(payload, "<f4", (frames, coeffs))
+        return FeatureMatrix(frames=data, meta=meta)

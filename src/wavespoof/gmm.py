@@ -9,7 +9,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, InputError, frozen_array, text_rows
+from .errors import (
+    ConfigError, FormatError, InputError, frozen_array, payload_arrays, read_headed, reading,
+    text_rows, write_headed,
+)
 
 log = logging.getLogger(__name__)
 
@@ -332,56 +335,25 @@ def save_scores(path, scores: ScoreSet) -> None:
 
 
 def load_scores(path) -> ScoreSet:
-    trials = []
-    for lineno, line in text_rows(path, _SCORE_HEADER, "ascii", FormatError):
-        parts = line.rsplit(",", 2)
-        if len(parts) != 3:
-            raise FormatError(f"{path}:{lineno}: malformed row {line!r}")
-        try:
-            trials.append(Trial(file_id=parts[0], label=parts[1], score=float(parts[2])))
-        except (ValueError, InputError) as exc:
-            raise FormatError(f"{path}:{lineno}: malformed row {line!r}") from exc
-    return ScoreSet(trials=tuple(trials))
+    with reading(path):
+        trials = text_rows(path, _SCORE_HEADER, "ascii", FormatError,
+                           lambda file_id, label, score: Trial(file_id, label, float(score)))
+        return ScoreSet(trials=tuple(trials))
 
 
 def save_gmm(path, model: GmmModel) -> None:
-    """Text header (component count, width, provenance, fingerprint) followed
-    by weights, means, and variances as little-endian doubles."""
-    fingerprint = model.feature_fingerprint or "-"
-    with open(path, "wb") as fh:
-        fh.write(
-            f"{_MODEL_MAGIC} {model.num_components} {model.num_features} "
-            f"{model.provenance} {fingerprint}\n".encode("ascii")
-        )
-        fh.write(model.weights.astype("<f8").tobytes())
-        fh.write(model.means.astype("<f8").tobytes())
-        fh.write(model.variances.astype("<f8").tobytes())
+    """Header `GMM1 <components> <width> <provenance> <fingerprint>`, then
+    weights, means, and variances as little-endian doubles."""
+    fields = (model.num_components, model.num_features, model.provenance,
+              model.feature_fingerprint)
+    write_headed(path, _MODEL_MAGIC, fields, "<f8", model.weights, model.means, model.variances)
 
 
 def load_gmm(path) -> GmmModel:
-    with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii", errors="replace").strip()
-        payload = fh.read()
-    parts = header.split(" ")
-    if len(parts) != 5 or parts[0] != _MODEL_MAGIC:
-        raise FormatError(f"{path}: bad model header {header!r}")
-    try:
-        k, f = int(parts[1]), int(parts[2])
-    except ValueError as exc:
-        raise FormatError(f"{path}: bad model header {header!r}") from exc
-    expected = 8 * (k + 2 * k * f)
-    if len(payload) != expected:
-        raise FormatError(f"{path}: expected {expected} payload bytes, got {len(payload)}")
-    weights = np.frombuffer(payload, dtype="<f8", count=k)
-    means = np.frombuffer(payload, dtype="<f8", count=k * f, offset=8 * k).reshape(k, f)
-    variances = np.frombuffer(payload, dtype="<f8", count=k * f, offset=8 * (k + k * f)).reshape(k, f)
-    try:
-        return GmmModel(
-            weights=weights,
-            means=means,
-            variances=variances,
-            provenance=parts[3],
-            feature_fingerprint="" if parts[4] == "-" else parts[4],
+    with reading(path):
+        (k, f, provenance, fingerprint), payload = read_headed(
+            path, _MODEL_MAGIC, (int, int, str, str)
         )
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+        weights, means, variances = payload_arrays(payload, "<f8", (k,), (k, f), (k, f))
+        return GmmModel(weights=weights, means=means, variances=variances,
+                        provenance=provenance, feature_fingerprint=fingerprint)

@@ -13,7 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, FormatError, InputError, frozen_array, text_rows
+from .errors import (
+    CapacityError, FormatError, InputError, frozen_array, payload_arrays, reading, text_rows,
+)
 from .waveform import NUM_LEVELS
 
 PROB_TOL = 1e-9
@@ -198,20 +200,20 @@ def save_pmf_csv(path, p: Pmf) -> None:
 
 def load_pmf_csv(path, num_levels=NUM_LEVELS) -> Pmf:
     mass = np.zeros(num_levels, dtype=np.float64)
-    for lineno, line in text_rows(path, _CSV_HEADER, "ascii", FormatError):
-        try:
-            index_text, prob_text = line.split(",")
-            index = int(index_text)
-            prob = float(prob_text)
-        except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: malformed row {line!r}") from exc
+    seen = set()
+
+    def row(index_text, prob_text):
+        index, prob = int(index_text), float(prob_text)
         if not 1 <= index <= num_levels:
-            raise FormatError(f"{path}:{lineno}: index {index} outside 1..{num_levels}")
+            raise FormatError(f"index {index} outside 1..{num_levels}")
+        if index in seen:
+            raise FormatError(f"index {index} repeated")
+        seen.add(index)
         mass[index - 1] = prob
-    try:
+
+    with reading(path):
+        text_rows(path, _CSV_HEADER, "ascii", FormatError, row)
         return Pmf(mass=mass)
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from exc
 
 
 def save_pmf_binary(path, p: Pmf) -> None:
@@ -227,24 +229,18 @@ def save_pmf_binary(path, p: Pmf) -> None:
 
 
 def load_pmf_binary(path) -> Pmf:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != _GPMF_MAGIC:
-        raise FormatError(f"{path}: missing GPMF magic")
-    if len(blob) < 6:
-        raise FormatError(f"{path}: truncated GPMF header")
-    version, bits = blob[4], blob[5]
-    if version != _GPMF_VERSION:
-        raise FormatError(f"{path}: unsupported GPMF version {version}")
-    levels = 1 << bits
-    expected = 6 + 8 * levels
-    if len(blob) != expected:
-        raise FormatError(f"{path}: expected {expected} bytes, got {len(blob)}")
-    mass = np.frombuffer(blob, dtype="<f8", offset=6).astype(np.float64)
-    try:
+    with reading(path):
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        if blob[:4] != _GPMF_MAGIC:
+            raise FormatError("missing GPMF magic")
+        if len(blob) < 6:
+            raise FormatError("truncated GPMF header")
+        version, bits = blob[4], blob[5]
+        if version != _GPMF_VERSION:
+            raise FormatError(f"unsupported GPMF version {version}")
+        (mass,) = payload_arrays(blob[6:], "<f8", (1 << bits,))
         return Pmf(mass=mass)
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from exc
 
 
 def save_pmf(path, p: Pmf) -> None:

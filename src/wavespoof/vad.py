@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import FormatError, InputError, frozen_array
+from .errors import InputError, frozen_array
 from .waveform import Waveform, index_to_amp
 
 DEFAULT_ALPHA = 0.03
@@ -105,24 +105,3 @@ def format_runs(mask: VadMask) -> str:
     """Text form of mask_to_runs: one `start_sample,end_sample,label` per line."""
     return "".join(f"{start},{end},{label}\n" for start, end, label in mask_to_runs(mask))
 
-
-def parse_runs(text: str) -> VadMask:
-    """Inverse of format_runs."""
-    pieces = []
-    expected_start = 0
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            start_text, end_text, label = line.split(",")
-            start, end = int(start_text), int(end_text)
-        except ValueError as exc:
-            raise FormatError(f"line {lineno}: malformed run {line!r}") from exc
-        if label not in ("speech", "nonspeech") or start != expected_start or end <= start:
-            raise FormatError(f"line {lineno}: invalid run {line!r}")
-        pieces.append(np.full(end - start, label == "speech", dtype=bool))
-        expected_start = end
-    if not pieces:
-        raise FormatError("no runs found")
-    return VadMask(speech=np.concatenate(pieces))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, InputError, frozen_array
+from .errors import FormatError, InputError, frozen_array, payload_arrays, reading
 
 BASE_BITS = 16
 NUM_LEVELS = 1 << BASE_BITS
@@ -72,29 +72,32 @@ def index_to_amp(k):
 
 def read_wav(path) -> Waveform:
     """Read a mono 16-bit PCM RIFF/WAVE file into index form."""
-    try:
-        handle = wave.open(str(path), "rb")
-    except wave.Error as exc:
-        raise FormatError(f"{path}: not a readable RIFF/WAVE file ({exc})") from exc
-    with handle:
-        comptype = handle.getcomptype()
-        if comptype != "NONE":
-            raise FormatError(f"{path}: compressed WAV ({comptype}) is unsupported")
-        channels = handle.getnchannels()
-        if channels != 1:
-            raise FormatError(f"{path}: {channels} channels; only mono is supported")
-        width = handle.getsampwidth()
-        if width != 2:
-            raise FormatError(f"{path}: {8 * width}-bit samples; only 16-bit PCM is supported")
-        frames = handle.getnframes()
-        if frames == 0:
-            raise FormatError(f"{path}: empty waveform")
-        rate = handle.getframerate()
-        raw = handle.readframes(frames)
-    if len(raw) != 2 * frames:
-        raise OSError(f"{path}: truncated WAV data ({len(raw)} of {2 * frames} bytes)")
-    codes = np.frombuffer(raw, dtype="<i2").astype(np.int64)
-    return Waveform(samples=codes + _CODE_OFFSET, sample_rate=rate, source_path=str(path))
+    with reading(path):
+        try:
+            handle = wave.open(str(path), "rb")
+        except (wave.Error, EOFError, RuntimeError) as exc:
+            # wave raises EOFError when the file ends inside its header and
+            # RuntimeError when a chunk size points past the end of the file
+            reason = str(exc) or "a chunk runs past the end of the file"
+            raise FormatError(f"not a readable RIFF/WAVE file ({reason})") from exc
+        with handle:
+            comptype = handle.getcomptype()
+            if comptype != "NONE":
+                raise FormatError(f"compressed WAV ({comptype}) is unsupported")
+            channels = handle.getnchannels()
+            if channels != 1:
+                raise FormatError(f"{channels} channels; only mono is supported")
+            width = handle.getsampwidth()
+            if width != 2:
+                raise FormatError(f"{8 * width}-bit samples; only 16-bit PCM is supported")
+            frames = handle.getnframes()
+            if frames == 0:
+                raise FormatError("empty waveform")
+            rate = handle.getframerate()
+            raw = handle.readframes(frames)
+        (codes,) = payload_arrays(raw, "<i2", (frames,))
+        return Waveform(samples=codes.astype(np.int64) + _CODE_OFFSET, sample_rate=rate,
+                        source_path=str(path))
 
 
 def write_wav(path, w: Waveform) -> None:

@@ -596,6 +596,21 @@ def test_matrix_failures_are_reported_not_cached(corpus, tmp_path):
         assert line.split(",")[5] == ""  # empty EER field on failed rows
 
 
+def test_matrix_turns_a_damaged_test_wav_into_failed_rows(corpus, tmp_path):
+    _, _, manifest, config = corpus
+    damaged = tmp_path / "damaged.wav"
+    damaged.write_bytes(b"RIFF\x24\x00\x00")  # 7 bytes: the file ends inside its header
+    entries = list(manifest.entries)
+    first_test = next(i for i, e in enumerate(entries) if e.subset == "test")
+    entries[first_test] = dataclasses.replace(entries[first_test], path=str(damaged))
+    out_csv = tmp_path / "results.csv"
+    results = run_matrix(dataclasses.replace(manifest, entries=entries), config, out_csv=out_csv)
+    assert len(results) == 45 and len(out_csv.read_text().splitlines()) == 46
+    for r in results:
+        assert r.eer is None and r.error.startswith(f"FormatError: {damaged}: ")
+        assert r.error.count(str(damaged)) == 1
+
+
 def test_progress_callback_sees_every_scenario(corpus):
     _, _, manifest, config = corpus
     seen = []

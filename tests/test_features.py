@@ -18,7 +18,7 @@ from wavespoof import (
     register_extractor,
     save_features,
 )
-from wavespoof.features import _EXTRACTORS, _framed_log_energies
+from wavespoof.features import _EXTRACTORS, _framed_log_energies, _linear_filterbank
 from oracles import dct2_ortho, delta_oracle, dft_power
 
 
@@ -47,7 +47,7 @@ def test_static_lfcc_matches_naive_pipeline():
     bin_freqs = [j * rate / nfft for j in range(nfft // 2 + 1)]
 
     num_frames = (len(quantized) - frame_len) // hop + 1
-    assert got.num_frames == num_frames
+    assert got.frames.shape[0] == num_frames
     assert got.num_coeffs == (3 + 1) * 3
 
     for t in range(num_frames):
@@ -64,6 +64,16 @@ def test_static_lfcc_matches_naive_pipeline():
         energy = math.log(max(sum(x * x for x in frame), 1e-12))
         want = ceps + [energy]
         assert got.frames[t, :4] == pytest.approx(want, abs=1e-9)
+
+
+def test_linear_filterbank_matches_the_triangle_loop():
+    # same elementwise arithmetic as the per-filter loop, so exactly equal
+    for filters, fft_size, rate in ((1, 64, 8000), (20, 512, 16000), (40, 1024, 44100),
+                                    (128, 256, 8000)):
+        edges = np.linspace(0.0, rate / 2.0, filters + 2).tolist()
+        freqs = (np.arange(fft_size // 2 + 1) * (rate / fft_size)).tolist()
+        want = [[_triangle_weight(f, *edges[j : j + 3]) for f in freqs] for j in range(filters)]
+        assert np.array_equal(_linear_filterbank(filters, fft_size, rate), want)
 
 
 def test_dct_is_orthonormal_on_log_energies():
@@ -199,5 +209,5 @@ def test_cache_errors(tmp_path):
     blob = good.read_bytes()
     trunc = tmp_path / "trunc.bin"
     trunc.write_bytes(blob[:-5])
-    with pytest.raises(OSError):
+    with pytest.raises(FormatError):
         load_features(trunc)

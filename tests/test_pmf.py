@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -196,6 +198,9 @@ def test_pmf_csv_errors(tmp_path):
         load_pmf_csv(bad, num_levels=8)
     bad.write_text("index,probability\n3,nan\n4,1.0\n")
     with pytest.raises(InputError):
+        load_pmf_csv(bad, num_levels=8)
+    bad.write_text("index,probability\n1,0.5\n1,0.5\n2,0.5\n")  # 1.5 of mass
+    with pytest.raises(FormatError, match=f"^{re.escape(str(bad))}: line 3: index 1 repeated$"):
         load_pmf_csv(bad, num_levels=8)
 
 

@@ -176,3 +176,48 @@ def test_only_frozen_array_freezes_arrays():
     # errors.frozen_array is the one owner of a valid, read-only array field
     sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
     assert [module for module, _ in setflags_calls(sources)] == ["errors.py"]
+
+
+def path_prefixed_fstrings(sources):
+    """(module, line) of each f-string in sources (a mapping of module name
+    to source text) that starts with a formatted path: a name or attribute
+    whose identifier contains "path", or a bare name that ": " follows."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.JoinedStr) or not node.values:
+                continue
+            first, rest = node.values[0], node.values[1:]
+            if not isinstance(first, ast.FormattedValue):
+                continue
+            follows = rest[0].value if rest and isinstance(rest[0], ast.Constant) else ""
+            if isinstance(first.value, ast.Name):
+                is_path = "path" in first.value.id or follows.startswith(": ")
+            else:
+                is_path = "path" in getattr(first.value, "attr", "")
+            if is_path:
+                found.append((module, node.lineno))
+    return sorted(found)
+
+
+def test_path_prefixed_fstrings_are_detected():
+    sources = {
+        "a": 'def f(path, n):\n    raise ValueError(f"{path}:{n}: bad")\n',
+        "b": 'def g(self):\n    return f"{self.out_path} written"\n',
+        "c": 'def h(config):\n    where = f"{config}: "\n    return where\n',
+        "d": (
+            'def ok(subset, label, field, path):\n'
+            '    a = f"{subset}:{label}"\n'
+            '    b = f"{field} must be positive"\n'
+            '    c = f"line {path}"\n'
+            '    d = f"{type(field).__name__}: {label}"\n'
+            '    return a, b, c, d\n'
+        ),
+    }
+    assert path_prefixed_fstrings(sources) == [("a", 2), ("b", 2), ("c", 2)]
+
+
+def test_only_reading_names_a_file_in_a_message():
+    # errors.reading is the one owner that prefixes a fault with its file
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert [module for module, _ in path_prefixed_fstrings(sources)] == ["errors.py"]

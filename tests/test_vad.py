@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from wavespoof import (
-    FormatError,
     InputError,
     VadConfig,
     VadMask,
@@ -11,7 +10,6 @@ from wavespoof import (
     energy_vad,
     format_runs,
     mask_to_runs,
-    parse_runs,
 )
 from wavespoof.vad import frame_energies
 from oracles import vad_oracle
@@ -122,18 +120,6 @@ def test_runs_round_trip():
         assert runs[0][0] == 0 and runs[-1][1] == len(flags)
         for (a, b, label), (c, _, next_label) in zip(runs, runs[1:]):
             assert b == c and label != next_label
-        back = parse_runs(format_runs(mask))
-        assert np.array_equal(back.speech, mask.speech)
-
-
-def test_parse_runs_rejects_malformed():
-    with pytest.raises(FormatError):
-        parse_runs("")
-    with pytest.raises(FormatError):
-        parse_runs("0,5,talking\n")
-    with pytest.raises(FormatError):
-        parse_runs("0,5,speech\n6,8,nonspeech\n")  # gap
-    with pytest.raises(FormatError):
-        parse_runs("0,0,speech\n")
-    with pytest.raises(FormatError):
-        parse_runs("zero,five,speech\n")
+        assert format_runs(mask).splitlines() == [f"{a},{b},{label}" for a, b, label in runs]
+        spans = [np.full(b - a, label == "speech") for a, b, label in runs]
+        assert np.array_equal(np.concatenate(spans), mask.speech)

@@ -145,9 +145,9 @@ def test_read_wav_rejects_empty(tmp_path):
     assert "empty" in str(err.value)
 
 
-def test_read_wav_truncated_data_is_io_error(tmp_path):
+def test_read_wav_truncated_data_is_format_error(tmp_path):
     path = tmp_path / "trunc.wav"
     good = pcm16_wav_bytes([0, 1, 2, 3, 4, 5, 6, 7], 8000)
     path.write_bytes(good[:-6])  # header intact, data short
-    with pytest.raises(OSError):
+    with pytest.raises(FormatError):
         read_wav(path)
