@@ -20,12 +20,13 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError, ToolError
-from .experiment import DatasetManifest, load_run_setup, run_matrix
+from .experiment import SUBSETS, DatasetManifest, load_run_setup, run_matrix
 from .features import LfccConfig, get_extractor, load_features, save_features, stack_features
-from .genuinize import DEFAULT_EXTRA_BITS, GenuinizeParams, genuinize, reference_pool
+from .genuinize import DEFAULT_EXTRA_BITS, MODES, GenuinizeParams, genuinize, reference_pool
 from .gmm import (
     DEFAULT_COMPONENTS,
     DEFAULT_ITERS,
+    LABELS,
     ScoreSet,
     Trial,
     compute_eer,
@@ -98,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("inputs", nargs="+", help="WAV files")
 
     sub = commands.add_parser("genuinize", help="quantile-match WAV amplitudes to a target PMF")
-    sub.add_argument("--mode", choices=("basic", "perturbed", "random"), required=True)
+    sub.add_argument("--mode", choices=MODES, required=True)
     sub.add_argument("--target", help="target PMF file (basic and perturbed modes)")
     sub.add_argument("--pool", nargs="+", help="reference WAVs (random mode, single-file form)")
     sub.add_argument("--pool-selector", default=DatasetManifest.cm_pmf_source,
@@ -110,8 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="file ordinal for stream derivation (single-file form)")
     sub.add_argument("--manifest", help="batch form: manifest CSV of files to process")
     sub.add_argument("--out-dir", help="batch form: root of the mirror output tree")
-    sub.add_argument("--subset", choices=("train", "test"), help="batch form: only this subset")
-    sub.add_argument("--label", choices=("genuine", "spoof"), help="batch form: only this label")
+    sub.add_argument("--subset", choices=SUBSETS, help="batch form: only this subset")
+    sub.add_argument("--label", choices=LABELS, help="batch form: only this label")
     sub.add_argument("paths", nargs="*", help="single-file form: input WAV, output WAV")
 
     sub = commands.add_parser("vad", help="run the energy voice-activity detector")
@@ -139,10 +140,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--spoof-model", required=True)
     sub.add_argument("--out", required=True, help="scores CSV output path")
     sub.add_argument("--manifest", help="score manifest rows instead of listed WAVs")
-    sub.add_argument("--subset", choices=("train", "test", "all"), default="test",
+    sub.add_argument("--subset", choices=(*SUBSETS, "all"), default="test",
                      help="manifest rows to score")
-    sub.add_argument("--label", choices=("genuine", "spoof"),
-                     help="label for bare WAV inputs")
+    sub.add_argument("--label", choices=LABELS, help="label for bare WAV inputs")
     sub.add_argument("inputs", nargs="*", help="WAV files (when not using --manifest)")
 
     sub = commands.add_parser("eer", help="equal error rate of a scores CSV")
@@ -343,7 +343,7 @@ def _cmd_run_matrix(args) -> int:
     if not args.quiet:
         def progress(result):
             spec = result.spec
-            outcome = "failed" if result.error else f"eer={result.eer:.4f}"
+            outcome = f"failed: {result.error}" if result.error else f"eer={result.eer:.4f}"
             sys.stderr.write(
                 f"[{spec.feature}] {spec.h_train}{spec.s_train} "
                 f"attacker={spec.attacker_action} cm={spec.cm_action} {outcome}\n"

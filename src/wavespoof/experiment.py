@@ -23,9 +23,9 @@ Every random draw derives from the single run seed through documented
 SeedSequence layers: role_seed(seed, role) isolates consumers (attacker,
 countermeasure, the two training sides, the two models), and genuinization
 derives per-file streams from (role seed, manifest ordinal). Results are
-cached per scenario under a digest of the scenario spec, the config, and the
-manifest including file content hashes; cache writes are atomic
-(write-then-rename), so interrupted runs resume cleanly.
+cached per scenario under a digest of the scenario spec, the config, the
+manifest including file content hashes, and RESULTS_VERSION; cache writes are
+atomic (write-then-rename), so interrupted runs resume cleanly.
 
 run_matrix runs in three stages over one _MatrixRunner: it reads each
 scenario's cache entry once; trains the distinct (label, provenance,
@@ -46,7 +46,7 @@ import tempfile
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from enum import IntEnum
 from pathlib import Path
 
@@ -55,18 +55,21 @@ import numpy as np
 from .errors import ConfigError, InputError, ToolError, reading, text_rows
 from .features import FeatureMatrix, LfccConfig, get_extractor, stack_features
 from .genuinize import DEFAULT_EXTRA_BITS, GenuinizeParams, genuinize, reference_pool
-from .gmm import DEFAULT_COMPONENTS, DEFAULT_ITERS, GmmModel, eer_from_scores, gmm_loglik, train_gmm
+from .gmm import (
+    DEFAULT_COMPONENTS, DEFAULT_ITERS, LABELS, GmmModel, eer_from_scores, gmm_loglik, train_gmm,
+)
 from .pmf import cdf_from_pmf, estimate_pmf
 from .waveform import read_wav
 
 TRAIN_COMBOS = (("O", "O"), ("O", "G"), ("G", "G"), ("O", "R"), ("R", "R"))
 ACTIONS = ("N", "G", "R")
-LABELS = ("genuine", "spoof")
 SUBSETS = ("train", "test")
 
 _MANIFEST_HEADER = "path,label,subset"
 _RESULTS_HEADER = "feature,h_train,s_train,attacker,cm,eer,genuine_trials,spoof_trials,seconds"
 _SEED_MASK = (1 << 64) - 1
+# Part of every result-cache key: a change that moves results bumps it.
+RESULTS_VERSION = 1
 # ScenarioResult fields a result cache entry stores next to its spec key.
 _CACHED_FIELDS = ("eer", "genuine_trials", "spoof_trials", "seconds")
 # Genuinization mode behind each treating action ("N" leaves files as they are).
@@ -219,6 +222,17 @@ class ScenarioResult:
     spoof_trials: int
     seconds: float
     error: str | None = None
+
+    def __post_init__(self):
+        # computed rows and cache entries alike pass this one check
+        if (self.eer is None) == (self.error is None):
+            raise InputError("a scenario result holds exactly one of eer and error")
+        if self.eer is not None and not (isinstance(self.eer, float) and 0.0 <= self.eer <= 100.0):
+            raise InputError(f"eer must be a float in [0, 100]; got {self.eer!r}")
+        if not all(type(n) is int and n >= 0 for n in (self.genuine_trials, self.spoof_trials)):
+            raise InputError(f"trial counts must be non-negative ints; got {self!r}")
+        if not (isinstance(self.seconds, float) and 0.0 <= self.seconds < np.inf):
+            raise InputError(f"seconds must be a finite float >= 0; got {self.seconds!r}")
 
 
 def enumerate_scenarios(features, extra_bits: int = DEFAULT_EXTRA_BITS, seed: int = 0):
@@ -398,30 +412,19 @@ class _MatrixRunner:
     # -- memo helpers ------------------------------------------------------
 
     def _memo(self, store, key, build):
-        # store maps each key to the Future of its one build. A caller that
-        # finds a build in flight waits for it (build dependencies form a
-        # DAG, so no wait closes a cycle). A failed build is dropped from the
-        # store, and its waiters retry, so each one fails or succeeds on its
-        # own as if it had been first.
-        while True:
-            with self._lock:
-                future = store.get(key)
-                if future is None:
-                    future = store[key] = Future()
-                    break
+        # store maps each key to the Future of its one build, which keeps the
+        # build's value or its exception. A caller that finds a build in
+        # flight waits for it (build dependencies form a DAG, so no wait
+        # closes a cycle); every caller of a failed key raises its error.
+        new = Future()
+        with self._lock:
+            future = store.setdefault(key, new)
+        if future is new:
             try:
-                return future.result()
-            except Exception:
-                continue
-        try:
-            value = build()
-        except BaseException as exc:
-            with self._lock:
-                del store[key]
-            future.set_exception(exc)
-            raise
-        future.set_result(value)
-        return value
+                new.set_result(build())
+            except BaseException as exc:
+                new.set_exception(exc)
+        return future.result()
 
     def waveform(self, index: int):
         entry = self.manifest.entries[index]
@@ -551,8 +554,10 @@ class _MatrixRunner:
     # -- result cache --------------------------------------------------------
 
     def _inputs_digest(self) -> str:
-        """Hash of the audio, selectors and config that every cached result
-        depends on."""
+        """Hash of what every cached result depends on: audio, selectors,
+        RESULTS_VERSION and the config but workers and features (a spec's key names its feature)."""
+        config = asdict(self.config)
+        del config["workers"], config["features"]
         payload = {
             "entries": [
                 (
@@ -563,13 +568,9 @@ class _MatrixRunner:
                 )
                 for e in self.manifest.entries
             ],
-            "attacker_pmf_source": self.manifest.attacker_pmf_source,
-            "cm_pmf_source": self.manifest.cm_pmf_source,
-            "seed": self.config.seed,
-            "gmm_components": self.config.gmm_components,
-            "em_iters": self.config.em_iters,
-            "extra_bits": self.config.extra_bits,
-            "lfcc": self.config.lfcc.fingerprint(),
+            "selectors": {name: getattr(self.manifest, name) for name in DatasetManifest.SELECTORS},
+            "config": config,
+            "results_version": RESULTS_VERSION,
         }
         return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
@@ -588,7 +589,7 @@ class _MatrixRunner:
             if data["spec"] != spec.key():
                 raise ValueError(f"entry holds scenario {data['spec']!r}")
             return ScenarioResult(spec=spec, **{name: data[name] for name in _CACHED_FIELDS})
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, InputError) as exc:
             logger.warning("recomputing %s: unusable cache entry %s (%s)", spec.key(), path, exc)
             return None
 
@@ -612,8 +613,8 @@ class _MatrixRunner:
 
     def train_guarded(self, key: tuple) -> None:
         """Build one (label, provenance, feature) model ahead of scoring. A
-        failed build is not kept, so on a ToolError each scenario that needs
-        the model raises it again as its own failed row."""
+        failed build keeps its ToolError, which each scenario that needs the
+        model raises as its own failed row."""
         try:
             self.model(*key)
         except ToolError:
@@ -654,6 +655,7 @@ def run_matrix(
     config.workers > 1; results are independent of the worker count.
     """
     runner = _MatrixRunner(manifest, config, cache_dir=cache_dir)
+    report = progress if progress is not None else (lambda result: None)
     specs = enumerate_scenarios(config.features, extra_bits=config.extra_bits, seed=config.seed)
     results = []
     uncached = []
@@ -663,8 +665,7 @@ def run_matrix(
             uncached.append(spec)
             continue
         results.append(cached)
-        if progress is not None:
-            progress(cached)
+        report(cached)
     models = dict.fromkeys(
         (label, provenance, spec.feature)
         for spec in uncached
@@ -677,8 +678,7 @@ def run_matrix(
             pass
         for result in mapper(runner.compute_guarded, uncached):
             results.append(result)
-            if progress is not None:
-                progress(result)
+            report(result)
     results.sort(key=lambda r: r.spec.sort_key())
     if out_csv is not None:
         Path(out_csv).write_text(results_to_csv(results), encoding="ascii")

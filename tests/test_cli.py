@@ -1,6 +1,7 @@
 """End-to-end command-line checks, run in process via main(argv)."""
 
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -18,9 +19,10 @@ from wavespoof import (
     load_scores,
     read_wav,
 )
-from wavespoof.cli import _lfcc_config, main, parse_args
-from wavespoof.genuinize import DEFAULT_EXTRA_BITS
-from wavespoof.gmm import DEFAULT_COMPONENTS, DEFAULT_ITERS
+from wavespoof.cli import _lfcc_config, build_parser, main, parse_args
+from wavespoof.experiment import SUBSETS
+from wavespoof.genuinize import DEFAULT_EXTRA_BITS, MODES
+from wavespoof.gmm import DEFAULT_COMPONENTS, DEFAULT_ITERS, LABELS
 from wavespoof.vad import DEFAULT_ALPHA
 
 
@@ -239,6 +241,21 @@ def test_run_matrix_cli(corpus, tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_run_matrix_progress_names_the_failure(corpus, tmp_path, capsys):
+    copy = tmp_path / "corpus"
+    shutil.copytree(corpus, copy)
+    damaged = Path(wavs(copy, "test", "genuine")[0])
+    damaged.write_bytes(b"RIFF\x24\x00\x00")  # 7 bytes: the file ends inside its header
+    out = tmp_path / "results.csv"
+    capsys.readouterr()
+    assert main(["run-matrix", "--manifest", str(copy / "manifest.csv"),
+                 "--config", str(copy / "config.json"), "--seed", "7", "--out", str(out)]) == 0
+    lines = [l for l in capsys.readouterr().err.splitlines() if "attacker=" in l]
+    assert len(lines) == 45
+    assert all(f"failed: FormatError: {damaged}: " in l for l in lines)
+    assert all(str(damaged) not in l for l in out.read_text().splitlines())
+
+
 def test_exit_codes_and_error_format(corpus, tmp_path, capsys):
     # 2: argparse rejects the flag value
     assert main(["genuinize", "--mode", "perturbed", "--d-bits", "-1", "a", "b"]) == 2
@@ -384,6 +401,21 @@ def test_parser_defaults_come_from_their_owners():
     assert gen.pool_selector == DatasetManifest(entries=()).cm_pmf_source
     assert parse_args(["vad", "in.wav"]).alpha == DEFAULT_ALPHA
     assert parse_args(["estimate-pmf", "--out", "p", "in.wav"]).alpha == DEFAULT_ALPHA
+    # choices that name the matrix vocabulary are its constants themselves
+    subcommands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    choices = {
+        (command, action.dest): action.choices
+        for command, sub in subcommands.items()
+        for action in sub._actions
+        if action.dest in ("mode", "subset", "label")
+    }
+    assert set(choices) == {("genuinize", "mode"), ("genuinize", "subset"),
+                            ("genuinize", "label"), ("score", "subset"), ("score", "label")}
+    assert choices["genuinize", "mode"] is MODES
+    assert choices["genuinize", "subset"] is SUBSETS
+    assert choices["genuinize", "label"] is LABELS and choices["score", "label"] is LABELS
+    assert choices["score", "subset"] == (*SUBSETS, "all")
+    assert wavespoof.experiment.LABELS is LABELS  # one definition, in gmm
 
 
 def test_cli_import_leaves_scipy_signal_unloaded():

@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+import wavespoof.experiment
 import wavespoof.gmm
 from wavespoof import (
     ACTIONS,
@@ -18,6 +19,7 @@ from wavespoof import (
     LfccConfig,
     ManifestEntry,
     RunConfig,
+    ScenarioResult,
     ScenarioSpec,
     SeedRole,
     TRAIN_COMBOS,
@@ -41,6 +43,7 @@ from wavespoof import (
     train_gmm,
     validate_manifest,
 )
+from wavespoof.cli import main
 from wavespoof.experiment import _MatrixRunner
 from wavespoof.features import _EXTRACTORS
 
@@ -372,26 +375,133 @@ def test_matrix_resume_equals_fresh_except_timing(corpus, tmp_path):
     assert strip_seconds(csv_full) == strip_seconds(csv_resumed)
 
 
+# cache entries that parse but break the row check: (field, stored value)
+_DAMAGED_VALUES = (
+    ("eer", None), ("eer", "12"), ("eer", 150.0), ("seconds", "abc"), ("genuine_trials", -3),
+)
+
+
 def test_matrix_recomputes_unusable_cache_entries(corpus, tmp_path, caplog):
-    _, _, manifest, config = corpus
+    root, manifest_path, manifest, config = corpus
     cache = tmp_path / "cache"
     csv_full = tmp_path / "full.csv"
     csv_healed = tmp_path / "healed.csv"
     run_matrix(manifest, config, cache_dir=cache, out_csv=csv_full)
-    truncated, misplaced, donor = sorted((cache / "results").glob("*.json"))[:3]
+    entries = sorted((cache / "results").glob("*.json"))
+    truncated, misplaced, donor = entries[:3]
+    damaged = entries[3:3 + len(_DAMAGED_VALUES)]
+
+    def damage_values():
+        for path, (name, value) in zip(damaged, _DAMAGED_VALUES):
+            path.write_text(json.dumps({**json.loads(path.read_text()), name: value}))
+
     truncated.write_bytes(truncated.read_bytes()[:10])
     misplaced.write_bytes(donor.read_bytes())  # another scenario's entry
+    damage_values()
     with caplog.at_level(logging.WARNING, logger="wavespoof.experiment"):
         run_matrix(manifest, config, cache_dir=cache, out_csv=csv_healed)
 
     def strip_seconds(path):
         return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
 
+    def unusable():
+        return sum("unusable cache entry" in r.getMessage() for r in caplog.records)
+
     assert strip_seconds(csv_full) == strip_seconds(csv_healed)
-    assert sum("unusable cache entry" in r.getMessage() for r in caplog.records) == 2
+    assert unusable() == 2 + len(_DAMAGED_VALUES)
     healed = json.loads(misplaced.read_text())["spec"]
     assert healed != json.loads(donor.read_text())["spec"]
     assert json.loads(truncated.read_text())["spec"]
+    for path, (name, value) in zip(damaged, _DAMAGED_VALUES):
+        assert json.loads(path.read_text())[name] != value
+
+    # the same values through the CLI, progress lines on
+    damage_values()
+    caplog.clear()
+    csv_cli = tmp_path / "cli.csv"
+    with caplog.at_level(logging.WARNING, logger="wavespoof.experiment"):
+        code = main(["run-matrix", "--manifest", str(manifest_path), "--config",
+                     str(root / "config.json"), "--seed", str(config.seed),
+                     "--cache-dir", str(cache), "--out", str(csv_cli)])
+    assert code == 0 and unusable() == len(_DAMAGED_VALUES)
+    assert strip_seconds(csv_full) == strip_seconds(csv_cli)
+
+
+def test_scenario_result_checks_itself():
+    spec = enumerate_scenarios(["lfcc"])[0]
+    good = {"eer": 12.5, "genuine_trials": 3, "spoof_trials": 4, "seconds": 0.25}
+    ScenarioResult(spec=spec, **good)
+    ScenarioResult(spec=spec, **{**good, "eer": 0.0, "seconds": 0.0})
+    ScenarioResult(spec=spec, **{**good, "eer": 100.0, "spoof_trials": 0})
+    ScenarioResult(spec=spec, **{**good, "eer": None, "error": "FormatError: x"})
+    for bad in (
+        {"eer": None},
+        {"error": "FormatError: x"},
+        {"eer": "12"},
+        {"eer": 12},
+        {"eer": 150.0},
+        {"eer": -0.5},
+        {"eer": float("nan")},
+        {"genuine_trials": -3},
+        {"spoof_trials": 2.0},
+        {"genuine_trials": True},
+        {"seconds": "abc"},
+        {"seconds": 1},
+        {"seconds": -1.0},
+        {"seconds": float("inf")},
+        {"seconds": float("nan")},
+    ):
+        with pytest.raises(InputError):
+            ScenarioResult(spec=spec, **{**good, **bad})
+
+
+def test_result_cache_key_covers_config_selectors_and_results_version(
+    corpus, tmp_path, monkeypatch
+):
+    _, _, manifest, config = corpus
+    cache = tmp_path / "cache"
+    spec = enumerate_scenarios(["lfcc"], extra_bits=config.extra_bits, seed=config.seed)[0]
+
+    def result_path(manifest, config):
+        return _MatrixRunner(manifest, config, cache_dir=cache)._result_path(spec)
+
+    base = result_path(manifest, config)
+    lfcc_changes = {"frame_len_ms": 25.0, "frame_hop_ms": 12.5, "fft_size": 1024,
+                    "num_filters": 24, "num_ceps": 13, "include_energy": False,
+                    "delta_window": 3}
+    assert set(lfcc_changes) == {f.name for f in dataclasses.fields(LfccConfig)}
+    config_changes = {"seed": config.seed + 1, "gmm_components": config.gmm_components + 1,
+                      "em_iters": config.em_iters + 1, "extra_bits": config.extra_bits + 1}
+    assert set(config_changes) | {"lfcc", "workers", "features"} == {
+        f.name for f in dataclasses.fields(RunConfig)
+    }
+    changed = [dataclasses.replace(config, **{name: value})
+               for name, value in config_changes.items()]
+    changed += [dataclasses.replace(config, lfcc=dataclasses.replace(config.lfcc, **{name: value}))
+                for name, value in lfcc_changes.items()]
+    for moved in changed:
+        assert result_path(manifest, moved) != base, moved
+    for name, selector in zip(DatasetManifest.SELECTORS, ("test:spoof", "train:spoof")):
+        assert getattr(manifest, name) != selector
+        assert result_path(dataclasses.replace(manifest, **{name: selector}), config) != base
+    assert result_path(manifest, dataclasses.replace(config, workers=3)) == base
+
+    # a bumped version misses every entry written under the old one
+    run_matrix(manifest, config, cache_dir=cache)
+    monkeypatch.setattr(wavespoof.experiment, "RESULTS_VERSION",
+                        wavespoof.experiment.RESULTS_VERSION + 1)
+    assert result_path(manifest, config) != base
+    computed = []
+    compute = _MatrixRunner._compute
+
+    def counting_compute(self, spec):
+        computed.append(spec)
+        return compute(self, spec)
+
+    monkeypatch.setattr(_MatrixRunner, "_compute", counting_compute)
+    run_matrix(manifest, config, cache_dir=cache)
+    assert len(computed) == 45
+    assert len(list((cache / "results").glob("*.json"))) == 90
 
 
 def test_matrix_parallel_equals_serial(corpus, tmp_path):
@@ -510,7 +620,7 @@ def test_matrix_warm_rerun_does_no_work(corpus, tmp_path, monkeypatch):
     assert csv_cold.read_bytes() == csv_warm.read_bytes()
 
 
-def test_memo_waits_for_a_build_in_flight_and_forgets_failures(corpus):
+def test_memo_waits_for_a_build_in_flight_and_keeps_failures(corpus):
     _, _, manifest, config = corpus
     runner = _MatrixRunner(manifest, config)
     store, outcome, builds = {}, {}, []
@@ -526,29 +636,29 @@ def test_memo_waits_for_a_build_in_flight_and_forgets_failures(corpus):
         builds.append("working")
         return "value"
 
-    def first_caller():
+    def caller(name, fn):
         try:
-            runner._memo(store, "key", failing_build)
+            runner._memo(store, "key", fn)
         except ConfigError as exc:
-            outcome["first"] = exc
+            outcome[name] = exc
 
-    def second_caller():
-        outcome["second"] = runner._memo(store, "key", build)
-
-    first = threading.Thread(target=first_caller)
+    first = threading.Thread(target=caller, args=("first", failing_build))
     first.start()
     started.wait(10)
-    second = threading.Thread(target=second_caller)
+    second = threading.Thread(target=caller, args=("second", build))
     second.start()
     second.join(0.2)
     assert builds == ["failing"] and second.is_alive()  # waiting, not building
     release.set()
     first.join(10)
     second.join(10)
-    # the failure reaches its own caller only; the waiter then builds itself
-    assert isinstance(outcome["first"], ConfigError) and outcome["second"] == "value"
-    assert builds == ["failing", "working"]
-    assert runner._memo(store, "key", build) == "value" and len(builds) == 2
+    assert not first.is_alive() and not second.is_alive()
+    # the waiter gets the build's own error; the key was built once
+    assert isinstance(outcome["first"], ConfigError) and outcome["second"] is outcome["first"]
+    assert builds == ["failing"]
+    with pytest.raises(ConfigError, match="first build fails"):
+        runner._memo(store, "key", build)
+    assert builds == ["failing"]
 
 
 def test_memo_builds_each_key_once_under_thread_contention(corpus):
@@ -609,6 +719,31 @@ def test_matrix_turns_a_damaged_test_wav_into_failed_rows(corpus, tmp_path):
     for r in results:
         assert r.eer is None and r.error.startswith(f"FormatError: {damaged}: ")
         assert r.error.count(str(damaged)) == 1
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_matrix_reads_a_damaged_training_wav_once(corpus, tmp_path, monkeypatch, workers):
+    # every model and treatment of the train:genuine side needs the file;
+    # its failed read is kept, so the run reads it once
+    _, _, manifest, config = corpus
+    damaged = tmp_path / "damaged.wav"
+    damaged.write_bytes(b"RIFF\x24\x00\x00")
+    entries = list(manifest.entries)
+    index = manifest.select("train:genuine")[0][0]
+    entries[index] = dataclasses.replace(entries[index], path=str(damaged))
+    reads = []
+
+    def counting_read_wav(path):
+        reads.append(str(path))
+        return read_wav(path)
+
+    monkeypatch.setattr("wavespoof.experiment.read_wav", counting_read_wav)
+    results = run_matrix(dataclasses.replace(manifest, entries=entries),
+                         dataclasses.replace(config, workers=workers))
+    assert reads.count(str(damaged)) == 1
+    assert len(results) == 45 and all(r.eer is None for r in results)
+    errors = {r.error for r in results}
+    assert len(errors) == 1 and errors.pop().startswith(f"FormatError: {damaged}: ")
 
 
 def test_progress_callback_sees_every_scenario(corpus):

@@ -1,9 +1,14 @@
 """Static checks on the package source (no linter is assumed installed)."""
 
 import ast
+import importlib
+import importlib.util
+import inspect
 from pathlib import Path
 
 import wavespoof
+from wavespoof.experiment import _MatrixRunner
+from wavespoof.features import get_extractor
 
 PACKAGE = Path(wavespoof.__file__).resolve().parent
 
@@ -221,3 +226,19 @@ def test_only_reading_names_a_file_in_a_message():
     # errors.reading is the one owner that prefixes a fault with its file
     sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
     assert [module for module, _ in path_prefixed_fstrings(sources)] == ["errors.py"]
+
+
+def test_traced_report_finds_every_name_it_wraps():
+    # perfbench/spans.py skips a name it cannot find, and the traced report
+    # then lacks that layer's metrics; load it as it is and resolve its names
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for _, module_name, attr, _ in spans.TARGETS:
+        target = getattr(importlib.import_module(module_name), attr, None)
+        assert callable(target) and target.__module__ == module_name, (module_name, attr)
+    assert list(inspect.signature(_MatrixRunner._memo).parameters) == [
+        "self", "store", "key", "build"
+    ]
+    assert callable(get_extractor("lfcc"))
