@@ -27,6 +27,7 @@ from .gmm import (
     DEFAULT_COMPONENTS,
     DEFAULT_ITERS,
     LABELS,
+    PROVENANCES,
     ScoreSet,
     Trial,
     compute_eer,
@@ -37,7 +38,7 @@ from .gmm import (
     score_trial,
     train_gmm,
 )
-from .pmf import cdf_from_pmf, estimate_pmf, load_pmf, save_pmf, tv_distance
+from .pmf import KEEPS, cdf_from_pmf, estimate_pmf, load_pmf, save_pmf, tv_distance
 from .synth import make_toy_corpus
 from .vad import DEFAULT_ALPHA, VadConfig, energy_vad, format_runs
 from .waveform import read_wav, write_wav
@@ -93,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("estimate-pmf", help="estimate an amplitude PMF from WAV files")
     sub.add_argument("--out", required=True, help="output path (.csv or binary)")
-    sub.add_argument("--keep", choices=("all", "speech", "nonspeech"), default="all")
+    sub.add_argument("--keep", choices=KEEPS, default="all")
     sub.add_argument("--alpha", type=float, default=DEFAULT_ALPHA,
                      help="VAD energy threshold factor")
     sub.add_argument("inputs", nargs="+", help="WAV files")
@@ -129,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--components", type=_positive_int, default=DEFAULT_COMPONENTS)
     sub.add_argument("--iters", type=_positive_int, default=DEFAULT_ITERS)
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--provenance", choices=("O", "G", "R"), default="O",
+    sub.add_argument("--provenance", choices=PROVENANCES, default="O",
                      help="training-material treatment tag stored in the model")
     sub.add_argument("--out", required=True, help="model output path")
     sub.add_argument("inputs", nargs="+", help="feature cache files")

@@ -27,17 +27,19 @@ cached per scenario under a digest of the scenario spec, the config, the
 manifest including file content hashes, and RESULTS_VERSION; cache writes are
 atomic (write-then-rename), so interrupted runs resume cleanly.
 
-run_matrix runs in three stages over one _MatrixRunner: it reads each
-scenario's cache entry once; trains the distinct (label, provenance,
-feature) models the uncached scenarios need, concurrently across the
-workers; then runs the uncached scenarios. The 45 cells per feature share
-six models, and a test file's treatment chain depends only on the actions,
-so each (model, test file, chain) mean log-likelihood is computed once and
-memoized; a scenario subtracts its two sides and computes the EER.
+run_matrix runs in stages over one _MatrixRunner: it reads each scenario's
+cache entry once; trains the distinct (label, provenance, feature) models
+the uncached scenarios need, concurrently across the workers; then runs one
+pass per test file across the workers, which scores the file under every
+(model, treatment chain) those scenarios need (a test file's chain depends
+only on the actions) and returns a table of floats; last it builds each row
+from the tables. A run keeps waveforms, reference sets, models and the
+tables; a file's treated audio and features live only in its own pass.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import logging
@@ -54,7 +56,7 @@ import numpy as np
 
 from .errors import ConfigError, InputError, ToolError, reading, text_rows
 from .features import FeatureMatrix, LfccConfig, get_extractor, stack_features
-from .genuinize import DEFAULT_EXTRA_BITS, GenuinizeParams, genuinize, reference_pool
+from .genuinize import _SEED_MASK, DEFAULT_EXTRA_BITS, GenuinizeParams, genuinize, reference_pool
 from .gmm import (
     DEFAULT_COMPONENTS, DEFAULT_ITERS, LABELS, GmmModel, eer_from_scores, gmm_loglik, train_gmm,
 )
@@ -67,7 +69,6 @@ SUBSETS = ("train", "test")
 
 _MANIFEST_HEADER = "path,label,subset"
 _RESULTS_HEADER = "feature,h_train,s_train,attacker,cm,eer,genuine_trials,spoof_trials,seconds"
-_SEED_MASK = (1 << 64) - 1
 # Part of every result-cache key: a change that moves results bumps it.
 RESULTS_VERSION = 1
 # ScenarioResult fields a result cache entry stores next to its spec key.
@@ -212,6 +213,10 @@ class ScenarioSpec:
             ACTIONS.index(self.attacker_action),
             ACTIONS.index(self.cm_action),
         )
+
+    def models(self) -> tuple:
+        """(label, provenance, feature) of the genuine and the spoof model."""
+        return tuple(zip(LABELS, (self.h_train, self.s_train), (self.feature,) * 2))
 
 
 @dataclass(frozen=True)
@@ -388,9 +393,8 @@ def apply_action(
 
 
 class _MatrixRunner:
-    """Shared state for one matrix run: lazily loaded waveforms, PMFs,
-    transformed audio, features, trained models and per-file mean
-    log-likelihoods, all memoized."""
+    """Shared state for one matrix run: waveforms, reference sets and models,
+    memoized for the run; treated audio and features go to the caller's store."""
 
     def __init__(self, manifest: DatasetManifest, config: RunConfig, cache_dir=None):
         validate_manifest(manifest)
@@ -400,10 +404,7 @@ class _MatrixRunner:
         self._lock = threading.Lock()
         self._waveforms = {}
         self._references = {}
-        self._transformed = {}
-        self._features = {}
         self._models = {}
-        self._logliks = {}
         self._digest = None
         if self.cache_dir is not None:
             (self.cache_dir / "results").mkdir(parents=True, exist_ok=True)
@@ -415,7 +416,8 @@ class _MatrixRunner:
         # store maps each key to the Future of its one build, which keeps the
         # build's value or its exception. A caller that finds a build in
         # flight waits for it (build dependencies form a DAG, so no wait
-        # closes a cycle); every caller of a failed key raises its error.
+        # closes a cycle). Each caller of a failed key raises its own copy of
+        # the error, so the stored traceback does not grow with callers' frames.
         new = Future()
         with self._lock:
             future = store.setdefault(key, new)
@@ -424,6 +426,9 @@ class _MatrixRunner:
                 new.set_result(build())
             except BaseException as exc:
                 new.set_exception(exc)
+        error = future.exception()
+        if error is not None:
+            raise copy.copy(error) from error
         return future.result()
 
     def waveform(self, index: int):
@@ -446,14 +451,14 @@ class _MatrixRunner:
 
     # -- transform / feature pipeline --------------------------------------
 
-    def transformed(self, index: int, chain: tuple):
+    def transformed(self, store: dict, index: int, chain: tuple):
         if not chain:
             return self.waveform(index)
 
         def build():
             action, role, selector = chain[-1]
             return _treat(
-                self.transformed(index, chain[:-1]),
+                self.transformed(store, index, chain[:-1]),
                 action,
                 self.references(action, selector),
                 self.config.extra_bits,
@@ -461,13 +466,13 @@ class _MatrixRunner:
                 index,
             )
 
-        return self._memo(self._transformed, (index, chain), build)
+        return self._memo(store, (index, chain), build)
 
-    def features(self, index: int, chain: tuple, feature: str) -> FeatureMatrix:
+    def features(self, store: dict, index: int, chain: tuple, feature: str) -> FeatureMatrix:
         def build():
-            return get_extractor(feature)(self.transformed(index, chain), self.config.lfcc)
+            return get_extractor(feature)(self.transformed(store, index, chain), self.config.lfcc)
 
-        return self._memo(self._features, (index, chain, feature), build)
+        return self._memo(store, (index, chain, feature), build)
 
     # -- training ----------------------------------------------------------
 
@@ -481,7 +486,8 @@ class _MatrixRunner:
         def build():
             chain = self._train_chain(label, provenance)
             train = self.manifest.select(f"train:{label}")
-            rows, fingerprint = stack_features([self.features(i, chain, feature) for i, _ in train])
+            matrices = [self.features({}, i, chain, feature) for i, _ in train]  # a store per file
+            rows, fingerprint = stack_features(matrices)
             role = SeedRole.MODEL_GENUINE if label == "genuine" else SeedRole.MODEL_SPOOF
             return train_gmm(
                 rows,
@@ -508,48 +514,79 @@ class _MatrixRunner:
             )
         return tuple(chain)
 
-    def mean_loglik(self, label: str, provenance: str, feature: str, index: int,
-                    chain: tuple) -> tuple:
-        """(mean log-likelihood, seconds) of one test file's treated features
-        under one model. The seconds count the gmm_loglik pass only, not the
-        model or features it waits for."""
+    def score_file(self, index: int, passes) -> dict:
+        """One test file's table: each pass ((label, provenance, feature),
+        chain) maps to (mean log-likelihood, seconds of its gmm_loglik call)
+        or to its error text. The file's treated audio and features live in
+        this call's store only."""
+        store = {}
 
-        def build():
-            model = self.model(label, provenance, feature)
-            features = self.features(index, chain, feature)
+        def score(model_key, chain):
+            model = self.model(*model_key)
+            features = self.features(store, index, chain, model_key[2])
             started = time.perf_counter()
-            value = gmm_loglik(model, features)
-            return value, time.perf_counter() - started
+            return gmm_loglik(model, features), time.perf_counter() - started
 
-        return self._memo(self._logliks, (label, provenance, feature, index, chain), build)
+        table = {key: _attempt(score, *key) for key in passes}
+        store.clear()  # a failed build's stored traceback refers back to the store
+        return table
 
-    def _compute(self, spec: ScenarioSpec) -> ScenarioResult:
-        """Score one scenario from the shared passes and store its result."""
+    def _row(self, spec: ScenarioSpec, failed: dict, tests: list, tables: list) -> ScenarioResult:
+        """spec's row: the error of its first failed model, else of its first
+        failed pass in file order, else its EER over the tables' passes."""
         # seconds: the passes this scenario uses plus its own subtraction and
         # EER, so it does not depend on which scenario built a shared stage
-        sides = []
-        for index, entry in enumerate(self.manifest.entries):
-            if entry.subset == "test":
-                chain = self._test_chain(spec, entry.label)
-                genuine = self.mean_loglik("genuine", spec.h_train, spec.feature, index, chain)
-                spoof = self.mean_loglik("spoof", spec.s_train, spec.feature, index, chain)
-                sides.append((entry.label, genuine, spoof))
         started = time.perf_counter()
-        scores = {label: [] for label in LABELS}
-        seconds = 0.0
-        for label, (genuine, genuine_s), (spoof, spoof_s) in sides:
-            scores[label].append(genuine - spoof)
-            seconds += genuine_s + spoof_s
-        eer = eer_from_scores(scores["genuine"], scores["spoof"])
-        result = ScenarioResult(
-            spec=spec,
-            eer=eer,
-            genuine_trials=len(scores["genuine"]),
-            spoof_trials=len(scores["spoof"]),
-            seconds=seconds + time.perf_counter() - started,
-        )
-        self._store(result)
-        return result
+        keys = spec.models()
+        sides = [(label, [table.get((key, self._test_chain(spec, label))) for key in keys])
+                 for (_, label), table in zip(tests, tables)]
+        outcomes = [failed.get(key) for key in keys] + [o for _, pair in sides for o in pair]
+        error = next((outcome for outcome in outcomes if isinstance(outcome, str)), None)
+        if error is None:
+            scores = {label: [] for label in LABELS}
+            for label, ((genuine, _), (spoof, _)) in sides:
+                scores[label].append(genuine - spoof)
+            eer = _attempt(eer_from_scores, scores["genuine"], scores["spoof"])
+            if not isinstance(eer, str):
+                return ScenarioResult(
+                    spec=spec, eer=eer, genuine_trials=len(scores["genuine"]),
+                    spoof_trials=len(scores["spoof"]),
+                    seconds=sum(s for _, s in outcomes[2:]) + time.perf_counter() - started,
+                )
+            error = eer
+        return ScenarioResult(spec=spec, eer=None, genuine_trials=0, spoof_trials=0, seconds=0.0,
+                              error=error)
+
+    def run(self, specs, progress=None) -> list:
+        """Rows of specs in canonical order, computed in the stages the
+        module docstring names; progress, when given, gets each row."""
+        report = progress or (lambda result: None)
+        cached = [self._load_cached(spec) for spec in specs]
+        results = [result for result in cached if result is not None]
+        uncached = [spec for spec, result in zip(specs, cached) if result is None]
+        for result in results:
+            report(result)
+        models = list(dict.fromkeys(key for spec in uncached for key in spec.models()))
+        tests = [(i, e.label) for i, e in enumerate(self.manifest.entries) if e.subset == "test"]
+        with ThreadPoolExecutor(max_workers=self.config.workers) as pool:
+            # One worker runs on the calling thread, so Ctrl-C stops it at once.
+            mapper = pool.map if self.config.workers > 1 else map
+            built = zip(models, mapper(lambda key: _attempt(self.model, *key), models))
+            failed = {key: error for key, error in built if isinstance(error, str)}
+            # a scenario with a failed model needs none of its passes
+            scored = [spec for spec in uncached if failed.keys().isdisjoint(spec.models())]
+            passes = {label: dict.fromkeys((key, self._test_chain(spec, label))
+                                           for spec in scored for key in spec.models())
+                      for label in LABELS}
+            tables = list(mapper(self.score_file, [index for index, _ in tests],
+                                 [passes[label] for _, label in tests]))
+        for spec in uncached:
+            result = self._row(spec, failed, tests, tables)
+            if result.error is None:
+                self._store(result)
+            results.append(result)
+            report(result)
+        return sorted(results, key=lambda r: r.spec.sort_key())
 
     # -- result cache --------------------------------------------------------
 
@@ -604,38 +641,23 @@ class _MatrixRunner:
             fh.write(json.dumps(data, sort_keys=True))
         os.replace(tmp_name, path)
 
-    def run_scenario(self, spec: ScenarioSpec) -> ScenarioResult:
-        # results are computed with the config's d and seed, filed under the spec's
-        if (spec.extra_bits, spec.seed) != (self.config.extra_bits, self.config.seed):
-            raise ConfigError(f"scenario {spec.key()} disagrees with the run config's d or seed")
-        cached = self._load_cached(spec)
-        return cached if cached is not None else self._compute(spec)
 
-    def train_guarded(self, key: tuple) -> None:
-        """Build one (label, provenance, feature) model ahead of scoring. A
-        failed build keeps its ToolError, which each scenario that needs the
-        model raises as its own failed row."""
-        try:
-            self.model(*key)
-        except ToolError:
-            pass
-
-    def compute_guarded(self, spec: ScenarioSpec) -> ScenarioResult:
-        """Compute an uncached scenario; a ToolError becomes its failed row."""
-        try:
-            return self._compute(spec)
-        except ToolError as exc:
-            return ScenarioResult(
-                spec=spec, eer=None, genuine_trials=0, spoof_trials=0, seconds=0.0,
-                error=f"{type(exc).__name__}: {exc}",
-            )
+def _attempt(build, *args):
+    """build(*args), or the failed-row text `Type: message` of its ToolError."""
+    try:
+        return build(*args)
+    except ToolError as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 def run_scenario(
     manifest: DatasetManifest, spec: ScenarioSpec, config: RunConfig, cache_dir=None
 ) -> ScenarioResult:
-    """Run one scenario end to end (fresh runner; see run_matrix for reuse)."""
-    return _MatrixRunner(manifest, config, cache_dir=cache_dir).run_scenario(spec)
+    """One scenario's row as run_matrix gives it, from a fresh runner. Rows are
+    computed with the config's d and seed, so a spec that disagrees is a ConfigError."""
+    if (spec.extra_bits, spec.seed) != (config.extra_bits, config.seed):
+        raise ConfigError(f"scenario {spec.key()} disagrees with the run config's d or seed")
+    return _MatrixRunner(manifest, config, cache_dir=cache_dir).run([spec])[0]
 
 
 def run_matrix(
@@ -645,41 +667,14 @@ def run_matrix(
     out_csv=None,
     progress=None,
 ):
-    """Run the full matrix for every configured feature.
-
-    Three stages: read each scenario's cache entry once, train the models
-    the uncached scenarios need, then score those scenarios. Scenario
-    failures are recorded on their row (empty EER) and do not stop the run.
-    Results come back in canonical order; out_csv, when given, receives the
-    CSV rendering. Training and scoring run concurrently when
-    config.workers > 1; results are independent of the worker count.
+    """Run the full matrix for every configured feature, in the stages the
+    module docstring names. A failed scenario becomes a row with an empty
+    EER and its error, and the run goes on. Results come back in canonical
+    order; out_csv, when given, receives the CSV rendering. config.workers
+    threads train and score; results do not depend on their number.
     """
-    runner = _MatrixRunner(manifest, config, cache_dir=cache_dir)
-    report = progress if progress is not None else (lambda result: None)
     specs = enumerate_scenarios(config.features, extra_bits=config.extra_bits, seed=config.seed)
-    results = []
-    uncached = []
-    for spec in specs:
-        cached = runner._load_cached(spec)
-        if cached is None:
-            uncached.append(spec)
-            continue
-        results.append(cached)
-        report(cached)
-    models = dict.fromkeys(
-        (label, provenance, spec.feature)
-        for spec in uncached
-        for label, provenance in zip(LABELS, (spec.h_train, spec.s_train))
-    )
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        # One worker runs on the calling thread, so Ctrl-C stops it at once.
-        mapper = pool.map if config.workers > 1 else map
-        for _ in mapper(runner.train_guarded, models):
-            pass
-        for result in mapper(runner.compute_guarded, uncached):
-            results.append(result)
-            report(result)
-    results.sort(key=lambda r: r.spec.sort_key())
+    results = _MatrixRunner(manifest, config, cache_dir=cache_dir).run(specs, progress)
     if out_csv is not None:
         Path(out_csv).write_text(results_to_csv(results), encoding="ascii")
     return results

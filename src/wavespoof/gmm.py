@@ -13,6 +13,7 @@ from .errors import (
     ConfigError, FormatError, InputError, frozen_array, payload_arrays, read_headed, reading,
     text_rows, write_headed,
 )
+from .genuinize import _SEED_MASK
 
 log = logging.getLogger(__name__)
 
@@ -22,17 +23,17 @@ DEFAULT_ITERS = 10
 DEFAULT_TOL = 1e-5
 _BLOCK_ROWS = 8192
 _INIT_SUBSAMPLE = 20000
-_SEED_MASK = (1 << 64) - 1
 _MODEL_MAGIC = "GMM1"
 _SCORE_HEADER = "file_id,label,score"
 
 LABELS = ("genuine", "spoof")
+PROVENANCES = ("O", "G", "R")
 
 
 @dataclass(frozen=True)
 class GmmModel:
-    """Diagonal-covariance mixture; provenance records the training-data
-    treatment (O original, G genuinized, R randomly genuinized)."""
+    """Diagonal-covariance mixture; provenance, one of PROVENANCES, records
+    the training-data treatment (O original, G genuinized, R randomly genuinized)."""
 
     weights: np.ndarray
     means: np.ndarray
@@ -55,6 +56,8 @@ class GmmModel:
             raise InputError("weights must be a probability vector")
         if variances.min() <= 0.0:
             raise InputError("variances must be strictly positive")
+        if self.provenance not in PROVENANCES:
+            raise InputError(f"provenance must be one of {PROVENANCES}; got {self.provenance!r}")
 
     @property
     def num_components(self) -> int:

@@ -25,6 +25,7 @@ MAX_EXTENDED_LEVELS = 1 << 26
 _GPMF_MAGIC = b"GPMF"
 _GPMF_VERSION = 1
 _CSV_HEADER = "index,probability"
+KEEPS = ("speech", "nonspeech", "all")
 
 
 @dataclass(frozen=True)
@@ -83,8 +84,8 @@ def estimate_pmf(waveforms, masks=None, keep="all", num_levels=NUM_LEVELS) -> Pm
     keep selects which samples enter the histogram: "speech", "nonspeech",
     or "all". Estimation is pure integer counting until the final division.
     """
-    if keep not in ("speech", "nonspeech", "all"):
-        raise InputError(f"keep must be speech, nonspeech, or all; got {keep!r}")
+    if keep not in KEEPS:
+        raise InputError(f"keep must be one of {KEEPS}; got {keep!r}")
     if keep != "all" and masks is None:
         raise InputError(f"keep={keep!r} requires per-waveform masks")
     if num_levels < 1:

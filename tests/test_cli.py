@@ -22,7 +22,8 @@ from wavespoof import (
 from wavespoof.cli import _lfcc_config, build_parser, main, parse_args
 from wavespoof.experiment import SUBSETS
 from wavespoof.genuinize import DEFAULT_EXTRA_BITS, MODES
-from wavespoof.gmm import DEFAULT_COMPONENTS, DEFAULT_ITERS, LABELS
+from wavespoof.gmm import DEFAULT_COMPONENTS, DEFAULT_ITERS, LABELS, PROVENANCES
+from wavespoof.pmf import KEEPS
 from wavespoof.vad import DEFAULT_ALPHA
 
 
@@ -407,14 +408,17 @@ def test_parser_defaults_come_from_their_owners():
         (command, action.dest): action.choices
         for command, sub in subcommands.items()
         for action in sub._actions
-        if action.dest in ("mode", "subset", "label")
+        if action.dest in ("mode", "subset", "label", "keep", "provenance")
     }
     assert set(choices) == {("genuinize", "mode"), ("genuinize", "subset"),
-                            ("genuinize", "label"), ("score", "subset"), ("score", "label")}
+                            ("genuinize", "label"), ("score", "subset"), ("score", "label"),
+                            ("estimate-pmf", "keep"), ("train-gmm", "provenance")}
     assert choices["genuinize", "mode"] is MODES
     assert choices["genuinize", "subset"] is SUBSETS
     assert choices["genuinize", "label"] is LABELS and choices["score", "label"] is LABELS
     assert choices["score", "subset"] == (*SUBSETS, "all")
+    assert choices["estimate-pmf", "keep"] is KEEPS
+    assert choices["train-gmm", "provenance"] is PROVENANCES
     assert wavespoof.experiment.LABELS is LABELS  # one definition, in gmm
 
 

@@ -71,6 +71,8 @@ def _fault_table(tmp_path):
         ("FEAT1 negative size", "a.feat", b"FEAT1 m -3 -4\n" + bytes(48), load_features,
          FormatError, "bad FEAT1 header"),
         ("GMM1 short payload", "a.gmm", gmm1[:-8], load_gmm, FormatError, "payload of"),
+        ("GMM1 provenance typo", "a.gmm", gmm1.replace(b" O ", b" X ", 1), load_gmm, InputError,
+         "provenance must be one of"),
         ("GPMF short payload", "a.gpmf", gpmf[:-8], load_pmf, FormatError, "payload of 24"),
         ("manifest label typo", "m.csv", b"path,label,subset\na.wav,bonafide,train\n",
          read_manifest_csv, ConfigError, "line 2: label must be one of"),

@@ -1,9 +1,11 @@
 import dataclasses
+import gc
 import json
 import logging
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -142,7 +144,7 @@ def test_apply_action_matches_the_matrix_runner(corpus, side, action):
     step = ((action, int(role), selector),)
     for (index, label), out in zip(test, treated):
         chain = () if side == "attacker" and label == "genuine" else step
-        assert out.samples.tobytes() == runner.transformed(index, chain).samples.tobytes()
+        assert out.samples.tobytes() == runner.transformed({}, index, chain).samples.tobytes()
 
 
 def test_manifest_csv_round_trip(tmp_path):
@@ -318,7 +320,7 @@ def test_every_extractor_gets_the_run_config_and_models_record_its_meta(corpus):
         runner = _MatrixRunner(manifest, dataclasses.replace(config, features=("stub",)))
         spec = ScenarioSpec(h_train="O", s_train="O", attacker_action="N", cm_action="N",
                             feature="stub", extra_bits=config.extra_bits, seed=config.seed)
-        runner.run_scenario(spec)
+        runner.run([spec])
         assert received and all(cfg is config.lfcc for cfg in received)
         for label in ("genuine", "spoof"):
             model = runner.model(label, "O", "stub")
@@ -492,13 +494,13 @@ def test_result_cache_key_covers_config_selectors_and_results_version(
                         wavespoof.experiment.RESULTS_VERSION + 1)
     assert result_path(manifest, config) != base
     computed = []
-    compute = _MatrixRunner._compute
+    row = _MatrixRunner._row
 
-    def counting_compute(self, spec):
+    def counting_row(self, spec, *args):
         computed.append(spec)
-        return compute(self, spec)
+        return row(self, spec, *args)
 
-    monkeypatch.setattr(_MatrixRunner, "_compute", counting_compute)
+    monkeypatch.setattr(_MatrixRunner, "_row", counting_row)
     run_matrix(manifest, config, cache_dir=cache)
     assert len(computed) == 45
     assert len(list((cache / "results").glob("*.json"))) == 90
@@ -543,18 +545,18 @@ def test_matrix_scores_each_model_file_chain_once(corpus, monkeypatch, workers):
         passes.append(1)
         return loglik(*args, **kwargs)
 
-    def recording_compute(self, spec):
+    def recording_row(self, spec, *args):
         local.spec = spec
-        return compute(self, spec)
+        return row(self, spec, *args)
 
     def recording_eer(genuine_scores, spoof_scores):
         llrs[local.spec] = (list(genuine_scores), list(spoof_scores))
         return eer_from_scores(genuine_scores, spoof_scores)
 
-    compute = _MatrixRunner._compute
+    row = _MatrixRunner._row
     monkeypatch.setattr("wavespoof.gmm.gmm_loglik", counting_loglik)
     monkeypatch.setattr("wavespoof.experiment.gmm_loglik", counting_loglik, raising=False)
-    monkeypatch.setattr(_MatrixRunner, "_compute", recording_compute)
+    monkeypatch.setattr(_MatrixRunner, "_row", recording_row)
     monkeypatch.setattr("wavespoof.experiment.eer_from_scores", recording_eer)
     results = run_matrix(manifest, dataclasses.replace(config, workers=workers))
     monkeypatch.undo()
@@ -570,7 +572,7 @@ def test_matrix_scores_each_model_file_chain_once(corpus, monkeypatch, workers):
         spoof_model = naive.model("spoof", spec.s_train, spec.feature)
 
         def score(index, label):
-            features = naive.features(index, naive._test_chain(spec, label), spec.feature)
+            features = naive.features({}, index, naive._test_chain(spec, label), spec.feature)
             return score_trial(genuine_model, spoof_model, features)
 
         assert genuine_llrs == [score(i, "genuine") for i, _ in test_genuine]
@@ -653,12 +655,40 @@ def test_memo_waits_for_a_build_in_flight_and_keeps_failures(corpus):
     first.join(10)
     second.join(10)
     assert not first.is_alive() and not second.is_alive()
-    # the waiter gets the build's own error; the key was built once
-    assert isinstance(outcome["first"], ConfigError) and outcome["second"] is outcome["first"]
+    # the waiter gets a copy of the build's own error; the key was built once
+    stored = store["key"].exception()
+    assert isinstance(outcome["first"], ConfigError)
+    assert type(outcome["second"]) is type(outcome["first"])
+    assert str(outcome["second"]) == str(outcome["first"])
+    assert outcome["second"].__cause__ is outcome["first"].__cause__ is stored
     assert builds == ["failing"]
     with pytest.raises(ConfigError, match="first build fails"):
         runner._memo(store, "key", build)
     assert builds == ["failing"]
+
+
+def test_memo_failure_keeps_its_traceback_as_long_as_after_one_caller(corpus):
+    # every frame in a stored error's traceback keeps its locals alive, so
+    # callers of a failed key must not extend it
+    _, _, manifest, config = corpus
+    runner = _MatrixRunner(manifest, config)
+    store = {}
+
+    def build():
+        raise ConfigError("build fails")
+
+    def traceback_length():
+        tb, length = store["key"].exception().__traceback__, 0
+        while tb is not None:
+            tb, length = tb.tb_next, length + 1
+        return length
+
+    lengths = []
+    for _ in range(100):
+        with pytest.raises(ConfigError, match="build fails"):
+            runner._memo(store, "key", build)
+        lengths.append(traceback_length())
+    assert lengths == [lengths[0]] * 100
 
 
 def test_memo_builds_each_key_once_under_thread_contention(corpus):
@@ -744,6 +774,46 @@ def test_matrix_reads_a_damaged_training_wav_once(corpus, tmp_path, monkeypatch,
     assert len(results) == 45 and all(r.eer is None for r in results)
     errors = {r.error for r in results}
     assert len(errors) == 1 and errors.pop().startswith(f"FormatError: {damaged}: ")
+
+
+@pytest.mark.parametrize(
+    "damaged", [None, "audio/train/spoof/001.wav", "audio/test/genuine/000.wav"]
+)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_matrix_keeps_a_files_features_only_in_its_pass(corpus, tmp_path, monkeypatch, workers,
+                                                        damaged):
+    # a model build holds its label's training features, a test file's pass
+    # the features of its chains (9 for a spoof file); nothing holds them
+    # past the build or the pass, even where a build failed (a damaged
+    # test:genuine file fails the attacker's references in every spoof
+    # file's pass), and without the cyclic garbage collector
+    _, _, manifest, config = corpus
+    entries = list(manifest.entries)
+    if damaged:
+        index = next(i for i, e in enumerate(entries) if e.path == damaged)
+        cut = tmp_path / "cut.wav"
+        cut.write_bytes(manifest.resolve(entries[index]).read_bytes()[:7])
+        entries[index] = dataclasses.replace(entries[index], path=str(cut))
+    refs, alive = [], []
+
+    def tracking_lfcc(w, cfg):
+        matrix = lfcc(w, cfg)
+        refs.append(weakref.ref(matrix))
+        alive.append(sum(ref() is not None for ref in refs))
+        return matrix
+
+    monkeypatch.setitem(_EXTRACTORS, "lfcc", tracking_lfcc)
+    gc.disable()
+    try:
+        results = run_matrix(dataclasses.replace(manifest, entries=entries),
+                             dataclasses.replace(config, workers=workers))
+        left = sum(ref() is not None for ref in refs)
+    finally:
+        gc.enable()
+    assert len(results) == 45 and all((r.error is None) == (damaged is None) for r in results)
+    training = max(len(manifest.select(f"train:{label}")) for label in ("genuine", "spoof"))
+    assert alive and max(alive) <= workers * max(training, 9)
+    assert left == 0
 
 
 def test_progress_callback_sees_every_scenario(corpus):

@@ -40,6 +40,9 @@ def test_model_validation():
         GmmModel(weights=np.array([1.0]), means=np.zeros((1, 2)), variances=np.zeros((1, 2)))
     with pytest.raises(InputError):
         GmmModel(weights=np.array([1.0]), means=np.zeros((2, 2)), variances=np.ones((2, 2)))
+    with pytest.raises(InputError, match="provenance"):
+        GmmModel(weights=np.array([1.0]), means=np.zeros((1, 2)), variances=np.ones((1, 2)),
+                 provenance="X")
 
 
 def test_loglik_matches_loop_oracle():
