@@ -156,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("run-matrix", help="run the attacker/countermeasure scenario matrix")
     sub.add_argument("--manifest", required=True, help="dataset manifest CSV")
     sub.add_argument("--config", help="run configuration JSON")
-    sub.add_argument("--seed", type=int, required=True, help="run seed (mandatory)")
+    sub.add_argument("--seed", type=int, help="run seed (default: the config's)")
     sub.add_argument("--cache-dir", help="scenario result cache directory")
     sub.add_argument("--out", required=True, help="results CSV output path")
     sub.add_argument("--workers", type=_positive_int, default=None)

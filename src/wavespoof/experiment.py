@@ -23,18 +23,19 @@ Every random draw derives from the single run seed through documented
 SeedSequence layers: role_seed(seed, role) isolates consumers (attacker,
 countermeasure, the two training sides, the two models), and genuinization
 derives per-file streams from (role seed, manifest ordinal). Results are
-cached per scenario under a digest of the scenario spec, the config, the
-manifest including file content hashes, and RESULTS_VERSION; cache writes are
-atomic (write-then-rename), so interrupted runs resume cleanly.
+cached per scenario under a digest of its spec, its extractor's name, the
+config, the manifest including file content hashes, and RESULTS_VERSION;
+cache writes are atomic (write-then-rename), so interrupted runs resume.
 
 run_matrix runs in stages over one _MatrixRunner: it reads each scenario's
 cache entry once; trains the distinct (label, provenance, feature) models
-the uncached scenarios need, concurrently across the workers; then runs one
-pass per test file across the workers, which scores the file under every
-(model, treatment chain) those scenarios need (a test file's chain depends
-only on the actions) and returns a table of floats; last it builds each row
-from the tables. A run keeps waveforms, reference sets, models and the
-tables; a file's treated audio and features live only in its own pass.
+the uncached scenarios need and reads every test file, across the workers;
+then runs one pass per test file across the workers, which scores the file
+under every (model, treatment chain) those scenarios need (a test file's
+chain depends only on the actions) and returns a table of floats; last it
+builds each row from the tables. A run keeps waveforms, reference sets,
+models and the tables; a file's treated audio and features live only in
+its own pass.
 """
 
 from __future__ import annotations
@@ -174,6 +175,8 @@ class RunConfig:
         object.__setattr__(self, "features", tuple(self.features))
         if not self.features or not all(isinstance(f, str) for f in self.features):
             raise ConfigError("features must be one or more extractor ids (strings)")
+        if len(set(self.features)) != len(self.features):
+            raise ConfigError(f"features must not repeat; got {self.features}")
         if self.gmm_components < 1 or self.em_iters < 1:
             raise ConfigError("gmm_components and em_iters must be positive")
         if self.extra_bits < 0:
@@ -189,8 +192,6 @@ class ScenarioSpec:
     attacker_action: str
     cm_action: str
     feature: str
-    extra_bits: int = DEFAULT_EXTRA_BITS
-    seed: int = 0
 
     def __post_init__(self):
         if (self.h_train, self.s_train) not in TRAIN_COMBOS:
@@ -201,18 +202,7 @@ class ScenarioSpec:
             raise InputError(f"actions must be one of {ACTIONS}")
 
     def key(self) -> str:
-        return (
-            f"{self.feature}/{self.h_train}{self.s_train}"
-            f"-a{self.attacker_action}-c{self.cm_action}-d{self.extra_bits}-s{self.seed}"
-        )
-
-    def sort_key(self):
-        return (
-            self.feature,
-            TRAIN_COMBOS.index((self.h_train, self.s_train)),
-            ACTIONS.index(self.attacker_action),
-            ACTIONS.index(self.cm_action),
-        )
+        return f"{self.feature}/{self.h_train}{self.s_train}-a{self.attacker_action}-c{self.cm_action}"
 
     def models(self) -> tuple:
         """(label, provenance, feature) of the genuine and the spoof model."""
@@ -240,10 +230,10 @@ class ScenarioResult:
             raise InputError(f"seconds must be a finite float >= 0; got {self.seconds!r}")
 
 
-def enumerate_scenarios(features, extra_bits: int = DEFAULT_EXTRA_BITS, seed: int = 0):
-    """All 45 coherent scenarios per feature, in canonical order."""
+def enumerate_scenarios(features):
+    """All 45 coherent scenarios per feature, in canonical order (features by name)."""
     specs = []
-    for feature in features:
+    for feature in sorted(features):
         for h_train, s_train in TRAIN_COMBOS:
             for attacker in ACTIONS:
                 for cm in ACTIONS:
@@ -254,8 +244,6 @@ def enumerate_scenarios(features, extra_bits: int = DEFAULT_EXTRA_BITS, seed: in
                             attacker_action=attacker,
                             cm_action=cm,
                             feature=feature,
-                            extra_bits=extra_bits,
-                            seed=seed,
                         )
                     )
     return specs
@@ -291,7 +279,7 @@ def load_run_setup(manifest_csv, config_json=None, seed=None, workers=None):
 
     The config's keys, JSON types and defaults are those of the RunConfig
     fields (the LfccConfig fields under "lfcc") and the DatasetManifest
-    SELECTORS; "feature" is an alias of "features".
+    SELECTORS; "features" takes one extractor id or a list of them.
     """
     raw = {}
     if config_json is not None:
@@ -305,7 +293,7 @@ def load_run_setup(manifest_csv, config_json=None, seed=None, workers=None):
                 raise ConfigError("config must be a JSON object")
             selectors = [f for f in fields(DatasetManifest) if f.name in DatasetManifest.SELECTORS]
             types = {f.name: f.type for f in (*fields(RunConfig), *selectors)}
-            _check_json_types(raw, {**types, "feature": "str"})
+            _check_json_types(raw, types)
             if "lfcc" in raw:
                 _check_json_types(raw["lfcc"], {f.name: f.type for f in fields(LfccConfig)}, "lfcc ")
                 try:
@@ -316,9 +304,8 @@ def load_run_setup(manifest_csv, config_json=None, seed=None, workers=None):
         manifest_csv, **{name: raw[name] for name in DatasetManifest.SELECTORS if name in raw}
     )
     values = {f.name: raw[f.name] for f in fields(RunConfig) if f.name in raw}
-    features = values.get("features", raw.get("feature"))
-    if features is not None:
-        values["features"] = [features] if isinstance(features, str) else features
+    if isinstance(values.get("features"), str):
+        values["features"] = [values["features"]]
     if seed is not None:
         values["seed"] = int(seed)
     if workers is not None:
@@ -531,16 +518,18 @@ class _MatrixRunner:
         store.clear()  # a failed build's stored traceback refers back to the store
         return table
 
-    def _row(self, spec: ScenarioSpec, failed: dict, tests: list, tables: list) -> ScenarioResult:
-        """spec's row: the error of its first failed model, else of its first
-        failed pass in file order, else its EER over the tables' passes."""
+    def _row(self, spec: ScenarioSpec, failed: dict, unreadable, tests, tables) -> ScenarioResult:
+        """spec's row: the error of its first failed model, else the first
+        unreadable test file's, else its first failed pass's in file order,
+        else its EER over the tables' passes."""
         # seconds: the passes this scenario uses plus its own subtraction and
         # EER, so it does not depend on which scenario built a shared stage
         started = time.perf_counter()
         keys = spec.models()
         sides = [(label, [table.get((key, self._test_chain(spec, label))) for key in keys])
                  for (_, label), table in zip(tests, tables)]
-        outcomes = [failed.get(key) for key in keys] + [o for _, pair in sides for o in pair]
+        passes = [outcome for _, pair in sides for outcome in pair]
+        outcomes = [failed.get(key) for key in keys] + [unreadable] + passes
         error = next((outcome for outcome in outcomes if isinstance(outcome, str)), None)
         if error is None:
             scores = {label: [] for label in LABELS}
@@ -551,48 +540,55 @@ class _MatrixRunner:
                 return ScenarioResult(
                     spec=spec, eer=eer, genuine_trials=len(scores["genuine"]),
                     spoof_trials=len(scores["spoof"]),
-                    seconds=sum(s for _, s in outcomes[2:]) + time.perf_counter() - started,
+                    seconds=sum(s for _, s in passes) + time.perf_counter() - started,
                 )
             error = eer
         return ScenarioResult(spec=spec, eer=None, genuine_trials=0, spoof_trials=0, seconds=0.0,
                               error=error)
 
     def run(self, specs, progress=None) -> list:
-        """Rows of specs in canonical order, computed in the stages the
-        module docstring names; progress, when given, gets each row."""
+        """Rows of specs in their order, computed in the stages the module
+        docstring names; progress, when given, gets each row, cached rows first."""
         report = progress or (lambda result: None)
-        cached = [self._load_cached(spec) for spec in specs]
-        results = [result for result in cached if result is not None]
-        uncached = [spec for spec, result in zip(specs, cached) if result is None]
+        results = [self._load_cached(spec) for spec in specs]
+        uncached = [position for position, result in enumerate(results) if result is None]
         for result in results:
-            report(result)
-        models = list(dict.fromkeys(key for spec in uncached for key in spec.models()))
+            if result is not None:
+                report(result)
+        if not uncached:
+            return results
+        models = list(dict.fromkeys(key for p in uncached for key in specs[p].models()))
         tests = [(i, e.label) for i, e in enumerate(self.manifest.entries) if e.subset == "test"]
+        # every scenario scores every test file, so the model stage reads them
+        # all: an unreadable one fails every row before any pass runs
+        stage = [(self.model, *key) for key in models] + [(self.waveform, i) for i, _ in tests]
         with ThreadPoolExecutor(max_workers=self.config.workers) as pool:
             # One worker runs on the calling thread, so Ctrl-C stops it at once.
             mapper = pool.map if self.config.workers > 1 else map
-            built = zip(models, mapper(lambda key: _attempt(self.model, *key), models))
-            failed = {key: error for key, error in built if isinstance(error, str)}
-            # a scenario with a failed model needs none of its passes
-            scored = [spec for spec in uncached if failed.keys().isdisjoint(spec.models())]
+            built = list(mapper(lambda task: _attempt(*task), stage))
+            failed = {key: error for key, error in zip(models, built) if isinstance(error, str)}
+            unreadable = next((e for e in built[len(models):] if isinstance(e, str)), None)
+            # a scenario with a failed model or test file needs none of its passes
+            scored = [specs[p] for p in uncached if unreadable is None
+                      and failed.keys().isdisjoint(specs[p].models())]
             passes = {label: dict.fromkeys((key, self._test_chain(spec, label))
                                            for spec in scored for key in spec.models())
                       for label in LABELS}
             tables = list(mapper(self.score_file, [index for index, _ in tests],
                                  [passes[label] for _, label in tests]))
-        for spec in uncached:
-            result = self._row(spec, failed, tests, tables)
+        for position in uncached:
+            result = self._row(specs[position], failed, unreadable, tests, tables)
             if result.error is None:
                 self._store(result)
-            results.append(result)
+            results[position] = result
             report(result)
-        return sorted(results, key=lambda r: r.spec.sort_key())
+        return results
 
     # -- result cache --------------------------------------------------------
 
     def _inputs_digest(self) -> str:
-        """Hash of what every cached result depends on: audio, selectors,
-        RESULTS_VERSION and the config but workers and features (a spec's key names its feature)."""
+        """Hash of what every cached result depends on but its spec and extractor:
+        audio, selectors, RESULTS_VERSION and the config but workers and features."""
         config = asdict(self.config)
         del config["workers"], config["features"]
         payload = {
@@ -614,7 +610,12 @@ class _MatrixRunner:
     def _result_path(self, spec: ScenarioSpec) -> Path | None:
         if self.cache_dir is None:
             return None
-        name = hashlib.sha256(f"{self._digest}|{spec.key()}".encode()).hexdigest()
+        try:
+            extractor = get_extractor(spec.feature)
+        except ConfigError:
+            return None  # its rows fail, and a failed row is not stored
+        code = f"{extractor.__module__}.{extractor.__qualname__}"
+        name = hashlib.sha256(f"{self._digest}|{spec.key()}|{code}".encode()).hexdigest()
         return self.cache_dir / "results" / f"{name}.json"
 
     def _load_cached(self, spec: ScenarioSpec) -> ScenarioResult | None:
@@ -653,10 +654,8 @@ def _attempt(build, *args):
 def run_scenario(
     manifest: DatasetManifest, spec: ScenarioSpec, config: RunConfig, cache_dir=None
 ) -> ScenarioResult:
-    """One scenario's row as run_matrix gives it, from a fresh runner. Rows are
-    computed with the config's d and seed, so a spec that disagrees is a ConfigError."""
-    if (spec.extra_bits, spec.seed) != (config.extra_bits, config.seed):
-        raise ConfigError(f"scenario {spec.key()} disagrees with the run config's d or seed")
+    """One scenario's row as run_matrix gives it, from a fresh runner with
+    the config's d and seed."""
     return _MatrixRunner(manifest, config, cache_dir=cache_dir).run([spec])[0]
 
 
@@ -673,7 +672,7 @@ def run_matrix(
     order; out_csv, when given, receives the CSV rendering. config.workers
     threads train and score; results do not depend on their number.
     """
-    specs = enumerate_scenarios(config.features, extra_bits=config.extra_bits, seed=config.seed)
+    specs = enumerate_scenarios(config.features)
     results = _MatrixRunner(manifest, config, cache_dir=cache_dir).run(specs, progress)
     if out_csv is not None:
         Path(out_csv).write_text(results_to_csv(results), encoding="ascii")
@@ -681,9 +680,9 @@ def run_matrix(
 
 
 def results_to_csv(results) -> str:
-    """Canonical CSV rendering, sorted by feature, combination, actions."""
+    """CSV rendering of results in the order given."""
     rows = [_RESULTS_HEADER]
-    for r in sorted(results, key=lambda r: r.spec.sort_key()):
+    for r in results:
         eer_text = "" if r.eer is None else repr(float(r.eer))
         rows.append(
             f"{r.spec.feature},{r.spec.h_train},{r.spec.s_train},"

@@ -241,6 +241,17 @@ def test_run_matrix_cli(corpus, tmp_path, capsys):
                  "--cache-dir", str(cache), "--out", str(out), "--quiet"]) == 0
     assert capsys.readouterr().err == ""
 
+    # without --seed the run takes the config's seed, 7 in the bundled config
+    own_seed = tmp_path / "own_seed.csv"
+    assert main(["run-matrix", "--manifest", str(corpus / "manifest.csv"),
+                 "--config", str(corpus / "config.json"), "--out", str(own_seed),
+                 "--quiet"]) == 0
+
+    def strip_seconds(path):
+        return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+
+    assert strip_seconds(own_seed) == strip_seconds(out)
+
 
 def test_run_matrix_progress_names_the_failure(corpus, tmp_path, capsys):
     copy = tmp_path / "corpus"
@@ -330,6 +341,13 @@ def test_exit_codes_and_error_format(corpus, tmp_path, capsys):
     assert main(["run-matrix", "--manifest", str(corpus / "manifest.csv"),
                  "--config", str(bad_config), "--seed", "7",
                  "--out", str(tmp_path / "r.csv")]) == 6
+    assert "error: ConfigError:" in capsys.readouterr().err
+
+    # 6: no run seed in the config or on the command line
+    bad_config.write_text('{"gmm_components": 4}')
+    capsys.readouterr()
+    assert main(["run-matrix", "--manifest", str(corpus / "manifest.csv"),
+                 "--config", str(bad_config), "--out", str(tmp_path / "r.csv")]) == 6
     assert "error: ConfigError:" in capsys.readouterr().err
 
     # 6: wrong-typed lfcc option in the run config

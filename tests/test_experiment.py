@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import gc
 import json
 import logging
@@ -66,7 +67,7 @@ def test_role_seed_is_stable_and_distinct():
 
 
 def test_enumerate_scenarios_structure():
-    specs = enumerate_scenarios(["lfcc"], extra_bits=5, seed=3)
+    specs = enumerate_scenarios(["lfcc"])
     assert len(specs) == 45
     combos = {(s.h_train, s.s_train) for s in specs}
     assert combos == set(TRAIN_COMBOS)
@@ -79,6 +80,7 @@ def test_enumerate_scenarios_structure():
                          cm_action="N", feature="lfcc")
     two = enumerate_scenarios(["lfcc", "other"])
     assert len(two) == 90
+    assert enumerate_scenarios(["other", "lfcc"]) == two  # by feature name
 
 
 def test_scenario_spec_validation():
@@ -192,7 +194,7 @@ def test_load_run_setup_validation(tmp_path):
     assert rc.seed == 5 and rc.workers == 3 and rc.features == ("lfcc",)
     assert manifest.root == str(tmp_path)
 
-    config.write_text(json.dumps({"seed": 2, "feature": "lfcc", "extra_bits": 4}))
+    config.write_text(json.dumps({"seed": 2, "features": "lfcc", "extra_bits": 4}))
     _, rc = load_run_setup(manifest_csv, config)
     assert rc.seed == 2 and rc.extra_bits == 4
 
@@ -207,6 +209,8 @@ def test_load_run_setup_validation(tmp_path):
         {"seed": 1, "workers": "two"},
         {"seed": 1, "features": 5},
         {"seed": 1, "features": ["lfcc", 3]},
+        {"seed": 1, "features": ["lfcc", "lfcc"]},
+        {"seed": 1, "features": ["lfcc"], "feature": "no-such"},  # one key per setting
         {"seed": "abc"},
         {"seed": 1, "extra_bits": 1.7},
         {"seed": 1, "em_iters": True},
@@ -231,19 +235,11 @@ def test_load_run_setup_validation(tmp_path):
             load_run_setup(manifest_csv, config)
 
 
-def test_run_scenario_rejects_a_spec_that_disagrees_with_its_config(corpus):
-    _, _, manifest, config = corpus
-    for mismatch in ({"extra_bits": config.extra_bits + 1}, {"seed": config.seed + 1}):
-        settings = {"extra_bits": config.extra_bits, "seed": config.seed, **mismatch}
-        spec = ScenarioSpec(h_train="O", s_train="O", attacker_action="N", cm_action="N",
-                            feature="lfcc", **settings)
-        with pytest.raises(ConfigError):
-            run_scenario(manifest, spec, config)
-
-
 def test_run_config_validation():
     with pytest.raises(ConfigError):
         RunConfig(seed=0, features=())
+    with pytest.raises(ConfigError):
+        RunConfig(seed=0, features=("lfcc", "lfcc"))
     with pytest.raises(ConfigError):
         RunConfig(seed=0, gmm_components=0)
     with pytest.raises(ConfigError):
@@ -278,7 +274,7 @@ def test_validate_manifest(tmp_path, corpus):
 def test_baseline_scenario_matches_hand_assembled_pipeline(corpus):
     _, _, manifest, config = corpus
     spec = ScenarioSpec(h_train="O", s_train="O", attacker_action="N", cm_action="N",
-                        feature="lfcc", extra_bits=config.extra_bits, seed=config.seed)
+                        feature="lfcc")
     result = run_scenario(manifest, spec, config)
 
     def features_for(selector):
@@ -319,7 +315,7 @@ def test_every_extractor_gets_the_run_config_and_models_record_its_meta(corpus):
     try:
         runner = _MatrixRunner(manifest, dataclasses.replace(config, features=("stub",)))
         spec = ScenarioSpec(h_train="O", s_train="O", attacker_action="N", cm_action="N",
-                            feature="stub", extra_bits=config.extra_bits, seed=config.seed)
+                            feature="stub")
         runner.run([spec])
         assert received and all(cfg is config.lfcc for cfg in received)
         for label in ("genuine", "spoof"):
@@ -462,7 +458,7 @@ def test_result_cache_key_covers_config_selectors_and_results_version(
 ):
     _, _, manifest, config = corpus
     cache = tmp_path / "cache"
-    spec = enumerate_scenarios(["lfcc"], extra_bits=config.extra_bits, seed=config.seed)[0]
+    spec = enumerate_scenarios(["lfcc"])[0]
 
     def result_path(manifest, config):
         return _MatrixRunner(manifest, config, cache_dir=cache)._result_path(spec)
@@ -487,6 +483,19 @@ def test_result_cache_key_covers_config_selectors_and_results_version(
         assert getattr(manifest, name) != selector
         assert result_path(dataclasses.replace(manifest, **{name: selector}), config) != base
     assert result_path(manifest, dataclasses.replace(config, workers=3)) == base
+
+    # the key names the registered extractor's code: another function under
+    # the id moves it, a functools.wraps wrapper of the same function does not
+    original = _EXTRACTORS["lfcc"]
+
+    def other(w, cfg):
+        return original(w, cfg)
+
+    wrapped = functools.wraps(original)(lambda w, cfg: original(w, cfg))
+    for extractor, moves in ((other, True), (wrapped, False)):
+        monkeypatch.setitem(_EXTRACTORS, "lfcc", extractor)
+        assert (result_path(manifest, config) != base) == moves
+    monkeypatch.setitem(_EXTRACTORS, "lfcc", original)
 
     # a bumped version misses every entry written under the old one
     run_matrix(manifest, config, cache_dir=cache)
@@ -605,6 +614,7 @@ def test_matrix_warm_rerun_does_no_work(corpus, tmp_path, monkeypatch):
     calls = []
 
     def counting(name, fn):
+        @functools.wraps(fn)  # the extractor keeps its name, so its results stay cached
         def wrapper(*args, **kwargs):
             calls.append(name)
             return fn(*args, **kwargs)
@@ -749,6 +759,38 @@ def test_matrix_turns_a_damaged_test_wav_into_failed_rows(corpus, tmp_path):
     for r in results:
         assert r.eer is None and r.error.startswith(f"FormatError: {damaged}: ")
         assert r.error.count(str(damaged)) == 1
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_matrix_scores_nothing_when_a_test_wav_is_unreadable(corpus, tmp_path, monkeypatch,
+                                                             workers):
+    # every scenario scores every test file, so an unreadable one fails every
+    # row after the model stage: the models' training work, and no pass
+    _, _, manifest, config = corpus
+    entries = list(manifest.entries)
+    index = next(i for i, e in enumerate(entries) if e.path == "audio/test/genuine/000.wav")
+    cut = tmp_path / "cut.wav"
+    cut.write_bytes(manifest.resolve(entries[index]).read_bytes()[:7])
+    entries[index] = dataclasses.replace(entries[index], path=str(cut))
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setitem(_EXTRACTORS, "lfcc", counting("lfcc", lfcc))
+    monkeypatch.setattr("wavespoof.experiment.genuinize",
+                        counting("genuinize", wavespoof.experiment.genuinize))
+    monkeypatch.setattr("wavespoof.experiment.gmm_loglik",
+                        counting("gmm_loglik", wavespoof.gmm.gmm_loglik))
+    results = run_matrix(dataclasses.replace(manifest, entries=entries),
+                         dataclasses.replace(config, workers=workers))
+    assert (calls.count("lfcc"), calls.count("genuinize"), calls.count("gmm_loglik")) == (36, 24, 0)
+    assert len(results) == 45
+    assert all(r.eer is None and r.error.startswith(f"FormatError: {cut}: ") for r in results)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
