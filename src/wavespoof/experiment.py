@@ -172,7 +172,9 @@ class RunConfig:
     workers: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "features", tuple(self.features))
+        # one extractor id stands for a one-item list of them
+        features = (self.features,) if isinstance(self.features, str) else self.features
+        object.__setattr__(self, "features", tuple(features))
         if not self.features or not all(isinstance(f, str) for f in self.features):
             raise ConfigError("features must be one or more extractor ids (strings)")
         if len(set(self.features)) != len(self.features):
@@ -304,8 +306,6 @@ def load_run_setup(manifest_csv, config_json=None, seed=None, workers=None):
         manifest_csv, **{name: raw[name] for name in DatasetManifest.SELECTORS if name in raw}
     )
     values = {f.name: raw[f.name] for f in fields(RunConfig) if f.name in raw}
-    if isinstance(values.get("features"), str):
-        values["features"] = [values["features"]]
     if seed is not None:
         values["seed"] = int(seed)
     if workers is not None:

@@ -22,6 +22,11 @@ DEFAULT_COMPONENTS = 512
 DEFAULT_ITERS = 10
 DEFAULT_TOL = 1e-5
 _BLOCK_ROWS = 8192
+# A log density this far below its row's peak counts as an exact 0 density:
+# its exp (below 1e-304) is under the rounding error of any sum it joins,
+# since a row's mass is at least 1, and exp of anything lower is subnormal or
+# 0, which x86 computes and multiplies on a path up to 100 times slower.
+_NEGLIGIBLE = -700.0
 _INIT_SUBSAMPLE = 20000
 _MODEL_MAGIC = "GMM1"
 _SCORE_HEADER = "file_id,label,score"
@@ -134,9 +139,9 @@ def _block_logliks(rows, const, proj):
 
     stats is [x*x, x] for the block's rows; dens holds their weighted
     component densities scaled by exp(-peak), peak being each row's largest
-    log density, and mass their row sums; a row's log-likelihood is
-    peak + log(mass), and loglik is the block's sum of them. dens is the
-    caller's to overwrite.
+    log density, with a density below exp(_NEGLIGIBLE) set to exactly 0, and
+    mass their row sums; a row's log-likelihood is peak + log(mass), and
+    loglik is the block's sum of them. dens is the caller's to overwrite.
     """
     f = rows.shape[1]
     for start in range(0, rows.shape[0], _BLOCK_ROWS):
@@ -148,7 +153,10 @@ def _block_logliks(rows, const, proj):
         dens += const
         peak = dens.max(axis=1, keepdims=True)
         dens -= peak
+        kept = dens >= _NEGLIGIBLE
+        np.maximum(dens, _NEGLIGIBLE, out=dens)
         np.exp(dens, out=dens)
+        dens *= kept
         mass = dens.sum(axis=1, keepdims=True)
         yield start, stats, dens, mass, float((peak + np.log(mass)).sum())
 

@@ -196,7 +196,9 @@ def test_load_run_setup_validation(tmp_path):
 
     config.write_text(json.dumps({"seed": 2, "features": "lfcc", "extra_bits": 4}))
     _, rc = load_run_setup(manifest_csv, config)
-    assert rc.seed == 2 and rc.extra_bits == 4
+    assert rc.seed == 2 and rc.extra_bits == 4 and rc.features == ("lfcc",)
+    config.write_text(json.dumps({"seed": 2, "features": "wav"}))
+    assert load_run_setup(manifest_csv, config)[1].features == ("wav",)
 
     # frame sizes take any JSON number
     config.write_text(json.dumps({"seed": 2, "lfcc": {"frame_len_ms": 25, "frame_hop_ms": 12.5}}))
@@ -236,6 +238,10 @@ def test_load_run_setup_validation(tmp_path):
 
 
 def test_run_config_validation():
+    # one extractor id is a one-item list of features, never its characters
+    assert RunConfig(seed=1, features="lfcc").features == ("lfcc",)
+    assert RunConfig(seed=1, features="wav").features == ("wav",)
+    assert RunConfig(seed=1, features=["lfcc"]).features == ("lfcc",)
     with pytest.raises(ConfigError):
         RunConfig(seed=0, features=())
     with pytest.raises(ConfigError):

@@ -19,7 +19,9 @@ from wavespoof import (
     score_trial,
     train_gmm,
 )
-from wavespoof.gmm import _BLOCK_ROWS, _INIT_SUBSAMPLE, _accumulate, _kmeans_pp_init
+from wavespoof.gmm import (
+    _BLOCK_ROWS, _INIT_SUBSAMPLE, _NEGLIGIBLE, _accumulate, _block_logliks, _kmeans_pp_init,
+)
 from oracles import eer_oracle, em_step_oracle, gmm_loglik_oracle
 
 
@@ -83,6 +85,32 @@ def test_estep_merges_row_blocks_like_the_loop_oracle():
     rows = rng.normal(1.5, 0.7, size=(_BLOCK_ROWS + 300, 2))
     rows[_BLOCK_ROWS + 100] = [5.0, 5.0]
     assert _check_estep(rows, model) == _BLOCK_ROWS + 100
+
+
+def test_negligible_densities_are_exact_zeros_and_no_density_is_subnormal():
+    # relative to the near component at 0, the middle one's log density is
+    # about -704 + 37.5 x0, which crosses the band where exp gives a
+    # subnormal, and the far one, 1e3 standard deviations away, sits near -1e6
+    tiny = np.finfo(np.float64).tiny
+    assert np.exp(_NEGLIGIBLE) >= tiny
+    assert np.exp(_NEGLIGIBLE) / 512 >= tiny  # so are responsibilities at the paper's K
+    rng = np.random.default_rng(24)
+    model = GmmModel(weights=np.array([0.5, 0.25, 0.25]),
+                     means=np.array([[0.0, 0.0], [37.5, 0.0], [1e3, 1e3]]),
+                     variances=np.ones((3, 2)))
+    rows = rng.normal(size=(200, 2))
+    shifted = -0.5 * (37.5**2 - 75.0 * rows[:, 0]) + np.log(0.5)
+    assert np.any((shifted < -708.4) & (shifted > -745.0))  # exp of these is subnormal
+
+    want = gmm_loglik_oracle(
+        rows.tolist(), model.weights.tolist(), model.means.tolist(), model.variances.tolist()
+    )
+    assert gmm_loglik(model, rows) == pytest.approx(want, abs=1e-9)
+    _check_estep(rows, model)
+    assert _accumulate(rows, model.weights, model.means, model.variances)[0][2] == 0.0
+    for _, _, dens, _, _ in _block_logliks(rows, *model.kernel):
+        assert np.all((dens == 0.0) | (dens >= tiny))
+        assert np.any((dens > 0.0) & (dens < 1e-290))  # the band near the cut is kept
 
 
 def _exact_kmeans_pp(rows, k, rng):
