@@ -17,7 +17,6 @@ from .experiment import (
     ScenarioResult,
     ScenarioSpec,
     SeedRole,
-    apply_action,
     enumerate_scenarios,
     load_run_setup,
     read_manifest_csv,

@@ -2,11 +2,14 @@
 one owner of reading a stored file (reading names the file in each fault,
 text_rows reads headed text, write_headed/read_headed are the one codec of a
 `MAGIC f1 … fn` line heading a binary payload, payload_arrays the one rule
-for a payload of the wrong size); and frozen_array, the one check that every
+for a payload of the wrong size); frozen_array, the one check that every
 value type stores its arrays through: non-empty, of the declared dimension,
-converted without changing a value, finite when float, and read-only."""
+converted without changing a value, finite when float, and read-only; and
+typed_fields, the one type rule of a config's number and flag fields."""
 
+import dataclasses
 import math
+import numbers
 from contextlib import contextmanager
 
 import numpy as np
@@ -142,3 +145,29 @@ def frozen_array(owner, name: str, dtype, ndim: int) -> np.ndarray:
     array.setflags(write=False)
     object.__setattr__(owner, name, array)
     return array
+
+
+# A field annotation -> (accepted type, stored type, wording). Python counts a
+# bool as an int, but a bool is never a number here.
+_FIELD_TYPES = {
+    "bool": (bool, bool, "a bool"),
+    "int": (numbers.Integral, int, "an integer"),
+    "float": (numbers.Real, float, "a number"),
+}
+
+
+def typed_fields(owner, error: type) -> None:
+    """Check each field of the dataclass owner annotated bool, int or float,
+    raising error naming the first that breaks the type rule: a bool field
+    takes a bool, an int field an integer and a float field any real number,
+    neither of them a bool. Each is stored as its annotated type, so a float
+    field given 25 holds 25.0, one value with one fingerprint."""
+    for f in dataclasses.fields(owner):
+        rule = _FIELD_TYPES.get(getattr(f.type, "__name__", f.type))
+        if rule is None:
+            continue
+        accepted, stored, wording = rule
+        value = getattr(owner, f.name)
+        if not isinstance(value, accepted) or (isinstance(value, bool) and stored is not bool):
+            raise error(f"{f.name} must be {wording}; got {value!r}")
+        object.__setattr__(owner, f.name, stored(value))

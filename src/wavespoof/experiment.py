@@ -16,8 +16,10 @@ cm_pmf_source (training genuine speech) and are the same references used to
 genuinize training material. A treatment needs only its reference set (a
 sequence of Cdfs, see genuinize): action G uses one CDF, the pooled PMF of
 the selector's files, and R one CDF per file (genuinize.reference_pool).
-_treat is the one step that applies an action to a file; the matrix runner
-and apply_action both call it.
+The runner's treatment chains (_MatrixRunner._train_chain and _test_chain)
+alone decide which files an action touches, and _MatrixRunner.transformed is
+the one place an action becomes a genuinize call. Files on disk take one
+side's action through the CLI's batch genuinize.
 
 Every random draw derives from the single run seed through documented
 SeedSequence layers: role_seed(seed, role) isolates consumers (attacker,
@@ -55,7 +57,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, InputError, ToolError, reading, text_rows
+from .errors import ConfigError, InputError, ToolError, reading, text_rows, typed_fields
 from .features import FeatureMatrix, LfccConfig, get_extractor, stack_features
 from .genuinize import _SEED_MASK, DEFAULT_EXTRA_BITS, GenuinizeParams, genuinize, reference_pool
 from .gmm import (
@@ -172,13 +174,17 @@ class RunConfig:
     workers: int = 1
 
     def __post_init__(self):
+        typed_fields(self, ConfigError)
         # one extractor id stands for a one-item list of them
         features = (self.features,) if isinstance(self.features, str) else self.features
-        object.__setattr__(self, "features", tuple(features))
-        if not self.features or not all(isinstance(f, str) for f in self.features):
+        if not (isinstance(features, (tuple, list)) and features
+                and all(isinstance(f, str) for f in features)):
             raise ConfigError("features must be one or more extractor ids (strings)")
+        object.__setattr__(self, "features", tuple(features))
         if len(set(self.features)) != len(self.features):
             raise ConfigError(f"features must not repeat; got {self.features}")
+        if not isinstance(self.lfcc, LfccConfig):
+            raise ConfigError(f"lfcc must be an LfccConfig; got {self.lfcc!r}")
         if self.gmm_components < 1 or self.em_iters < 1:
             raise ConfigError("gmm_components and em_iters must be positive")
         if self.extra_bits < 0:
@@ -257,31 +263,21 @@ def read_manifest_csv(path) -> tuple:
         return tuple(text_rows(path, _MANIFEST_HEADER, "utf-8", ConfigError, ManifestEntry))
 
 
-# JSON values accepted for a config value by its field's annotated type (a
-# string stands for a one-item list of features); a JSON bool is never a number.
-_JSON_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str,
-               "tuple": (str, list), "LfccConfig": dict}
-
-
-def _check_json_types(values: dict, types: dict, block: str = "") -> None:
-    """Reject a key that types does not name, or a value whose JSON type does
-    not fit its key's annotation in types; block names the config block."""
-    unknown = set(values) - set(types)
+def _check_keys(values: dict, names, block: str = "") -> None:
+    """Reject a key of values that names lacks; block names the config block."""
+    unknown = set(values) - set(names)
     if unknown:
         raise ConfigError(f"{block}unknown config keys {sorted(unknown)}")
-    for name, value in values.items():
-        accepted = _JSON_TYPES[types[name]]
-        if (isinstance(value, bool) and accepted is not bool) or not isinstance(value, accepted):
-            raise ConfigError(f"{block}{name!r} has type {types[name]}; got {value!r}")
 
 
 def load_run_setup(manifest_csv, config_json=None, seed=None, workers=None):
     """Build (DatasetManifest, RunConfig) from the CSV manifest and the
     key-value config file; seed/workers arguments override the config.
 
-    The config's keys, JSON types and defaults are those of the RunConfig
-    fields (the LfccConfig fields under "lfcc") and the DatasetManifest
-    SELECTORS; "features" takes one extractor id or a list of them.
+    The config's keys and defaults are those of the RunConfig fields (the
+    LfccConfig fields under "lfcc", an object) and the DatasetManifest
+    SELECTORS. Each value meets the type rule of the dataclass it fills, so
+    a JSON config and a Python caller get the same checks.
     """
     raw = {}
     if config_json is not None:
@@ -293,11 +289,11 @@ def load_run_setup(manifest_csv, config_json=None, seed=None, workers=None):
                 raise ConfigError(f"invalid JSON ({exc})") from exc
             if not isinstance(raw, dict):
                 raise ConfigError("config must be a JSON object")
-            selectors = [f for f in fields(DatasetManifest) if f.name in DatasetManifest.SELECTORS]
-            types = {f.name: f.type for f in (*fields(RunConfig), *selectors)}
-            _check_json_types(raw, types)
+            _check_keys(raw, [*(f.name for f in fields(RunConfig)), *DatasetManifest.SELECTORS])
             if "lfcc" in raw:
-                _check_json_types(raw["lfcc"], {f.name: f.type for f in fields(LfccConfig)}, "lfcc ")
+                if not isinstance(raw["lfcc"], dict):
+                    raise ConfigError(f"'lfcc' must be an object; got {raw['lfcc']!r}")
+                _check_keys(raw["lfcc"], [f.name for f in fields(LfccConfig)], "lfcc ")
                 try:
                     raw["lfcc"] = LfccConfig(**raw["lfcc"])
                 except InputError as exc:
@@ -327,56 +323,6 @@ def validate_manifest(manifest: DatasetManifest) -> None:
         path = manifest.resolve(entry)
         if not path.is_file():
             raise ConfigError(f"manifest path does not exist: {path}")
-
-
-def _treat(w, action: str, references, extra_bits: int, seed: int, ordinal: int):
-    """One file through one treating action (G or R) against its reference
-    set: the one place an action becomes a genuinization."""
-    params = GenuinizeParams(mode=_ACTION_MODES[action], extra_bits=extra_bits, seed=seed)
-    return genuinize(w, params, references, ordinal)
-
-
-def apply_action(
-    waveforms,
-    labels,
-    side: str,
-    action: str,
-    target=None,
-    pool=None,
-    extra_bits: int = DEFAULT_EXTRA_BITS,
-    seed: int = 0,
-    ordinals=None,
-):
-    """Transform a file set for one side of a scenario.
-
-    side="attacker" touches spoof-labelled files only; side="countermeasure"
-    touches every file. action "N" returns the inputs unchanged, "G" applies
-    perturbed genuinization toward the target CDF, "R" applies random
-    genuinization against the reference pool of the pool's waveforms (built
-    once per call). ordinals, one per waveform, feed the per-file RNG streams
-    (defaults to positions within the list).
-    """
-    if side not in ("attacker", "countermeasure"):
-        raise InputError(f"side must be attacker or countermeasure; got {side!r}")
-    if action not in ACTIONS:
-        raise InputError(f"action must be one of {ACTIONS}; got {action!r}")
-    waveforms = list(waveforms)
-    labels = list(labels)
-    ordinals = range(len(waveforms)) if ordinals is None else list(ordinals)
-    if len(labels) != len(waveforms) or len(ordinals) != len(waveforms):
-        raise InputError("need one label and one ordinal per waveform")
-    if action == "N":
-        return waveforms
-    if action == "G" and target is None:
-        raise ConfigError("action G requires a target CDF")
-    if action == "R" and not pool:
-        raise ConfigError("action R requires a non-empty reference pool")
-    references = (target,) if action == "G" else reference_pool(pool)
-    return [
-        w if side == "attacker" and label == "genuine"
-        else _treat(w, action, references, extra_bits, seed, ordinal)
-        for w, label, ordinal in zip(waveforms, labels, ordinals)
-    ]
 
 
 class _MatrixRunner:
@@ -444,14 +390,10 @@ class _MatrixRunner:
 
         def build():
             action, role, selector = chain[-1]
-            return _treat(
-                self.transformed(store, index, chain[:-1]),
-                action,
-                self.references(action, selector),
-                self.config.extra_bits,
-                role_seed(self.config.seed, role),
-                index,
-            )
+            params = GenuinizeParams(mode=_ACTION_MODES[action], extra_bits=self.config.extra_bits,
+                                     seed=role_seed(self.config.seed, role))
+            return genuinize(self.transformed(store, index, chain[:-1]), params,
+                             self.references(action, selector), index)
 
         return self._memo(store, (index, chain), build)
 

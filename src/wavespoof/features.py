@@ -19,7 +19,8 @@ import scipy.fft
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
-    ConfigError, InputError, frozen_array, payload_arrays, read_headed, reading, write_headed,
+    ConfigError, InputError, frozen_array, payload_arrays, read_headed, reading, typed_fields,
+    write_headed,
 )
 from .waveform import Waveform, index_to_amp
 
@@ -38,6 +39,7 @@ class LfccConfig:
     delta_window: int = 2
 
     def __post_init__(self):
+        typed_fields(self, InputError)
         if not all(math.isfinite(ms) and ms > 0 for ms in (self.frame_len_ms, self.frame_hop_ms)):
             raise InputError("frame sizes must be finite and positive")
         if self.fft_size < 2 or self.fft_size & (self.fft_size - 1):
@@ -104,8 +106,10 @@ def append_deltas(m: np.ndarray, window: int = 2) -> np.ndarray:
 
 def _framed_log_energies(w: Waveform, cfg: LfccConfig):
     """Frames of w and their log filterbank energies (the DCT input)."""
-    frame_len = int(round(cfg.frame_len_ms * w.sample_rate / 1000.0))
-    hop = int(round(cfg.frame_hop_ms * w.sample_rate / 1000.0))
+    sizes = [ms * w.sample_rate / 1000.0 for ms in (cfg.frame_len_ms, cfg.frame_hop_ms)]
+    if not all(map(math.isfinite, sizes)):
+        raise InputError("frame sizes overflow to infinity at this rate")
+    frame_len, hop = (int(round(size)) for size in sizes)
     if frame_len < 2 or hop < 1:
         raise InputError("frame sizes collapse to fewer than 2 samples at this rate")
     if frame_len > cfg.fft_size:

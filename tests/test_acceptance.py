@@ -22,7 +22,6 @@ from wavespoof import (
     SeedRole,
     Waveform,
     amp_to_index,
-    apply_action,
     cdf_from_pmf,
     eer_from_scores,
     enumerate_scenarios,
@@ -33,11 +32,13 @@ from wavespoof import (
     index_to_amp,
     load_run_setup,
     make_toy_corpus,
+    read_wav,
     run_matrix,
     run_scenario,
     train_gmm,
     tv_distance,
 )
+from wavespoof.experiment import _MatrixRunner
 from oracles import eer_oracle
 
 
@@ -205,7 +206,7 @@ def test_criterion_07_em_sanity(capsys):
     announce(capsys, 7)
 
 
-def test_criterion_08_matrix_structure(capsys):
+def test_criterion_08_matrix_structure(capsys, tmp_path):
     specs = enumerate_scenarios(["lfcc"])
     assert len(specs) == 45
     for bad in (("G", "O"), ("R", "O"), ("G", "R"), ("R", "G")):
@@ -214,18 +215,21 @@ def test_criterion_08_matrix_structure(capsys):
             ScenarioSpec(h_train=bad[0], s_train=bad[1], attacker_action="N",
                          cm_action="N", feature="lfcc")
 
-    rng = np.random.default_rng(12)
-    waves = [wave(rng.integers(1, 65537, size=400)) for _ in range(6)]
-    labels = ["genuine", "spoof"] * 3
-    originals = [w.samples.tobytes() for w in waves]
-    target = cdf_from_pmf(estimate_pmf(waves))
-    for action, kwargs in (("G", {"target": target}), ("R", {"pool": waves[:2]})):
-        out = apply_action(waves, labels, side="attacker", action=action, seed=9, **kwargs)
-        for i, label in enumerate(labels):
+    # the attacker treats spoofed test files only, on the matrix's own path
+    manifest_path = make_toy_corpus(tmp_path, seed=0, files_per_class=3, duration_s=0.4)
+    manifest, config = load_run_setup(manifest_path, tmp_path / "config.json")
+    runner = _MatrixRunner(manifest, config)
+    tests = [(i, e.label) for i, e in enumerate(manifest.entries) if e.subset == "test"]
+    for action in ("G", "R"):
+        spec = ScenarioSpec(h_train="O", s_train="O", attacker_action=action, cm_action="N",
+                            feature="lfcc")
+        for index, label in tests:
+            original = read_wav(manifest.resolve(manifest.entries[index])).samples.tobytes()
+            out = runner.transformed({}, index, runner._test_chain(spec, label)).samples.tobytes()
             if label == "genuine":
-                assert out[i].samples.tobytes() == originals[i]
+                assert out == original
             else:
-                assert out[i].samples.tobytes() != originals[i]
+                assert out != original
     announce(capsys, 8)
 
 

@@ -379,6 +379,21 @@ def test_exit_codes_and_error_format(corpus, tmp_path, capsys):
                      "--out", str(tmp_path / "f.feat"), wav]) == 5
         assert "error: InputError:" in capsys.readouterr().err
 
+    # 5: a frame size too large for the sample rate to hold in samples; in a
+    # run config it fails every row instead, and the run finishes
+    for flag in ("--frame-ms", "--hop-ms"):
+        capsys.readouterr()
+        assert main(["extract-features", flag, "1e306", "--out", str(tmp_path / "f.feat"),
+                     wav]) == 5
+        assert "error: InputError:" in capsys.readouterr().err
+    huge = tmp_path / "huge.csv"
+    for lfcc_options in ('{"frame_len_ms": 1e306}', '{"frame_hop_ms": 1e306}'):
+        bad_config.write_text('{"lfcc": %s}' % lfcc_options)
+        assert main(["run-matrix", "--manifest", str(corpus / "manifest.csv"), "--config",
+                     str(bad_config), "--seed", "7", "--out", str(huge), "--quiet"]) == 0
+        rows = huge.read_text().splitlines()[1:]
+        assert len(rows) == 45 and all(row.split(",")[5] == "" for row in rows)
+
     # 5: a corpus duration that is not finite, or shorter than the 10 ms fade
     for duration in ("nan", "inf", "0.001"):
         capsys.readouterr()

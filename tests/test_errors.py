@@ -1,6 +1,7 @@
 """The one owner of reading a stored file: every loader fault is a typed
 ToolError whose message starts with the file's path, named once."""
 
+import dataclasses
 import json
 import struct
 import warnings
@@ -25,7 +26,7 @@ from wavespoof import (
     save_features,
     save_gmm,
 )
-from wavespoof.errors import payload_arrays, read_headed, reading, write_headed
+from wavespoof.errors import payload_arrays, read_headed, reading, typed_fields, write_headed
 from wavespoof.pmf import load_pmf, save_pmf_binary
 from oracles import pcm16_wav_bytes
 
@@ -115,7 +116,7 @@ def test_run_setup_names_the_file_at_fault(tmp_path):
     config.write_text(json.dumps({"seed": 1, "lfcc": {"fft_size": "x"}}))
     with pytest.raises(ConfigError) as err:
         load_run_setup(manifest, config)
-    assert str(err.value).startswith(f"{config}: lfcc 'fft_size' has type int")
+    assert str(err.value).startswith(f"{config}: lfcc: fft_size must be an integer; got 'x'")
     # a manifest fault names the manifest, not the config file that was read first
     config.write_text(json.dumps({"seed": 1}))
     manifest.write_text("path,label,subset\na.wav,genuine,exam\n")
@@ -151,3 +152,25 @@ def test_headed_codec_round_trip_and_faults(tmp_path):
     for size in (len(payload) - 1, len(payload) + 4):
         with pytest.raises(FormatError):
             payload_arrays(bytes(size), "<f4", (n,), (1, 3))
+
+
+def test_typed_fields_apply_one_rule_to_numbers_and_flags():
+    @dataclasses.dataclass(frozen=True)
+    class Settings:
+        count: int = 1
+        scale: float = 1.0
+        flag: bool = False
+        name: str = "x"
+
+        def __post_init__(self):
+            typed_fields(self, InputError)
+
+    # each is stored as its annotated type; other annotations are not checked
+    settings = Settings(count=np.int64(2), scale=3, flag=True, name=5)
+    assert (settings.count, settings.scale, settings.flag, settings.name) == (2, 3.0, True, 5)
+    assert [type(v) for v in (settings.count, settings.scale, settings.flag)] == [int, float, bool]
+    for name, value in (("count", 1.0), ("count", True), ("count", "1"), ("scale", False),
+                        ("scale", "1.0"), ("scale", None), ("flag", 1), ("flag", "yes")):
+        with pytest.raises(InputError) as err:
+            Settings(**{name: value})
+        assert str(err.value).startswith(f"{name} must be "), (name, value)

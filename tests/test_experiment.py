@@ -26,12 +26,8 @@ from wavespoof import (
     ScenarioSpec,
     SeedRole,
     TRAIN_COMBOS,
-    Waveform,
-    apply_action,
-    cdf_from_pmf,
     eer_from_scores,
     enumerate_scenarios,
-    estimate_pmf,
     lfcc,
     load_run_setup,
     make_toy_corpus,
@@ -90,63 +86,28 @@ def test_scenario_spec_validation():
         ScenarioSpec(h_train="O", s_train="O", attacker_action="N", cm_action="", feature="lfcc")
 
 
-def test_apply_action_semantics():
-    rng = np.random.default_rng(5)
-    waves = [Waveform(samples=rng.integers(1, 65537, size=200), sample_rate=8000) for _ in range(4)]
-    labels = ["genuine", "spoof", "genuine", "spoof"]
-    target = cdf_from_pmf(estimate_pmf(waves))
-
-    untouched = apply_action(waves, labels, side="attacker", action="N")
-    assert all(a is b for a, b in zip(untouched, waves))
-
-    attacked = apply_action(waves, labels, side="attacker", action="G", target=target, seed=3)
-    assert attacked[0] is waves[0] and attacked[2] is waves[2]  # genuine spared
-    assert not np.array_equal(attacked[1].samples, waves[1].samples)
-
-    defended = apply_action(waves, labels, side="countermeasure", action="G", target=target, seed=3)
-    assert all(d is not w for d, w in zip(defended, waves))
-
-    randomized = apply_action(waves, labels, side="attacker", action="R", pool=waves[:1], seed=3)
-    assert randomized[0] is waves[0]
-    assert not np.array_equal(randomized[3].samples, waves[3].samples)
-
-    with pytest.raises(ConfigError):
-        apply_action(waves, labels, side="attacker", action="G")
-    with pytest.raises(ConfigError):
-        apply_action(waves, labels, side="attacker", action="R", pool=[])
-    with pytest.raises(InputError):
-        apply_action(waves, labels[:2], side="attacker", action="N")
-    for ordinals in ([0], [0, 1, 2, 3, 4]):
-        with pytest.raises(InputError):
-            apply_action(waves, labels, side="countermeasure", action="G", target=target,
-                         ordinals=ordinals)
-    with pytest.raises(InputError):
-        apply_action(waves, labels, side="both", action="N")
-
-
-@pytest.mark.parametrize("side", ["attacker", "countermeasure"])
-@pytest.mark.parametrize("action", ["G", "R"])
-def test_apply_action_matches_the_matrix_runner(corpus, side, action):
-    # the public path and the runner share one treatment step, so with the
-    # runner's seed role, ordinals and references their outputs are identical
+def test_test_chains_apply_each_side_to_its_own_files(corpus):
+    # the attacker treats spoof-labelled test files only and the
+    # countermeasure every test file: the runner's chains alone say so
     _, _, manifest, config = corpus
     runner = _MatrixRunner(manifest, config)
-    if side == "attacker":
-        role, selector = SeedRole.ATTACKER, manifest.attacker_pmf_source
-    else:
-        role, selector = SeedRole.COUNTERMEASURE, manifest.cm_pmf_source
-    test = [(i, entry.label) for i, entry in enumerate(manifest.entries) if entry.subset == "test"]
-    references = {"G": {"target": runner.references("G", selector)[0]},
-                  "R": {"pool": [runner.waveform(i) for i, _ in manifest.select(selector)]}}
-    treated = apply_action(
-        [runner.waveform(i) for i, _ in test], [label for _, label in test], side=side,
-        action=action, extra_bits=config.extra_bits, seed=role_seed(config.seed, role),
-        ordinals=[i for i, _ in test], **references[action],
-    )
-    step = ((action, int(role), selector),)
-    for (index, label), out in zip(test, treated):
-        chain = () if side == "attacker" and label == "genuine" else step
-        assert out.samples.tobytes() == runner.transformed({}, index, chain).samples.tobytes()
+    tests = [(i, entry.label) for i, entry in enumerate(manifest.entries) if entry.subset == "test"]
+    specs = enumerate_scenarios(config.features)
+    assert len(specs) == 45
+    for spec in specs:
+        for index, label in tests:
+            roles = [role for _, role, _ in runner._test_chain(spec, label)]
+            attacked = label == "spoof" and spec.attacker_action != "N"
+            assert (SeedRole.ATTACKER in roles) == attacked, (spec, index)
+            assert (SeedRole.COUNTERMEASURE in roles) == (spec.cm_action != "N"), (spec, index)
+
+    for action in ("G", "R"):
+        spec = ScenarioSpec(h_train="O", s_train="O", attacker_action=action, cm_action="N",
+                            feature="lfcc")
+        for index, label in tests:
+            read = read_wav(manifest.resolve(manifest.entries[index])).samples.tobytes()
+            out = runner.transformed({}, index, runner._test_chain(spec, label)).samples.tobytes()
+            assert (out == read) == (label == "genuine"), (action, index)
 
 
 def test_manifest_csv_round_trip(tmp_path):
@@ -252,6 +213,25 @@ def test_run_config_validation():
         RunConfig(seed=0, workers=0)
     with pytest.raises(ConfigError):
         RunConfig(seed=0, extra_bits=-1)
+
+    # Python callers get the type rule that JSON configs get: an integer
+    # field takes an integer, a number field any number, neither a bool
+    config = RunConfig(seed=0)
+    for name, value in (("seed", 1.5), ("seed", True), ("em_iters", 2.0),
+                        ("gmm_components", "4"), ("extra_bits", 5.0), ("workers", 1.0),
+                        ("features", 5), ("features", None), ("lfcc", {"fft_size": 256})):
+        with pytest.raises(ConfigError):
+            dataclasses.replace(config, **{name: value})
+    for name, value in (("fft_size", 256.0), ("num_ceps", 19.0), ("delta_window", 2.0),
+                        ("num_filters", True), ("include_energy", 1), ("frame_len_ms", "20")):
+        with pytest.raises(InputError):
+            LfccConfig(**{name: value})
+    # a number field stores a float, so 25 and 25.0 are one config and one key
+    whole = LfccConfig(frame_len_ms=25, frame_hop_ms=np.float32(12.5))
+    assert whole == LfccConfig(frame_len_ms=25.0, frame_hop_ms=12.5)
+    assert type(whole.frame_len_ms) is float and type(whole.frame_hop_ms) is float
+    assert whole.fingerprint() == LfccConfig(frame_len_ms=25.0, frame_hop_ms=12.5).fingerprint()
+    assert type(RunConfig(seed=np.int64(3)).seed) is int
 
 
 def test_validate_manifest(tmp_path, corpus):

@@ -148,6 +148,15 @@ def test_lfcc_validation():
             LfccConfig(frame_hop_ms=bad)
 
 
+def test_frame_sizes_too_large_for_the_rate_are_input_errors():
+    # a size is checked in samples while it is a float: 1e306 ms at 8 kHz
+    # overflows to infinity, which no integer holds
+    w = _wave_from_amps(np.full(100, 0.1), rate=8000)
+    for cfg in (LfccConfig(frame_len_ms=1e306), LfccConfig(frame_hop_ms=1e306)):
+        with pytest.raises(InputError):
+            lfcc(w, cfg)
+
+
 def test_fingerprint_tracks_config():
     a = LfccConfig()
     b = LfccConfig()

@@ -153,6 +153,38 @@ def test_package_private_functions_are_referenced():
     assert unreferenced_private_functions(sources) == []
 
 
+def uncalled_exports(sources):
+    """Names that __init__.py (in sources, a mapping of module name to source
+    text) imports to export and that no other module of sources references."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    exported = [alias.name for node in trees.pop("__init__.py").body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    referenced = _referenced_names(trees)
+    return sorted(name for name in exported if name not in referenced)
+
+
+def test_uncalled_exports_are_detected():
+    sources = {
+        "__init__.py": "from .a import used, orphan\nfrom .b import Kind\n",
+        "a.py": "def used():\n    pass\ndef orphan():\n    used()\n",
+        "b.py": "class Kind:\n    pass\n",
+        "c.py": "from .a import used\n",
+    }
+    assert uncalled_exports(sources) == ["Kind", "orphan"]
+
+
+# Exports that the package itself need not call, with the reason each stays.
+PUBLIC_ONLY = {
+    "extend_cdf": "the reference that the genuinization kernel tests compare against",
+    "run_scenario": "the public one-row entry point; it runs the matrix's own path",
+}
+
+
+def test_package_exports_are_referenced():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert uncalled_exports(sources) == sorted(PUBLIC_ONLY)
+
+
 def setflags_calls(sources):
     """(module, line) of each .setflags(...) call in sources, a mapping of
     module name to source text."""
