@@ -2,9 +2,10 @@
 one owner of reading a stored file (reading names the file in each fault,
 text_rows reads headed text, write_headed/read_headed are the one codec of a
 `MAGIC f1 … fn` line heading a binary payload, payload_arrays the one rule
-for a payload of the wrong size); frozen_array, the one check that every
-value type stores its arrays through: non-empty, of the declared dimension,
-converted without changing a value, finite when float, and read-only; and
+for a payload of the wrong size); checked_array, the one check of an array
+argument: non-empty, of the declared dimension, converted without changing a
+value, finite when float; frozen_array, which every value type stores its
+arrays through, read-only, after that check; and
 typed_fields, the one type rule of a config's number and flag fields."""
 
 import dataclasses
@@ -127,21 +128,26 @@ def payload_arrays(payload: bytes, dtype, *shapes) -> list:
     return arrays
 
 
-def frozen_array(owner, name: str, dtype, ndim: int) -> np.ndarray:
-    """Store owner.<name> as a read-only contiguous ndim-D array of dtype and
-    return it. An empty array, another dimension, a value that the conversion
-    to dtype changes or, for a float dtype, a non-finite value raises
-    InputError naming the owner's type and field."""
-    source = np.asarray(getattr(owner, name))
+def checked_array(source, field: str, dtype, ndim: int) -> np.ndarray:
+    """source as a contiguous ndim-D array of dtype. An empty array, another
+    dimension, a value that the conversion to dtype changes or, for a float
+    dtype, a non-finite value raises InputError naming field."""
+    source = np.asarray(source)
     with np.errstate(invalid="ignore"):  # a NaN cast to int is caught below
         array = np.ascontiguousarray(source, dtype=dtype)
-    field = f"{type(owner).__name__}.{name}"
     if array.ndim != ndim or array.size == 0:
         raise InputError(f"{field} must be a non-empty {ndim}-D array")
     if array.dtype.kind == "f" and not np.isfinite(array).all():
         raise InputError(f"{field} holds a non-finite value")
     if source.dtype != array.dtype and not np.array_equal(array, source):
         raise InputError(f"{field} holds a value that {array.dtype} cannot represent")
+    return array
+
+
+def frozen_array(owner, name: str, dtype, ndim: int) -> np.ndarray:
+    """Store owner.<name> as a read-only checked_array named for the owner's
+    type and field, and return it."""
+    array = checked_array(getattr(owner, name), f"{type(owner).__name__}.{name}", dtype, ndim)
     array.setflags(write=False)
     object.__setattr__(owner, name, array)
     return array

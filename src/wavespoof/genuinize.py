@@ -22,8 +22,10 @@ The kernel computes at most one value per sample, from integer prefix sums
 over the levels the file occupies, and finds each sample's match inside the
 bracket that the matches of its segment's two edges give (see _match).
 Integer prefix sums do not change across zero-mass levels, so the result
-equals a lookup in the full 2**16 x 2**d extended source CDF bit for bit,
-while memory stays O(N + levels) instead of O(levels x 2**d).
+equals a lookup in the full 2**16 x 2**d extended source CDF bit for bit.
+The target is searched in its compact form, the runs of equal cumulative
+value that pmf.Cdf stores, so memory stays O(N + occupied levels) instead
+of O(levels x 2**d), and a reference set holds no dense 2**16-level array.
 
 All randomness is derived from (seed, file ordinal) through named numpy
 machinery: SeedSequence([seed, ordinal]).spawn(2) yields the dither stream
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError, InputError
+from .errors import CapacityError, ConfigError, InputError, typed_fields
 from .pmf import MAX_EXTENDED_LEVELS, Cdf, cdf_from_pmf, estimate_pmf, sub_level_values
 from .waveform import Waveform
 
@@ -62,6 +64,7 @@ class GenuinizeParams:
     seed: int = 0
 
     def __post_init__(self):
+        typed_fields(self, InputError)
         if self.mode not in MODES:
             raise InputError(f"mode must be one of {MODES}; got {self.mode!r}")
         if self.extra_bits < 0:
@@ -76,8 +79,9 @@ def file_streams(seed: int, ordinal: int):
 
 
 def _search_brackets(cum: np.ndarray, values: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """Count of cum entries <= each value, given that the count lies in
-    [lo, hi] and lo < hi; a binary search per value, vectorized."""
+    """Count of entries of the sorted cum that are <= each value, given that
+    the count lies in [lo, hi] and lo < hi; a binary search per value,
+    vectorized."""
     found = lo.copy()
     open_ = np.arange(lo.size)
     while open_.size:
@@ -102,7 +106,9 @@ def _match(src: Waveform, target: Cdf, d: int, dither_rng) -> Waveform:
     One sorted search of the occupied levels' edges yields those brackets.
     The end sub-level i = 2**d (every sample at d=0) has the value F(k) and
     takes the upper bracket as it is; the others are resolved by a binary
-    search inside their bracket. Memory is O(N + levels).
+    search inside their bracket. Both searches run over target.values, one
+    entry per run, and one gather through target.starts turns each count of
+    runs into q. Memory is O(N + occupied levels), of source and target.
     """
     levels = target.num_levels
     if int(src.samples.max()) > levels:
@@ -124,7 +130,10 @@ def _match(src: Waveform, target: Cdf, d: int, dither_rng) -> Waveform:
     counts = counts[occupied]
     # Occupied level u spans [edges[u], edges[u + 1]] of the source CDF.
     edges = np.concatenate(([0.0], np.cumsum(counts) / total))
-    bracket = np.searchsorted(target.cum, edges, side="right")
+    # Brackets and matches count the target's runs of equal value whose
+    # value does not exceed the sample's; starts maps such a count to the
+    # level at the top of the last run counted, a one-to-one increasing map.
+    bracket = np.searchsorted(target.values, edges, side="right")
     q = bracket[row + 1]
     if d:
         # Sample n ~ U{0..2**d - 1} sends index k to extended level
@@ -133,10 +142,12 @@ def _match(src: Waveform, target: Cdf, d: int, dither_rng) -> Waveform:
         inner = np.flatnonzero((sub_level != sub) & (bracket[row] < q))
         r = row[inner]
         values = sub_level_values(edges[r], counts[r] / total, edges[r + 1], sub_level[inner], sub)
-        q[inner] = _search_brackets(target.cum, values, bracket[r], q[inner])
+        q[inner] = _search_brackets(target.values, values, bracket[r], q[inner])
+    q = target.starts[q]
     # No q qualifies when the value lies below the first positive-mass bin:
-    # fall back to the smallest positive-mass index.
-    q[q == 0] = np.searchsorted(target.cum, 0.0, side="right") + 1
+    # fall back to the smallest positive-mass index. A value is never
+    # negative, so that happens only when level 1 holds mass, and is level 1.
+    q[q == 0] = 1
     return Waveform(samples=q, sample_rate=src.sample_rate, source_path=src.source_path)
 
 

@@ -115,7 +115,11 @@ def _kmeans_pp_init(rows: np.ndarray, k: int, rng) -> np.ndarray:
     for _ in range(1, k):
         total = dist2.sum()
         if total > 0.0:
-            chosen = rng.choice(pool.shape[0], p=dist2 / total)
+            # rng.choice(n, p=dist2 / total) without its validation of p:
+            # the same cumulative sum, normalisation and draw, so the same pick
+            cdf = np.cumsum(dist2 / total)
+            cdf /= cdf[-1]
+            chosen = int(cdf.searchsorted(rng.random(), side="right"))
         else:
             chosen = rng.integers(0, pool.shape[0])
         picks.append(chosen)

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    CapacityError, FormatError, InputError, frozen_array, payload_arrays, reading, text_rows,
+    CapacityError, FormatError, InputError, checked_array, frozen_array, payload_arrays, reading,
+    text_rows,
 )
 from .waveform import NUM_LEVELS
 
@@ -59,22 +60,46 @@ class Pmf:
         return int(self.mass.size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Cdf:
-    """Cumulative distribution over the same 1-based index grid as Pmf."""
+    """Cumulative distribution over the same 1-based index grid as Pmf,
+    stored as its runs of equal value.
 
-    cum: np.ndarray
+    Cdf(cum=dense) checks the dense values (finite, non-decreasing, ending
+    at 1) and keeps only the levels where they rise: run k holds values[k]
+    over the 0-based levels starts[k] .. starts[k + 1] - 1, so starts[0] is
+    0 and starts[-1] is num_levels. A level rises when its value exceeds the
+    one before it; a mass too small to raise a float running sum starts no
+    run, just as a search of the dense values passes over its level. A CDF
+    with m rises holds about 12 * m bytes instead of 8 per level of the
+    grid. cum rebuilds the dense values, equal to the ones given.
+    """
 
-    def __post_init__(self):
-        cum = frozen_array(self, "cum", np.float64, 1)
-        if cum.size > 1 and np.any(np.diff(cum) < 0.0):
+    starts: np.ndarray
+    values: np.ndarray
+
+    def __init__(self, cum):
+        dense = checked_array(cum, "Cdf.cum", np.float64, 1)
+        steps = np.diff(dense)
+        if np.any(steps < 0.0):
             raise InputError("CDF must be non-decreasing")
-        if abs(float(cum[-1]) - 1.0) > PROB_TOL:
+        if abs(float(dense[-1]) - 1.0) > PROB_TOL:
             raise InputError("CDF must end at 1 within 1e-9")
+        starts = np.concatenate(([0], np.flatnonzero(steps > 0.0) + 1, [dense.size]))
+        object.__setattr__(self, "starts", starts)
+        object.__setattr__(self, "values", dense[starts[:-1]])
+        frozen_array(self, "starts", np.int32, 1)
+        frozen_array(self, "values", np.float64, 1)
 
     @property
     def num_levels(self) -> int:
-        return int(self.cum.size)
+        return int(self.starts[-1])
+
+    @property
+    def cum(self) -> np.ndarray:
+        """The dense cumulative values, one per level, rebuilt as a new array
+        on each call, so writing to it leaves the Cdf as it is."""
+        return np.repeat(self.values, np.diff(self.starts))
 
 
 def estimate_pmf(waveforms, masks=None, keep="all", num_levels=NUM_LEVELS) -> Pmf:
@@ -167,15 +192,15 @@ def extend_cdf(p: Pmf, d: int) -> Cdf:
         raise CapacityError(
             f"extended CDF would need {levels} levels; cap is {MAX_EXTENDED_LEVELS}"
         )
-    base = cdf_from_pmf(p)
+    base = cdf_from_pmf(p).cum
     # Uniform density inside each base segment. The segment-end column is
     # pinned to the base CDF so boundaries agree exactly.
     sub = 1 << d
-    starts = np.concatenate(([0.0], base.cum[:-1]))
+    starts = np.concatenate(([0.0], base[:-1]))
     vals = sub_level_values(
-        starts[:, None], p.mass[:, None], base.cum[:, None], np.arange(1, sub + 1), sub
+        starts[:, None], p.mass[:, None], base[:, None], np.arange(1, sub + 1), sub
     )
-    vals[:, -1] = base.cum
+    vals[:, -1] = base
     return Cdf(cum=vals.reshape(-1))
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InputError, frozen_array
+from .errors import InputError, frozen_array, typed_fields
 from .waveform import Waveform, index_to_amp
 
 DEFAULT_ALPHA = 0.03
@@ -24,6 +24,7 @@ class VadConfig:
     frame_hop: int = 160
 
     def __post_init__(self):
+        typed_fields(self, InputError)
         if not 0.0 < self.alpha < 1.0:
             raise InputError("alpha must lie in (0, 1)")
         if self.frame_hop < 1 or self.frame_len < self.frame_hop:

@@ -21,7 +21,8 @@ from wavespoof import (
     genuinize_random,
     tv_distance,
 )
-from wavespoof.genuinize import genuinize
+from wavespoof.genuinize import genuinize, reference_pool
+from wavespoof.pmf import load_pmf_csv
 from oracles import basic_genuinize_oracle, extended_value_oracle, match_one, pmf_by_counting
 
 
@@ -243,6 +244,21 @@ def test_mode_and_pool_validation():
         GenuinizeParams(mode="perturbed", extra_bits=-1)
 
 
+def test_params_check_their_field_types():
+    # an int field takes an integer that is not a bool: 5.0 and 1.5 used to
+    # end in a TypeError inside the kernel, and True ran as d=1
+    for kwargs, field in (
+        ({"extra_bits": 5.0}, "extra_bits"),
+        ({"extra_bits": True}, "extra_bits"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": False}, "seed"),
+    ):
+        with pytest.raises(InputError, match=f"^{field} must be an integer"):
+            GenuinizeParams(mode="perturbed", **kwargs)
+    params = GenuinizeParams(mode="perturbed", extra_bits=np.int64(3), seed=np.uint32(7))
+    assert (type(params.extra_bits), type(params.seed)) == (int, int)
+
+
 def test_source_outside_target_grid_rejected():
     src = _wave([300])
     with pytest.raises(InputError):
@@ -301,10 +317,10 @@ def _grid_target_counts(kind, rng):
 
 
 def _full_grid_lookup(src, target, d, seed, ordinal):
-    # a lookup in the full 2**16 x 2**d extended source CDF, with the
-    # kernel's dither stream
+    # a lookup of the dense target values in the full extended source CDF
+    # (target.num_levels x 2**d levels), with the kernel's dither stream
     sub = 1 << d
-    table = extend_cdf(estimate_pmf([src]), d).cum
+    table = extend_cdf(estimate_pmf([src], num_levels=target.num_levels), d).cum
     dither_rng, _ = file_streams(seed, ordinal)
     noise = dither_rng.integers(0, sub, size=src.samples.size)
     q = np.searchsorted(target.cum, table[src.samples * sub - noise - 1], side="right")
@@ -344,3 +360,54 @@ def test_random_kernel_matches_full_grid_table_per_drawn_reference():
         out = genuinize_random(src, pool, params, ordinal=ordinal)
         assert np.array_equal(out.samples, _full_grid_lookup(src, pool[chosen], 5, 41, ordinal))
     assert len(drawn) > 1
+
+
+def _float_only_cdf(tmp_path, rows, levels):
+    path = tmp_path / "target.csv"
+    path.write_text("index,probability\n" + "".join(f"{i},{p!r}\n" for i, p in rows))
+    return cdf_from_pmf(load_pmf_csv(path, num_levels=levels))
+
+
+def test_compact_target_matches_dense_search_on_its_traps(tmp_path):
+    # the kernel searches the runs of equal value a Cdf stores; these targets
+    # put a run where the dense search could differ from the compact one
+    traps = {
+        "leading zero mass": _cdf_from_counts([0, 0, 0, 3, 1, 0, 2, 1]),
+        "level 1 occupied": _cdf_from_counts([5, 1, 0, 1, 0, 0, 1, 1]),
+        "flat runs": _cdf_from_counts([1, 0, 0, 0, 2, 0, 0, 1]),
+        "trailing zero mass": _cdf_from_counts([1, 2, 1, 3, 0, 0, 0, 0]),
+        "one level": _cdf_from_counts([0, 0, 0, 0, 0, 1, 0, 0]),
+        # a float-only PMF whose tiny mass does not raise the Kahan sum
+        "unraised mass": _float_only_cdf(tmp_path, [(2, 0.5), (3, 1e-17), (6, 0.5)], 8),
+    }
+    unraised = traps["unraised mass"]
+    assert unraised.cum[2] == unraised.cum[1] and unraised.values.tolist() == [0.0, 0.5, 1.0]
+    assert traps["level 1 occupied"].values[0] > 0.0
+    rng = np.random.default_rng(44)
+    for name, target in traps.items():
+        for trial in range(3):
+            src = _wave(rng.integers(1, 9, size=int(rng.integers(1, 200))))
+            for d in (0, 2, 5):
+                params = GenuinizeParams(mode="perturbed", extra_bits=d, seed=trial)
+                out = genuinize_perturbed(src, target, params, ordinal=trial)
+                assert np.array_equal(out.samples, _full_grid_lookup(src, target, d, trial, trial)), (
+                    name, trial, d,
+                )
+
+
+def test_reference_stores_its_rises_only():
+    rng = np.random.default_rng(46)
+    sources = {
+        "toy": np.clip(np.round(rng.laplace(32768.5, 300.0, size=4000)), 1, 1 << 16),
+        "speech": np.clip(np.round(rng.laplace(32768.5, 6000.0, size=48000)), 1, 1 << 16),
+        "level 1 and top": np.array([1, 1, 1 << 16, 40000]),
+        "one level": np.full(10, 123),
+    }
+    for name, samples in sources.items():
+        w = _wave(samples.astype(np.int64))
+        (reference,) = reference_pool([w])
+        distinct = np.unique(w.samples).size
+        assert reference.num_levels == 1 << 16
+        assert reference.starts.nbytes + reference.values.nbytes <= 12 * distinct + 64, name
+        dense = cdf_from_pmf(estimate_pmf([w])).cum
+        assert np.array_equal(reference.cum, dense), name

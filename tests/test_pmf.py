@@ -115,6 +115,29 @@ def test_cdf_validation():
         Cdf(cum=np.array([0.5, np.nan, 1.0]))
 
 
+def test_cdf_keeps_its_runs_and_gives_back_its_dense_values():
+    cdf = Cdf(cum=np.array([0.0, 0.0, 0.25, 0.25, 0.25, 1.0, 1.0]))
+    assert cdf.starts.tolist() == [0, 2, 5, 7] and cdf.starts.dtype == np.int32
+    assert cdf.values.tolist() == [0.0, 0.25, 1.0] and cdf.num_levels == 7
+    assert not cdf.starts.flags.writeable and not cdf.values.flags.writeable
+    rng = np.random.default_rng(11)
+    counts = rng.integers(0, 3, size=1 << 16) * (rng.random(1 << 16) < 0.05)
+    counts[-1] += 1
+    dense_cases = [
+        np.cumsum(counts) / counts.sum(),
+        # float-only masses take the Kahan path; 1e-17 does not raise its sum
+        cdf_from_pmf(Pmf(mass=counts / counts.sum())).cum,
+        cdf_from_pmf(Pmf(mass=np.array([0.0, 0.5, 1e-17, 0.0, 0.5, 0.0]))).cum,
+        extend_cdf(_random_power_of_two_pmf(rng, 16), 3).cum,
+        np.array([1.0]),
+    ]
+    for dense in dense_cases:
+        rebuilt = Cdf(cum=dense).cum
+        # bit for bit, not only equal in value
+        assert rebuilt.dtype == np.float64
+        assert rebuilt.tobytes() == np.ascontiguousarray(dense, dtype=np.float64).tobytes()
+
+
 def _random_power_of_two_pmf(rng, levels):
     counts = rng.integers(0, 20, size=levels)
     counts[rng.integers(0, levels)] += 1

@@ -28,6 +28,19 @@ def test_config_validation():
         VadConfig(frame_len=10, frame_hop=20)
     with pytest.raises(InputError):
         VadConfig(frame_hop=0)
+    # each field takes its annotated type, never a bool; a float frame size
+    # used to end in a TypeError inside energy_vad
+    for kwargs, field in (
+        ({"frame_len": 320.0}, "frame_len"),
+        ({"frame_hop": 160.0}, "frame_hop"),
+        ({"frame_len": True, "frame_hop": True}, "frame_len"),
+        ({"alpha": True}, "alpha"),
+        ({"alpha": "0.03"}, "alpha"),
+    ):
+        with pytest.raises(InputError, match=f"^{field} must be"):
+            VadConfig(**kwargs)
+    cfg = VadConfig(frame_len=np.int64(320), frame_hop=np.int32(160))
+    assert (type(cfg.frame_len), type(cfg.frame_hop)) == (int, int)
 
 
 def test_mask_rejects_a_conversion_that_changes_a_value():
