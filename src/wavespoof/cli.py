@@ -183,10 +183,8 @@ def _read_masked(paths, keep: str, alpha: float):
     waveforms = [read_wav(p) for p in paths]
     if keep == "all":
         return waveforms, None
-    masks = [
-        energy_vad(w, VadConfig.for_rate(w.sample_rate, alpha=alpha)) for w in waveforms
-    ]
-    return waveforms, masks
+    cfg = VadConfig(alpha=alpha)
+    return waveforms, [energy_vad(w, cfg) for w in waveforms]
 
 
 def _cmd_estimate_pmf(args) -> int:
@@ -265,7 +263,7 @@ def _cmd_genuinize(args) -> int:
 
 def _cmd_vad(args) -> int:
     w = read_wav(args.input)
-    mask = energy_vad(w, VadConfig.for_rate(w.sample_rate, alpha=args.alpha))
+    mask = energy_vad(w, VadConfig(alpha=args.alpha))
     text = format_runs(mask)
     if args.out:
         Path(args.out).write_text(text, encoding="ascii")

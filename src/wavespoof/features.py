@@ -16,13 +16,12 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.fft
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     ConfigError, InputError, frozen_array, payload_arrays, read_headed, reading, typed_fields,
     write_headed,
 )
-from .waveform import Waveform, index_to_amp
+from .waveform import Waveform, framed, index_to_amp
 
 LOG_FLOOR = 1e-12
 _CACHE_MAGIC = "FEAT1"
@@ -106,18 +105,11 @@ def append_deltas(m: np.ndarray, window: int = 2) -> np.ndarray:
 
 def _framed_log_energies(w: Waveform, cfg: LfccConfig):
     """Frames of w and their log filterbank energies (the DCT input)."""
-    sizes = [ms * w.sample_rate / 1000.0 for ms in (cfg.frame_len_ms, cfg.frame_hop_ms)]
-    if not all(map(math.isfinite, sizes)):
-        raise InputError("frame sizes overflow to infinity at this rate")
-    frame_len, hop = (int(round(size)) for size in sizes)
-    if frame_len < 2 or hop < 1:
-        raise InputError("frame sizes collapse to fewer than 2 samples at this rate")
+    amp = index_to_amp(w.samples)
+    frames, _ = framed(amp, w.sample_rate, cfg.frame_len_ms, cfg.frame_hop_ms)
+    frame_len = frames.shape[1]
     if frame_len > cfg.fft_size:
         raise InputError(f"fft_size {cfg.fft_size} is smaller than the {frame_len}-sample frame")
-    if len(w) < frame_len:
-        raise InputError(f"waveform of {len(w)} samples is shorter than one frame")
-    amp = index_to_amp(w.samples)
-    frames = sliding_window_view(amp, frame_len)[::hop]
     windowed = frames * np.hamming(frame_len)
     spectrum = np.fft.rfft(windowed, n=cfg.fft_size, axis=1)
     power = spectrum.real**2 + spectrum.imag**2

@@ -143,12 +143,14 @@ def _match(src: Waveform, target: Cdf, d: int, dither_rng) -> Waveform:
         r = row[inner]
         values = sub_level_values(edges[r], counts[r] / total, edges[r + 1], sub_level[inner], sub)
         q[inner] = _search_brackets(target.values, values, bracket[r], q[inner])
-    q = target.starts[q]
+    # Gathered from an int64 copy of the level starts, q is already in the
+    # dtype of Waveform.samples, which then stores it without a copy.
+    q = target.starts.astype(np.int64)[q]
     # No q qualifies when the value lies below the first positive-mass bin:
     # fall back to the smallest positive-mass index. A value is never
     # negative, so that happens only when level 1 holds mass, and is level 1.
     q[q == 0] = 1
-    return Waveform(samples=q, sample_rate=src.sample_rate, source_path=src.source_path)
+    return Waveform(samples=q, sample_rate=src.sample_rate)
 
 
 def genuinize_basic(src: Waveform, target: Cdf) -> Waveform:

@@ -3,17 +3,20 @@
 Samples travel through the toolkit as integer indices k in 1..65536; the
 amplitude of index k is -1 + k * 2**-15, so the grid spans (-1, 1] with the
 top level at exactly +1.0. Float amplitudes appear only at the I/O boundary
-and inside energy computations.
+and inside energy computations. framed is the one rule that cuts a signal
+into frames sized in milliseconds.
 """
 
 from __future__ import annotations
 
+import math
 import wave
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import FormatError, InputError, frozen_array, payload_arrays, reading
+from .errors import FormatError, InputError, frozen_array, payload_arrays, reading, typed_fields
 
 BASE_BITS = 16
 NUM_LEVELS = 1 << BASE_BITS
@@ -30,15 +33,14 @@ class Waveform:
 
     samples: np.ndarray
     sample_rate: int
-    source_path: str | None = None
 
     def __post_init__(self):
+        typed_fields(self, InputError)
         samples = frozen_array(self, "samples", np.int64, 1)
         if samples.min() < 1 or samples.max() > NUM_LEVELS:
             raise InputError(f"sample indices must lie in 1..{NUM_LEVELS}")
-        if int(self.sample_rate) <= 0:
+        if self.sample_rate <= 0:
             raise InputError("sample rate must be positive")
-        object.__setattr__(self, "sample_rate", int(self.sample_rate))
 
     def __len__(self) -> int:
         return int(self.samples.size)
@@ -70,6 +72,24 @@ def index_to_amp(k):
     return amp
 
 
+def framed(values: np.ndarray, sample_rate: int, frame_ms: float, hop_ms: float):
+    """A (num_frames, frame_len) view of values, frames of frame_ms every
+    hop_ms at sample_rate, and the hop in samples; ms become round(ms * rate
+    / 1000) samples. A size that overflows, a frame under 2 samples or a hop
+    under 1, and values shorter than one frame, raise InputError."""
+    sizes = [ms * sample_rate / 1000.0 for ms in (frame_ms, hop_ms)]
+    if not all(map(math.isfinite, sizes)):
+        raise InputError("frame sizes overflow to infinity at this rate")
+    frame_len, hop = (int(round(size)) for size in sizes)
+    if frame_len < 2 or hop < 1:
+        raise InputError("frame sizes collapse to fewer than 2 samples at this rate")
+    if values.size < frame_len:
+        raise InputError(
+            f"waveform of {values.size} samples is shorter than one {frame_len}-sample frame"
+        )
+    return sliding_window_view(values, frame_len)[::hop], hop
+
+
 def read_wav(path) -> Waveform:
     """Read a mono 16-bit PCM RIFF/WAVE file into index form."""
     with reading(path):
@@ -96,8 +116,7 @@ def read_wav(path) -> Waveform:
             rate = handle.getframerate()
             raw = handle.readframes(frames)
         (codes,) = payload_arrays(raw, "<i2", (frames,))
-        return Waveform(samples=codes.astype(np.int64) + _CODE_OFFSET, sample_rate=rate,
-                        source_path=str(path))
+        return Waveform(samples=codes.astype(np.int64) + _CODE_OFFSET, sample_rate=rate)
 
 
 def write_wav(path, w: Waveform) -> None:

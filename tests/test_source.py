@@ -215,6 +215,38 @@ def test_only_frozen_array_freezes_arrays():
     assert [module for module, _ in setflags_calls(sources)] == ["errors.py"]
 
 
+def sliding_window_calls(sources):
+    """(module, line) of each call of sliding_window_view in sources (a
+    mapping of module name to source text), by name or as an attribute."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call) and "sliding_window_view" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)
+            ):
+                found.append((module, node.lineno))
+    return sorted(found)
+
+
+def test_sliding_window_calls_are_detected():
+    sources = {
+        "a": (
+            "from numpy.lib.stride_tricks import sliding_window_view\n"
+            "def f(x):\n    return sliding_window_view(x, 4)[::2]\n"
+        ),
+        "b": "import numpy as np\ny = np.lib.stride_tricks.sliding_window_view(x, 3)\n",
+        "c": "def sliding_window_view(x):\n    return x\nwindows = 2\n",
+    }
+    assert sliding_window_calls(sources) == [("a", 3), ("b", 2)]
+
+
+def test_only_framed_cuts_frames():
+    # waveform.framed is the one owner of the ms -> samples rule and of
+    # cutting a signal into frames, for the VAD and the LFCC front end alike
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert [module for module, _ in sliding_window_calls(sources)] == ["waveform.py"]
+
+
 def path_prefixed_fstrings(sources):
     """(module, line) of each f-string in sources (a mapping of module name
     to source text) that starts with a formatted path: a name or attribute

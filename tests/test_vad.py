@@ -9,9 +9,10 @@ from wavespoof import (
     amp_to_index,
     energy_vad,
     format_runs,
+    index_to_amp,
     mask_to_runs,
 )
-from wavespoof.vad import frame_energies
+from wavespoof.waveform import framed
 from oracles import vad_oracle
 
 
@@ -25,22 +26,41 @@ def test_config_validation():
     with pytest.raises(InputError):
         VadConfig(alpha=1.0)
     with pytest.raises(InputError):
-        VadConfig(frame_len=10, frame_hop=20)
-    with pytest.raises(InputError):
-        VadConfig(frame_hop=0)
-    # each field takes its annotated type, never a bool; a float frame size
-    # used to end in a TypeError inside energy_vad
+        VadConfig(frame_ms=10.0, hop_ms=20.0)
+    for bad in (float("nan"), float("inf"), 0.0, -5.0):
+        for kwargs in ({"frame_ms": bad}, {"hop_ms": bad}, {"frame_ms": bad, "hop_ms": bad}):
+            with pytest.raises(InputError, match="hop_ms <= frame_ms"):
+                VadConfig(**kwargs)
+    # each field takes its annotated type, never a bool
     for kwargs, field in (
-        ({"frame_len": 320.0}, "frame_len"),
-        ({"frame_hop": 160.0}, "frame_hop"),
-        ({"frame_len": True, "frame_hop": True}, "frame_len"),
+        ({"frame_ms": "20"}, "frame_ms"),
+        ({"hop_ms": None}, "hop_ms"),
+        ({"frame_ms": True, "hop_ms": True}, "frame_ms"),
         ({"alpha": True}, "alpha"),
         ({"alpha": "0.03"}, "alpha"),
     ):
         with pytest.raises(InputError, match=f"^{field} must be"):
             VadConfig(**kwargs)
-    cfg = VadConfig(frame_len=np.int64(320), frame_hop=np.int32(160))
-    assert (type(cfg.frame_len), type(cfg.frame_hop)) == (int, int)
+    cfg = VadConfig(frame_ms=np.int64(20), hop_ms=np.float32(10))
+    assert (cfg.frame_ms, cfg.hop_ms) == (20.0, 10.0)
+    assert (type(cfg.frame_ms), type(cfg.hop_ms)) == (float, float)
+
+
+def test_frame_sizes_too_large_for_the_rate_are_input_errors():
+    # 1e306 ms at 8 kHz overflows to infinity, which no integer holds; it
+    # used to end in an OverflowError
+    w = _wave_from_amps(np.full(100, 0.1))
+    for cfg in (VadConfig(frame_ms=1e306), VadConfig(frame_ms=1e306, hop_ms=1e306)):
+        with pytest.raises(InputError, match="overflow"):
+            energy_vad(w, cfg)
+
+
+def test_frames_of_one_sample_are_rejected():
+    # 0.125 ms is one sample at 8 kHz, two at 16 kHz
+    cfg = VadConfig(frame_ms=0.125, hop_ms=0.125)
+    with pytest.raises(InputError, match="fewer than 2 samples"):
+        energy_vad(_wave_from_amps(np.full(100, 0.1)), cfg)
+    assert len(energy_vad(_wave_from_amps(np.full(100, 0.1), rate=16000), cfg)) == 100
 
 
 def test_mask_rejects_a_conversion_that_changes_a_value():
@@ -52,11 +72,18 @@ def test_mask_rejects_a_conversion_that_changes_a_value():
         assert VadMask(speech=speech).speech.tolist() == [True, False]
 
 
-def test_for_rate_defaults():
-    cfg = VadConfig.for_rate(8000)
-    assert cfg.frame_len == 160 and cfg.frame_hop == 80 and cfg.alpha == 0.03
-    cfg16 = VadConfig.for_rate(16000)
-    assert cfg16.frame_len == 320 and cfg16.frame_hop == 160
+def test_default_config_frames_20_ms_every_10_ms():
+    # 160/80 samples at 8 kHz and 320/160 at 16 kHz
+    assert VadConfig() == VadConfig(alpha=0.03, frame_ms=20.0, hop_ms=10.0)
+    rng = np.random.default_rng(5)
+    for rate, frame_len, hop in ((8000, 160, 80), (16000, 320, 160)):
+        amps = np.clip(rng.normal(0.0, 0.05, size=4000), -0.99, 0.99)
+        amps[1000:2500] *= 0.01
+        w = _wave_from_amps(amps, rate)
+        quantized = (w.samples * 2.0 ** -15) - 1.0
+        want = vad_oracle(quantized.tolist(), frame_len, hop, 0.03)
+        assert energy_vad(w).speech.tolist() == want
+        assert energy_vad(w, VadConfig()).speech.tolist() == want
 
 
 def test_hand_computed_example():
@@ -64,9 +91,11 @@ def test_hand_computed_example():
     # only the first frame falls below 3% of the max
     amps = [0.0, 0.0, 0.0, 0.0, 0.5, -0.5, 0.5, -0.5]
     w = _wave_from_amps(amps)
-    cfg = VadConfig(alpha=0.03, frame_len=4, frame_hop=2)
-    energies = frame_energies(w, cfg)
-    assert energies.tolist() == pytest.approx([0.0, 0.125, 0.25], abs=1e-12)
+    cfg = VadConfig(alpha=0.03, frame_ms=0.5, hop_ms=0.25)
+    amp = index_to_amp(w.samples)
+    frames, hop = framed(amp * amp, w.sample_rate, cfg.frame_ms, cfg.hop_ms)
+    assert frames.shape == (3, 4) and hop == 2
+    assert frames.mean(axis=1).tolist() == pytest.approx([0.0, 0.125, 0.25], abs=1e-12)
     mask = energy_vad(w, cfg)
     assert mask.speech.tolist() == [False, False, True, True, True, True, True, True]
     assert mask_to_runs(mask) == [(0, 2, "nonspeech"), (2, 8, "speech")]
@@ -82,7 +111,7 @@ def test_matches_loop_oracle_on_random_signals():
         amps[n // 2 : n // 2 + n // 5] *= 8.0
         amps = np.clip(amps, -0.99, 0.99)
         w = _wave_from_amps(amps)
-        cfg = VadConfig(alpha=0.03, frame_len=64, frame_hop=32)
+        cfg = VadConfig(alpha=0.03, frame_ms=8.0, hop_ms=4.0)
         got = energy_vad(w, cfg).speech.tolist()
         quantized = (w.samples * 2.0 ** -15) - 1.0
         want = vad_oracle(quantized.tolist(), 64, 32, 0.03)
@@ -95,20 +124,20 @@ def test_scale_invariance():
     amps = np.concatenate([np.zeros(200), loud, np.zeros(100)])
     w1 = _wave_from_amps(amps)
     w2 = _wave_from_amps(amps * 0.25)  # exactly representable on the grid
-    cfg = VadConfig(alpha=0.03, frame_len=50, frame_hop=25)
+    cfg = VadConfig(alpha=0.03, frame_ms=6.25, hop_ms=3.125)
     assert np.array_equal(energy_vad(w1, cfg).speech, energy_vad(w2, cfg).speech)
 
 
 def test_constant_energy_is_all_speech():
     amps = np.tile([0.3, -0.3], 100)
-    mask = energy_vad(_wave_from_amps(amps), VadConfig(alpha=0.03, frame_len=20, frame_hop=10))
+    mask = energy_vad(_wave_from_amps(amps), VadConfig(alpha=0.03, frame_ms=2.5, hop_ms=1.25))
     assert mask.speech.all()
 
 
 def test_tail_inherits_last_frame_label():
     # 9 trailing samples form no full frame; the last full frame is loud
     amps = np.concatenate([np.zeros(64), np.tile([0.5, -0.5], 32), np.full(9, 0.001)])
-    cfg = VadConfig(alpha=0.03, frame_len=32, frame_hop=16)
+    cfg = VadConfig(alpha=0.03, frame_ms=4.0, hop_ms=2.0)
     mask = energy_vad(_wave_from_amps(amps), cfg)
     assert mask.speech[-9:].all()
 
@@ -121,7 +150,7 @@ def test_tail_inherits_last_frame_label():
 def test_short_waveform_rejected():
     w = _wave_from_amps(np.zeros(10) + 0.1)
     with pytest.raises(InputError):
-        energy_vad(w, VadConfig(frame_len=32, frame_hop=16))
+        energy_vad(w, VadConfig(frame_ms=4.0, hop_ms=2.0))
 
 
 def test_runs_round_trip():

@@ -55,6 +55,14 @@ def test_waveform_validation():
         Waveform(samples=np.array([[1, 2]]), sample_rate=8000)
     with pytest.raises(InputError):
         Waveform(samples=np.array([1]), sample_rate=0)
+    # the rate is an integer, never a bool; it used to be truncated, so
+    # 8000.7 became 8000 and True became 1
+    for rate in (8000.7, 8000.0, True, "8000", None):
+        with pytest.raises(InputError, match="^sample_rate must be an integer"):
+            Waveform(samples=np.array([1, 2, 3]), sample_rate=rate)
+    for rate in (np.int64(8000), np.int32(8000), np.uint16(8000)):
+        w = Waveform(samples=np.array([1, 2, 3]), sample_rate=rate)
+        assert w.sample_rate == 8000 and type(w.sample_rate) is int
     w = Waveform(samples=np.array([1, 65536]), sample_rate=16000)
     assert len(w) == 2
     with pytest.raises(ValueError):
@@ -81,7 +89,6 @@ def test_wav_round_trip(tmp_path):
     back = read_wav(path)
     assert np.array_equal(back.samples, w.samples)
     assert back.sample_rate == 16000
-    assert back.source_path == str(path)
 
 
 def test_read_wav_against_hand_built_bytes(tmp_path):
