@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError, ToolError
-from .experiment import SUBSETS, DatasetManifest, load_run_setup, run_matrix
+from .experiment import SUBSETS, DatasetManifest, RunConfig, load_run_setup, run_matrix
 from .features import LfccConfig, get_extractor, load_features, save_features, stack_features
 from .genuinize import DEFAULT_EXTRA_BITS, MODES, GenuinizeParams, genuinize, reference_pool
 from .gmm import (
@@ -103,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--mode", choices=MODES, required=True)
     sub.add_argument("--target", help="target PMF file (basic and perturbed modes)")
     sub.add_argument("--pool", nargs="+", help="reference WAVs (random mode, single-file form)")
-    sub.add_argument("--pool-selector", default=DatasetManifest.cm_pmf_source,
+    sub.add_argument("--pool-selector", default=RunConfig.cm_pmf_source,
                      help="manifest selector for the random-mode pool (batch form)")
     sub.add_argument("--d-bits", type=_nonneg_int, default=DEFAULT_EXTRA_BITS,
                      help="dither sub-level bits")

@@ -5,8 +5,8 @@ text_rows reads headed text, write_headed/read_headed are the one codec of a
 for a payload of the wrong size); checked_array, the one check of an array
 argument: non-empty, of the declared dimension, converted without changing a
 value, finite when float; frozen_array, which every value type stores its
-arrays through, read-only, after that check; and
-typed_fields, the one type rule of a config's number and flag fields."""
+arrays through, read-only, after that check; and typed, the one type rule
+of a number or flag argument, which typed_fields applies to a config's fields."""
 
 import dataclasses
 import math
@@ -162,18 +162,20 @@ _FIELD_TYPES = {
 }
 
 
+def typed(value, kind: str, name: str, error: type = InputError):
+    """value as kind ("bool", "int" or "float"), else error naming name: a bool
+    takes a bool, an int an integer and a float any real number, neither of
+    them a bool. A float given 25 is 25.0, one value with one fingerprint."""
+    accepted, stored, wording = _FIELD_TYPES[kind]
+    if not isinstance(value, accepted) or (isinstance(value, bool) and stored is not bool):
+        raise error(f"{name} must be {wording}; got {value!r}")
+    return stored(value)
+
+
 def typed_fields(owner, error: type) -> None:
-    """Check each field of the dataclass owner annotated bool, int or float,
-    raising error naming the first that breaks the type rule: a bool field
-    takes a bool, an int field an integer and a float field any real number,
-    neither of them a bool. Each is stored as its annotated type, so a float
-    field given 25 holds 25.0, one value with one fingerprint."""
+    """Store each field of the dataclass owner annotated bool, int or float
+    as typed gives it, raising error naming the first that breaks the rule."""
     for f in dataclasses.fields(owner):
-        rule = _FIELD_TYPES.get(getattr(f.type, "__name__", f.type))
-        if rule is None:
-            continue
-        accepted, stored, wording = rule
-        value = getattr(owner, f.name)
-        if not isinstance(value, accepted) or (isinstance(value, bool) and stored is not bool):
-            raise error(f"{f.name} must be {wording}; got {value!r}")
-        object.__setattr__(owner, f.name, stored(value))
+        kind = getattr(f.type, "__name__", f.type)
+        if kind in _FIELD_TYPES:
+            object.__setattr__(owner, f.name, typed(getattr(owner, f.name), kind, f.name, error))

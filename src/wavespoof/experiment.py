@@ -10,8 +10,8 @@ untreated spoof side, or mixed G/R treatments, would defend against an
 attack the attacker is not making), so the matrix is 5 x 3 x 3 = 45 cells
 per feature.
 
-The attacker's references come from the manifest's attacker_pmf_source
-selector (test-side genuine speech); the countermeasure's come from
+The attacker's references come from the config's attacker_pmf_source
+selector (test-side genuine speech); the countermeasure's come from its
 cm_pmf_source (training genuine speech) and are the same references used to
 genuinize training material. A treatment needs only its reference set (a
 sequence of Cdfs, see genuinize): action G uses one CDF, the pooled PMF of
@@ -125,27 +125,19 @@ def _parse_selector(selector) -> tuple:
 
 @dataclass(frozen=True)
 class DatasetManifest:
-    """Labelled file list plus the PMF-source selectors (subset:label) named
-    in SELECTORS, which are checked when the manifest is built."""
+    """Labelled file list; relative paths resolve against root."""
 
     entries: tuple
-    attacker_pmf_source: str = "test:genuine"
-    cm_pmf_source: str = "train:genuine"
     root: str | None = None
-
-    SELECTORS = ("attacker_pmf_source", "cm_pmf_source")
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
-        for name in self.SELECTORS:
-            _parse_selector(getattr(self, name))
 
     @classmethod
-    def from_csv(cls, path, **selectors) -> DatasetManifest:
+    def from_csv(cls, path) -> DatasetManifest:
         """Manifest of a `path,label,subset` CSV whose relative rows resolve
         against the CSV's directory."""
-        return cls(entries=read_manifest_csv(path), root=str(Path(path).resolve().parent),
-                   **selectors)
+        return cls(entries=read_manifest_csv(path), root=str(Path(path).resolve().parent))
 
     def resolve(self, entry: ManifestEntry) -> Path:
         path = Path(entry.path)
@@ -171,6 +163,9 @@ class RunConfig:
     em_iters: int = DEFAULT_ITERS
     extra_bits: int = DEFAULT_EXTRA_BITS
     lfcc: LfccConfig = field(default_factory=LfccConfig)
+    # subset:label selectors of the files behind each side's references
+    attacker_pmf_source: str = "test:genuine"
+    cm_pmf_source: str = "train:genuine"
     workers: int = 1
 
     def __post_init__(self):
@@ -191,6 +186,8 @@ class RunConfig:
             raise ConfigError("extra_bits must be non-negative")
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
+        _parse_selector(self.attacker_pmf_source)
+        _parse_selector(self.cm_pmf_source)
 
 
 @dataclass(frozen=True)
@@ -274,10 +271,9 @@ def load_run_setup(manifest_csv, config_json=None, seed=None, workers=None):
     """Build (DatasetManifest, RunConfig) from the CSV manifest and the
     key-value config file; seed/workers arguments override the config.
 
-    The config's keys and defaults are those of the RunConfig fields (the
-    LfccConfig fields under "lfcc", an object) and the DatasetManifest
-    SELECTORS. Each value meets the type rule of the dataclass it fills, so
-    a JSON config and a Python caller get the same checks.
+    The config's keys, defaults and type rules are those of the RunConfig
+    fields ("lfcc" an object of LfccConfig fields), so a JSON config and a
+    Python caller get the same checks.
     """
     raw = {}
     if config_json is not None:
@@ -289,7 +285,7 @@ def load_run_setup(manifest_csv, config_json=None, seed=None, workers=None):
                 raise ConfigError(f"invalid JSON ({exc})") from exc
             if not isinstance(raw, dict):
                 raise ConfigError("config must be a JSON object")
-            _check_keys(raw, [*(f.name for f in fields(RunConfig)), *DatasetManifest.SELECTORS])
+            _check_keys(raw, [f.name for f in fields(RunConfig)])
             if "lfcc" in raw:
                 if not isinstance(raw["lfcc"], dict):
                     raise ConfigError(f"'lfcc' must be an object; got {raw['lfcc']!r}")
@@ -298,17 +294,13 @@ def load_run_setup(manifest_csv, config_json=None, seed=None, workers=None):
                     raw["lfcc"] = LfccConfig(**raw["lfcc"])
                 except InputError as exc:
                     raise ConfigError(f"lfcc: {exc}") from exc
-    manifest = DatasetManifest.from_csv(
-        manifest_csv, **{name: raw[name] for name in DatasetManifest.SELECTORS if name in raw}
-    )
-    values = {f.name: raw[f.name] for f in fields(RunConfig) if f.name in raw}
     if seed is not None:
-        values["seed"] = int(seed)
+        raw["seed"] = seed
     if workers is not None:
-        values["workers"] = int(workers)
-    if "seed" not in values:
+        raw["workers"] = workers
+    if "seed" not in raw:
         raise ConfigError("a run seed is required (config key 'seed' or the seed argument)")
-    return manifest, RunConfig(**values)
+    return DatasetManifest.from_csv(manifest_csv), RunConfig(**raw)
 
 
 def validate_manifest(manifest: DatasetManifest) -> None:
@@ -409,7 +401,7 @@ class _MatrixRunner:
         if provenance == "O":
             return ()
         role = SeedRole.TRAIN_GENUINE if label == "genuine" else SeedRole.TRAIN_SPOOF
-        return ((provenance, int(role), self.manifest.cm_pmf_source),)
+        return ((provenance, int(role), self.config.cm_pmf_source),)
 
     def model(self, label: str, provenance: str, feature: str) -> GmmModel:
         def build():
@@ -434,13 +426,10 @@ class _MatrixRunner:
     def _test_chain(self, spec: ScenarioSpec, label: str) -> tuple:
         chain = []
         if label == "spoof" and spec.attacker_action != "N":
-            chain.append(
-                (spec.attacker_action, int(SeedRole.ATTACKER), self.manifest.attacker_pmf_source)
-            )
+            chain.append((spec.attacker_action, int(SeedRole.ATTACKER),
+                          self.config.attacker_pmf_source))
         if spec.cm_action != "N":
-            chain.append(
-                (spec.cm_action, int(SeedRole.COUNTERMEASURE), self.manifest.cm_pmf_source)
-            )
+            chain.append((spec.cm_action, int(SeedRole.COUNTERMEASURE), self.config.cm_pmf_source))
         return tuple(chain)
 
     def score_file(self, index: int, passes) -> dict:
@@ -530,7 +519,7 @@ class _MatrixRunner:
 
     def _inputs_digest(self) -> str:
         """Hash of what every cached result depends on but its spec and extractor:
-        audio, selectors, RESULTS_VERSION and the config but workers and features."""
+        audio, RESULTS_VERSION and the config but workers and features."""
         config = asdict(self.config)
         del config["workers"], config["features"]
         payload = {
@@ -543,7 +532,6 @@ class _MatrixRunner:
                 )
                 for e in self.manifest.entries
             ],
-            "selectors": {name: getattr(self.manifest, name) for name in DatasetManifest.SELECTORS},
             "config": config,
             "results_version": RESULTS_VERSION,
         }

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError, InputError, typed_fields
+from .errors import CapacityError, ConfigError, InputError, typed, typed_fields
 from .pmf import MAX_EXTENDED_LEVELS, Cdf, cdf_from_pmf, estimate_pmf, sub_level_values
 from .waveform import Waveform
 
@@ -73,7 +73,10 @@ class GenuinizeParams:
 
 def file_streams(seed: int, ordinal: int):
     """Per-file RNG streams (dither, reference choice); see module docstring."""
-    root = np.random.SeedSequence(entropy=(seed & _SEED_MASK, int(ordinal)))
+    ordinal = typed(ordinal, "int", "file ordinal")
+    if ordinal < 0:
+        raise InputError(f"file ordinal must be non-negative; got {ordinal}")
+    root = np.random.SeedSequence(entropy=(seed & _SEED_MASK, ordinal))
     dither_ss, choice_ss = root.spawn(2)
     return np.random.default_rng(dither_ss), np.random.default_rng(choice_ss)
 

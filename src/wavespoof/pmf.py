@@ -33,12 +33,12 @@ KEEPS = ("speech", "nonspeech", "all")
 class Pmf:
     """Probability mass over amplitude indices 1..len(mass).
 
-    total_count is the number of samples behind the estimate (0 when
-    unknown); counts is the integer histogram when the PMF came from data.
+    counts, when the PMF came from data, is its non-negative integer
+    histogram, and mass is then exactly counts / counts.sum(), as
+    estimate_pmf computes it: the two are one distribution.
     """
 
     mass: np.ndarray
-    total_count: int = 0
     counts: np.ndarray | None = None
 
     def __post_init__(self):
@@ -47,13 +47,11 @@ class Pmf:
             raise InputError("PMF mass must be non-negative")
         if abs(float(mass.sum()) - 1.0) > PROB_TOL:
             raise InputError("PMF mass must sum to 1 within 1e-9")
-        object.__setattr__(self, "total_count", int(self.total_count))
         if self.counts is not None:
             counts = frozen_array(self, "counts", np.int64, 1)
-            if counts.shape != mass.shape:
-                raise InputError("histogram counts must match the PMF length")
-            if int(counts.sum()) != self.total_count:
-                raise InputError("histogram counts inconsistent with total_count")
+            total = int(counts.sum())  # mass >= 0, so equal mass means counts >= 0
+            if total <= 0 or not np.array_equal(mass, counts / total):
+                raise InputError("PMF mass must be exactly its non-negative counts over their sum")
 
     @property
     def num_levels(self) -> int:
@@ -136,7 +134,7 @@ def estimate_pmf(waveforms, masks=None, keep="all", num_levels=NUM_LEVELS) -> Pm
     total = int(counts.sum())
     if total == 0:
         raise InputError("no samples retained for PMF estimation")
-    return Pmf(mass=counts / total, total_count=total, counts=counts)
+    return Pmf(mass=counts / total, counts=counts)
 
 
 def _kahan_cumsum(values: np.ndarray) -> np.ndarray:
@@ -157,11 +155,12 @@ def _kahan_cumsum(values: np.ndarray) -> np.ndarray:
 def cdf_from_pmf(p: Pmf) -> Cdf:
     """Cumulative form of a PMF.
 
-    Count-backed PMFs use exact integer prefix sums divided once at the end;
-    float-only PMFs use Kahan-compensated running summation.
+    Count-backed PMFs use exact integer prefix sums divided once by the last
+    one; float-only PMFs use Kahan-compensated running summation.
     """
-    if p.counts is not None and p.total_count > 0:
-        cum = np.cumsum(p.counts, dtype=np.int64) / p.total_count
+    if p.counts is not None:
+        sums = np.cumsum(p.counts, dtype=np.int64)
+        cum = sums / sums[-1]
     else:
         cum = _kahan_cumsum(p.mass)
     return Cdf(cum=cum)

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, typed
 from .genuinize import DEFAULT_EXTRA_BITS
 from .waveform import Waveform, amp_to_index, write_wav
 
@@ -73,10 +74,16 @@ def make_toy_corpus(
     Layout: out_dir/audio/<subset>/<label>/<nnn>.wav plus manifest.csv
     and config.json at out_dir's top level.
     """
-    if files_per_class < 2:
-        raise InputError("files_per_class must be at least 2")
-    if not (math.isfinite(duration_s) and duration_s > 0) or sample_rate <= 0:
-        raise InputError("duration must be finite and positive, and sample rate positive")
+    # every argument is checked before the first folder is made
+    if not isinstance(out_dir, (str, os.PathLike)):
+        raise InputError(f"out_dir must be a path; got {out_dir!r}")
+    seed, run_seed = typed(seed, "int", "seed"), typed(run_seed, "int", "run_seed")
+    files_per_class = typed(files_per_class, "int", "files_per_class")
+    sample_rate = typed(sample_rate, "int", "sample_rate")
+    duration_s = typed(duration_s, "float", "duration_s")
+    if seed < 0 or files_per_class < 2 or sample_rate < 1 or not 0 < duration_s < math.inf:
+        raise InputError("seed must be non-negative, files_per_class at least 2, "
+                         "sample_rate positive and duration_s finite and positive")
     out_dir = Path(out_dir)
     num_samples = int(round(duration_s * sample_rate))
     edge = int(round(0.01 * sample_rate))

@@ -11,8 +11,8 @@ import pytest
 
 import wavespoof
 from wavespoof import (
-    DatasetManifest,
     LfccConfig,
+    RunConfig,
     load_features,
     load_gmm,
     load_pmf,
@@ -394,13 +394,17 @@ def test_exit_codes_and_error_format(corpus, tmp_path, capsys):
         rows = huge.read_text().splitlines()[1:]
         assert len(rows) == 45 and all(row.split(",")[5] == "" for row in rows)
 
-    # 5: a corpus duration that is not finite, or shorter than the 10 ms fade
-    for duration in ("nan", "inf", "0.001"):
+    # 5: a corpus duration that is not finite, or shorter than the 10 ms fade,
+    # and a negative seed (a ValueError traceback from numpy once), before
+    # any folder is made
+    for flags in (["--duration", "nan"], ["--duration", "inf"], ["--duration", "0.001"],
+                  ["--seed", "-1"]):
         capsys.readouterr()
         assert main(["make-corpus", "--out", str(tmp_path / "c"), "--files-per-class", "2",
-                     "--duration", duration]) == 5
+                     *flags]) == 5
         err = capsys.readouterr().err
         assert err.startswith("error: InputError:") and err.count("\n") == 1
+        assert not (tmp_path / "c").exists()
 
     # 6 and 4: bytes that are not text in a manifest, config, PMF or scores file
     bytes_manifest = tmp_path / "bytes_manifest.csv"
@@ -432,7 +436,7 @@ def test_parser_defaults_come_from_their_owners():
     assert (train.components, train.iters) == (DEFAULT_COMPONENTS, DEFAULT_ITERS)
     gen = parse_args(["genuinize", "--mode", "random"])
     assert gen.d_bits == DEFAULT_EXTRA_BITS
-    assert gen.pool_selector == DatasetManifest(entries=()).cm_pmf_source
+    assert gen.pool_selector == RunConfig.cm_pmf_source == "train:genuine"
     assert parse_args(["vad", "in.wav"]).alpha == DEFAULT_ALPHA
     assert parse_args(["estimate-pmf", "--out", "p", "in.wav"]).alpha == DEFAULT_ALPHA
     # choices that name the matrix vocabulary are its constants themselves

@@ -26,7 +26,7 @@ from wavespoof import (
     save_features,
     save_gmm,
 )
-from wavespoof.errors import payload_arrays, read_headed, reading, typed_fields, write_headed
+from wavespoof.errors import payload_arrays, read_headed, reading, typed, typed_fields, write_headed
 from wavespoof.pmf import load_pmf, save_pmf_binary
 from oracles import pcm16_wav_bytes
 
@@ -174,3 +174,7 @@ def test_typed_fields_apply_one_rule_to_numbers_and_flags():
         with pytest.raises(InputError) as err:
             Settings(**{name: value})
         assert str(err.value).startswith(f"{name} must be "), (name, value)
+    # typed is the same rule for a single argument
+    assert typed(np.uint8(7), "int", "n") == 7 and type(typed(2, "float", "x")) is float
+    with pytest.raises(ConfigError, match="^n must be an integer"):
+        typed(False, "int", "n", ConfigError)

@@ -110,6 +110,28 @@ def test_test_chains_apply_each_side_to_its_own_files(corpus):
             assert (out == read) == (label == "genuine"), (action, index)
 
 
+def test_config_selectors_reach_the_runner_chains(corpus, tmp_path):
+    # the PMF-source selectors are run settings: load_run_setup stores the
+    # config's on RunConfig, and the treatment chains name them
+    _, manifest_csv, _, _ = corpus
+    config_json = tmp_path / "config.json"
+    config_json.write_text(json.dumps({"seed": 1, "attacker_pmf_source": "train:spoof",
+                                       "cm_pmf_source": "test:genuine"}))
+    manifest, config = load_run_setup(manifest_csv, config_json)
+    assert (config.attacker_pmf_source, config.cm_pmf_source) == ("train:spoof", "test:genuine")
+    runner = _MatrixRunner(manifest, config)
+    spec = ScenarioSpec(h_train="G", s_train="G", attacker_action="R", cm_action="G",
+                        feature="lfcc")
+    assert runner._test_chain(spec, "spoof") == (
+        ("R", int(SeedRole.ATTACKER), "train:spoof"),
+        ("G", int(SeedRole.COUNTERMEASURE), "test:genuine"),
+    )
+    assert runner._train_chain("spoof", "R") == (("R", int(SeedRole.TRAIN_SPOOF), "test:genuine"),)
+    defaults = RunConfig(seed=1)
+    assert (defaults.attacker_pmf_source, defaults.cm_pmf_source) == ("test:genuine",
+                                                                      "train:genuine")
+
+
 def test_manifest_csv_round_trip(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text(
@@ -154,6 +176,10 @@ def test_load_run_setup_validation(tmp_path):
     manifest, rc = load_run_setup(manifest_csv, config, seed=5, workers=3)
     assert rc.seed == 5 and rc.workers == 3 and rc.features == ("lfcc",)
     assert manifest.root == str(tmp_path)
+    # the overrides meet RunConfig's type rule: 1.7 is not truncated to 1
+    for override in ({"seed": 1.7}, {"seed": True}, {"seed": 5, "workers": 2.0}):
+        with pytest.raises(ConfigError):
+            load_run_setup(manifest_csv, config, **override)
 
     config.write_text(json.dumps({"seed": 2, "features": "lfcc", "extra_bits": 4}))
     _, rc = load_run_setup(manifest_csv, config)
@@ -213,6 +239,10 @@ def test_run_config_validation():
         RunConfig(seed=0, workers=0)
     with pytest.raises(ConfigError):
         RunConfig(seed=0, extra_bits=-1)
+    for selector in (5, "train:bogus", "test:genuine:x"):
+        for name in ("attacker_pmf_source", "cm_pmf_source"):
+            with pytest.raises(ConfigError):
+                RunConfig(seed=0, **{name: selector})
 
     # Python callers get the type rule that JSON configs get: an integer
     # field takes an integer, a number field any number, neither a bool
@@ -455,7 +485,9 @@ def test_result_cache_key_covers_config_selectors_and_results_version(
                     "delta_window": 3}
     assert set(lfcc_changes) == {f.name for f in dataclasses.fields(LfccConfig)}
     config_changes = {"seed": config.seed + 1, "gmm_components": config.gmm_components + 1,
-                      "em_iters": config.em_iters + 1, "extra_bits": config.extra_bits + 1}
+                      "em_iters": config.em_iters + 1, "extra_bits": config.extra_bits + 1,
+                      "attacker_pmf_source": "test:spoof", "cm_pmf_source": "train:spoof"}
+    assert config.attacker_pmf_source != "test:spoof" and config.cm_pmf_source != "train:spoof"
     assert set(config_changes) | {"lfcc", "workers", "features"} == {
         f.name for f in dataclasses.fields(RunConfig)
     }
@@ -465,9 +497,6 @@ def test_result_cache_key_covers_config_selectors_and_results_version(
                 for name, value in lfcc_changes.items()]
     for moved in changed:
         assert result_path(manifest, moved) != base, moved
-    for name, selector in zip(DatasetManifest.SELECTORS, ("test:spoof", "train:spoof")):
-        assert getattr(manifest, name) != selector
-        assert result_path(dataclasses.replace(manifest, **{name: selector}), config) != base
     assert result_path(manifest, dataclasses.replace(config, workers=3)) == base
 
     # the key names the registered extractor's code: another function under

@@ -259,6 +259,18 @@ def test_params_check_their_field_types():
     assert (type(params.extra_bits), type(params.seed)) == (int, int)
 
 
+def test_ordinal_is_a_non_negative_integer():
+    # -1 used to end in a SeedSequence ValueError, and 1.5 and True ran as 1
+    src = _wave([1, 2, 3, 5, 8])
+    for params, references in ((GenuinizeParams(mode="perturbed"), (TARGET8,)),
+                               (GenuinizeParams(mode="random"), (TARGET8, TARGET8))):
+        for ordinal in (-1, 1.5, True, "1", None):
+            with pytest.raises(InputError, match="file ordinal"):
+                genuinize(src, params, references, ordinal)
+        same = genuinize(src, params, references, np.int64(1))
+        assert np.array_equal(same.samples, genuinize(src, params, references, 1).samples)
+
+
 def test_source_outside_target_grid_rejected():
     src = _wave([300])
     with pytest.raises(InputError):

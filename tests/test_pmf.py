@@ -34,7 +34,7 @@ def test_estimate_pmf_matches_counting_oracle():
     # both routes divide the same integer counts by the same total
     assert p.mass.tolist() == mass
     assert p.counts.tolist() == counts
-    assert p.total_count == total
+    assert int(p.counts.sum()) == total
 
 
 def test_estimate_pmf_mask_partition():
@@ -46,7 +46,6 @@ def test_estimate_pmf_mask_partition():
     speech = estimate_pmf([w], masks=[mask], keep="speech", num_levels=32)
     nonspeech = estimate_pmf([w], masks=[mask], keep="nonspeech", num_levels=32)
     both = estimate_pmf([w], num_levels=32)
-    assert speech.total_count + nonspeech.total_count == both.total_count
     assert np.array_equal(speech.counts + nonspeech.counts, both.counts)
     # bare boolean arrays work as masks too
     again = estimate_pmf([w], masks=[flags], keep="speech", num_levels=32)
@@ -74,8 +73,14 @@ def test_pmf_validation():
         Pmf(mass=np.array([0.5, 0.6]))
     with pytest.raises(InputError):
         Pmf(mass=np.array([-0.1, 1.1]))
+    # counts and mass must be one distribution: mass is exactly counts / sum
+    for counts in ([3, 1], [1, 1, 0], [-1, -1], [0, 0], [1.5, 1.5]):
+        with pytest.raises(InputError):
+            Pmf(mass=np.array([0.5, 0.5]), counts=np.array(counts))
     with pytest.raises(InputError):
-        Pmf(mass=np.array([0.5, 0.5]), total_count=3, counts=np.array([1, 1]))
+        Pmf(mass=np.array([1.0, 0.0]), counts=np.array([2, -1]))
+    p = Pmf(mass=np.array([0.5, 0.5]), counts=np.array([2, 2]))
+    assert cdf_from_pmf(p).cum.tolist() == [0.5, 1.0]
     p = Pmf(mass=np.array([0.25, 0.75]))
     with pytest.raises(ValueError):
         p.mass[0] = 0.0
@@ -89,7 +94,7 @@ def test_cdf_from_counts_matches_fsum_oracle():
     counts = rng.integers(0, 50, size=64)
     counts[0] = 1  # keep total positive
     total = int(counts.sum())
-    p = Pmf(mass=counts / total, total_count=total, counts=counts)
+    p = Pmf(mass=counts / total, counts=counts)
     cdf = cdf_from_pmf(p)
     oracle = cdf_by_fsum((counts / total).tolist())
     assert np.allclose(cdf.cum, oracle, rtol=0.0, atol=1e-12)
@@ -141,8 +146,7 @@ def test_cdf_keeps_its_runs_and_gives_back_its_dense_values():
 def _random_power_of_two_pmf(rng, levels):
     counts = rng.integers(0, 20, size=levels)
     counts[rng.integers(0, levels)] += 1
-    total = int(counts.sum())
-    return Pmf(mass=counts / total, total_count=total, counts=counts)
+    return Pmf(mass=counts / counts.sum(), counts=counts)
 
 
 def test_extend_cdf_boundary_identity_and_interior():
@@ -205,7 +209,7 @@ def test_pmf_csv_round_trip(tmp_path):
     assert len(lines) == 5  # header + the four non-zero bins
     back = load_pmf_csv(path, num_levels=256)
     assert np.array_equal(back.mass, p.mass)
-    assert back.counts is None and back.total_count == 0
+    assert back.counts is None
 
 
 def test_pmf_csv_errors(tmp_path):
