@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Every subcommand is a thin adapter over one pipeline module; no numeric
-logic lives here. Errors exit with a stable per-kind code and a one-line
-`error: <Kind>: <message>` on stderr:
+logic or range rule lives here, so an out-of-range flag value exits with
+the code of the owner it reaches, as it does from a Python caller. Errors
+exit with a stable per-kind code and one `error: <Kind>: <message>` line on
+stderr:
 
-    2  usage error (bad flag or subcommand)
+    2  usage error (a flag, subcommand or value that does not parse)
     3  missing or unreadable file
     4  malformed file format (a payload of the wrong size included)
     5  invalid input data
@@ -20,7 +22,9 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError, ToolError
-from .experiment import SUBSETS, DatasetManifest, RunConfig, load_run_setup, run_matrix
+from .experiment import (
+    SUBSETS, DatasetManifest, RunConfig, _parse_selector, load_run_setup, run_matrix,
+)
 from .features import LfccConfig, get_extractor, load_features, save_features, stack_features
 from .genuinize import DEFAULT_EXTRA_BITS, MODES, GenuinizeParams, genuinize, reference_pool
 from .gmm import (
@@ -44,32 +48,15 @@ from .vad import DEFAULT_ALPHA, VadConfig, energy_vad, format_runs
 from .waveform import read_wav, write_wav
 
 
-def _nonneg_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative: {text}")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    value = _nonneg_int(text)
-    if value == 0:
-        raise argparse.ArgumentTypeError("must be positive")
-    return value
-
-
 def _add_lfcc_flags(sub) -> None:
     defaults = LfccConfig()
     sub.add_argument("--feature", default="lfcc", help="feature extractor id")
     sub.add_argument("--frame-ms", type=float, default=defaults.frame_len_ms)
     sub.add_argument("--hop-ms", type=float, default=defaults.frame_hop_ms)
-    sub.add_argument("--fft-size", type=_positive_int, default=defaults.fft_size)
-    sub.add_argument("--num-filters", type=_positive_int, default=defaults.num_filters)
-    sub.add_argument("--num-ceps", type=_positive_int, default=defaults.num_ceps)
-    sub.add_argument("--delta-window", type=_positive_int, default=defaults.delta_window)
+    sub.add_argument("--fft-size", type=int, default=defaults.fft_size)
+    sub.add_argument("--num-filters", type=int, default=defaults.num_filters)
+    sub.add_argument("--num-ceps", type=int, default=defaults.num_ceps)
+    sub.add_argument("--delta-window", type=int, default=defaults.delta_window)
     sub.add_argument("--no-energy", action="store_true", help="drop the log-energy coefficient")
 
 
@@ -105,10 +92,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--pool", nargs="+", help="reference WAVs (random mode, single-file form)")
     sub.add_argument("--pool-selector", default=RunConfig.cm_pmf_source,
                      help="manifest selector for the random-mode pool (batch form)")
-    sub.add_argument("--d-bits", type=_nonneg_int, default=DEFAULT_EXTRA_BITS,
+    sub.add_argument("--d-bits", type=int, default=DEFAULT_EXTRA_BITS,
                      help="dither sub-level bits")
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--ordinal", type=_nonneg_int, default=0,
+    sub.add_argument("--ordinal", type=int, default=0,
                      help="file ordinal for stream derivation (single-file form)")
     sub.add_argument("--manifest", help="batch form: manifest CSV of files to process")
     sub.add_argument("--out-dir", help="batch form: root of the mirror output tree")
@@ -127,8 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("input", help="WAV file")
 
     sub = commands.add_parser("train-gmm", help="fit a diagonal-covariance GMM to features")
-    sub.add_argument("--components", type=_positive_int, default=DEFAULT_COMPONENTS)
-    sub.add_argument("--iters", type=_positive_int, default=DEFAULT_ITERS)
+    sub.add_argument("--components", type=int, default=DEFAULT_COMPONENTS)
+    sub.add_argument("--iters", type=int, default=DEFAULT_ITERS)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--provenance", choices=PROVENANCES, default="O",
                      help="training-material treatment tag stored in the model")
@@ -141,9 +128,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--spoof-model", required=True)
     sub.add_argument("--out", required=True, help="scores CSV output path")
     sub.add_argument("--manifest", help="score manifest rows instead of listed WAVs")
-    sub.add_argument("--subset", choices=(*SUBSETS, "all"), default="test",
-                     help="manifest rows to score")
-    sub.add_argument("--label", choices=LABELS, help="label for bare WAV inputs")
+    sub.add_argument("--subset", choices=(*SUBSETS, "all"),
+                     help="manifest rows to score (default test)")
+    sub.add_argument("--label", choices=LABELS, help="label for listed WAVs")
     sub.add_argument("inputs", nargs="*", help="WAV files (when not using --manifest)")
 
     sub = commands.add_parser("eer", help="equal error rate of a scores CSV")
@@ -159,14 +146,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--seed", type=int, help="run seed (default: the config's)")
     sub.add_argument("--cache-dir", help="scenario result cache directory")
     sub.add_argument("--out", required=True, help="results CSV output path")
-    sub.add_argument("--workers", type=_positive_int, default=None)
+    sub.add_argument("--workers", type=int)
     sub.add_argument("--quiet", action="store_true", help="suppress per-scenario progress")
 
     sub = commands.add_parser("make-corpus", help="generate the bundled synthetic toy corpus")
     sub.add_argument("--out", required=True, help="corpus output directory")
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--files-per-class", type=_positive_int, default=50)
-    sub.add_argument("--sample-rate", type=_positive_int, default=8000)
+    sub.add_argument("--files-per-class", type=int, default=50)
+    sub.add_argument("--sample-rate", type=int, default=8000)
     sub.add_argument("--duration", type=float, default=0.5, help="seconds per file")
 
     return parser
@@ -221,19 +208,23 @@ def _mirror_path(manifest: DatasetManifest, entry, out_dir: str, suffix: str) ->
     return Path(out_dir) / rel.parent / (rel.name.removesuffix(".wav") + suffix)
 
 
+def _refuse_unread(form: str, flags) -> None:
+    """ConfigError for the first (flag, value, read) given a value form does not read."""
+    for flag, value, read in flags:
+        if value is not None and not read:
+            raise ConfigError(f"{form} does not read {flag}")
+
+
 def _cmd_genuinize(args) -> int:
     params = GenuinizeParams(mode=args.mode, extra_bits=args.d_bits, seed=args.seed)
     batch = args.manifest is not None
-    for flag, value, read in (
+    _refuse_unread(f"{'batch' if batch else 'single-file'} genuinize --mode {args.mode}", (
         ("--pool", args.pool, args.mode == "random" and not batch),
         ("--target", args.target, args.mode != "random"),
         ("--out-dir", args.out_dir, batch),
         ("--subset", args.subset, batch),
         ("--label", args.label, batch),
-    ):
-        if value is not None and not read:
-            form = "batch" if batch else "single-file"
-            raise ConfigError(f"{form} genuinize --mode {args.mode} does not read {flag}")
+    ))
     if not batch:
         if len(args.paths) != 2:
             raise ConfigError("single-file genuinize takes exactly: input.wav output.wav")
@@ -246,14 +237,10 @@ def _cmd_genuinize(args) -> int:
         raise ConfigError("use either a manifest or an input/output pair, not both")
     manifest = DatasetManifest.from_csv(args.manifest)
     suffix = ".rgen.wav" if args.mode == "random" else ".gen.wav"
-    jobs = [
-        (ordinal, entry, _mirror_path(manifest, entry, args.out_dir, suffix))
-        for ordinal, entry in enumerate(manifest.entries)
-        if args.subset in (None, entry.subset) and args.label in (None, entry.label)
-    ]
-    pool_paths = ([manifest.resolve(e) for _, e in manifest.select(args.pool_selector)]
-                  if args.mode == "random" else None)
-    references = _references(args, pool_paths)
+    jobs = [(ordinal, entry, _mirror_path(manifest, entry, args.out_dir, suffix))
+            for ordinal, entry in manifest.select(args.subset, args.label)]
+    pool = manifest.select(*_parse_selector(args.pool_selector)) if args.mode == "random" else ()
+    references = _references(args, [manifest.resolve(entry) for _, entry in pool])
     for ordinal, entry, dest in jobs:
         out = genuinize(read_wav(manifest.resolve(entry)), params, references, ordinal)
         dest.parent.mkdir(parents=True, exist_ok=True)
@@ -272,12 +259,14 @@ def _cmd_vad(args) -> int:
     return 0
 
 
-def _extract(args, path):
-    return get_extractor(args.feature)(read_wav(path), _lfcc_config(args))
+def _extractor(args):
+    """path -> its WAV's features; extractor and config are checked before any read."""
+    extract, cfg = get_extractor(args.feature), _lfcc_config(args)
+    return lambda path: extract(read_wav(path), cfg)
 
 
 def _cmd_extract_features(args) -> int:
-    save_features(args.out, _extract(args, args.input))
+    save_features(args.out, _extractor(args)(args.input))
     return 0
 
 
@@ -296,28 +285,27 @@ def _cmd_train_gmm(args) -> int:
 
 
 def _cmd_score(args) -> int:
+    listed = args.manifest is None
+    _refuse_unread("score of listed WAVs" if listed else "score --manifest", (
+        ("--subset", args.subset, not listed),
+        ("--label", args.label, listed),
+        ("listed WAVs", args.inputs or None, listed),
+    ))
+    if listed and not (args.inputs and args.label):
+        raise ConfigError("score needs --manifest, or WAV inputs and their --label")
+    extract = _extractor(args)
     genuine_model = load_gmm(args.genuine_model)
     spoof_model = load_gmm(args.spoof_model)
-    jobs = []
-    if args.manifest is not None:
-        if args.inputs:
-            raise ConfigError("use either --manifest or listed WAVs, not both")
-        manifest = DatasetManifest.from_csv(args.manifest)
-        for entry in manifest.entries:
-            if args.subset != "all" and entry.subset != args.subset:
-                continue
-            jobs.append((entry.path, entry.label, manifest.resolve(entry)))
-    else:
-        if not args.inputs:
-            raise ConfigError("score needs WAV inputs or --manifest")
-        if args.label is None:
-            raise ConfigError("scoring bare WAVs requires --label")
+    if listed:
         jobs = [(str(p), args.label, p) for p in args.inputs]
-    trials = []
-    for file_id, label, path in jobs:
-        features = _extract(args, path)
-        trials.append(Trial(file_id=file_id, label=label,
-                            score=score_trial(genuine_model, spoof_model, features)))
+    else:
+        manifest = DatasetManifest.from_csv(args.manifest)
+        subset = args.subset or "test"
+        jobs = [(entry.path, entry.label, manifest.resolve(entry))
+                for _, entry in manifest.select(None if subset == "all" else subset)]
+    trials = [Trial(file_id=file_id, label=label,
+                    score=score_trial(genuine_model, spoof_model, extract(path)))
+              for file_id, label, path in jobs]
     save_scores(args.out, ScoreSet(trials=tuple(trials)))
     return 0
 
@@ -377,17 +365,13 @@ _DISPATCH = {
 }
 
 
-def execute(args: argparse.Namespace) -> int:
-    return _DISPATCH[args.command](args)
-
-
 def main(argv=None) -> int:
     try:
         args = parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return execute(args)
+        return _DISPATCH[args.command](args)
     except ToolError as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return exc.exit_code

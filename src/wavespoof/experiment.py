@@ -27,7 +27,9 @@ countermeasure, the two training sides, the two models), and genuinization
 derives per-file streams from (role seed, manifest ordinal). Results are
 cached per scenario under a digest of its spec, its extractor's name, the
 config, the manifest including file content hashes, and RESULTS_VERSION;
-cache writes are atomic (write-then-rename), so interrupted runs resume.
+cache writes are atomic (write-then-rename). A rerun reuses a finished
+run's rows and recomputes its failed ones; rows are stored after every
+scoring pass ends, so an interrupted run starts over (ROADMAP item 6).
 
 run_matrix runs in stages over one _MatrixRunner: it reads each scenario's
 cache entry once; trains the distinct (label, provenance, feature) models
@@ -145,14 +147,14 @@ class DatasetManifest:
             path = Path(self.root) / path
         return path
 
-    def select(self, selector: str):
-        """Indices and entries matching a `subset:label` selector."""
-        subset, label = _parse_selector(selector)
-        return [
-            (pos, entry)
-            for pos, entry in enumerate(self.entries)
-            if entry.subset == subset and entry.label == label
-        ]
+    def select(self, subset=None, label=None) -> list:
+        """(index, entry) of each row of subset and label, in manifest order;
+        None matches any. Another subset or label is a ConfigError."""
+        if subset not in (None, *SUBSETS) or label not in (None, *LABELS):
+            raise ConfigError(f"select takes a subset in {SUBSETS} and a label in {LABELS}, "
+                              f"or None; got {subset!r} and {label!r}")
+        return [(index, entry) for index, entry in enumerate(self.entries)
+                if subset in (None, entry.subset) and label in (None, entry.label)]
 
 
 @dataclass(frozen=True)
@@ -186,8 +188,9 @@ class RunConfig:
             raise ConfigError("extra_bits must be non-negative")
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
-        _parse_selector(self.attacker_pmf_source)
-        _parse_selector(self.cm_pmf_source)
+        # each side's (subset, label) of reference files, parsed once here
+        object.__setattr__(self, "attacker_source", _parse_selector(self.attacker_pmf_source))
+        object.__setattr__(self, "cm_source", _parse_selector(self.cm_pmf_source))
 
 
 @dataclass(frozen=True)
@@ -309,7 +312,7 @@ def validate_manifest(manifest: DatasetManifest) -> None:
         raise ConfigError("manifest lists no files")
     for subset in SUBSETS:
         for label in LABELS:
-            if not manifest.select(f"{subset}:{label}"):
+            if not manifest.select(subset, label):
                 raise ConfigError(f"manifest subset {subset!r} has no {label!r} files")
     for entry in manifest.entries:
         path = manifest.resolve(entry)
@@ -362,17 +365,17 @@ class _MatrixRunner:
             self._waveforms, index, lambda: read_wav(self.manifest.resolve(entry))
         )
 
-    def references(self, action: str, selector: str) -> tuple:
-        """Reference set of a treating action over the selector's files: G
-        the pooled CDF of all of them, R one CDF per file."""
+    def references(self, action: str, source: tuple) -> tuple:
+        """Reference set of a treating action over the files of source, a
+        (subset, label) pair: G the pooled CDF of all of them, R one CDF per file."""
 
         def build():
-            waveforms = [self.waveform(i) for i, _ in self.manifest.select(selector)]
+            waveforms = [self.waveform(i) for i, _ in self.manifest.select(*source)]
             if action == "G":
                 return (cdf_from_pmf(estimate_pmf(waveforms)),)
             return reference_pool(waveforms)
 
-        return self._memo(self._references, (action, selector), build)
+        return self._memo(self._references, (action, source), build)
 
     # -- transform / feature pipeline --------------------------------------
 
@@ -381,11 +384,11 @@ class _MatrixRunner:
             return self.waveform(index)
 
         def build():
-            action, role, selector = chain[-1]
+            action, role, source = chain[-1]
             params = GenuinizeParams(mode=_ACTION_MODES[action], extra_bits=self.config.extra_bits,
                                      seed=role_seed(self.config.seed, role))
             return genuinize(self.transformed(store, index, chain[:-1]), params,
-                             self.references(action, selector), index)
+                             self.references(action, source), index)
 
         return self._memo(store, (index, chain), build)
 
@@ -401,12 +404,12 @@ class _MatrixRunner:
         if provenance == "O":
             return ()
         role = SeedRole.TRAIN_GENUINE if label == "genuine" else SeedRole.TRAIN_SPOOF
-        return ((provenance, int(role), self.config.cm_pmf_source),)
+        return ((provenance, int(role), self.config.cm_source),)
 
     def model(self, label: str, provenance: str, feature: str) -> GmmModel:
         def build():
             chain = self._train_chain(label, provenance)
-            train = self.manifest.select(f"train:{label}")
+            train = self.manifest.select("train", label)
             matrices = [self.features({}, i, chain, feature) for i, _ in train]  # a store per file
             rows, fingerprint = stack_features(matrices)
             role = SeedRole.MODEL_GENUINE if label == "genuine" else SeedRole.MODEL_SPOOF
@@ -426,10 +429,9 @@ class _MatrixRunner:
     def _test_chain(self, spec: ScenarioSpec, label: str) -> tuple:
         chain = []
         if label == "spoof" and spec.attacker_action != "N":
-            chain.append((spec.attacker_action, int(SeedRole.ATTACKER),
-                          self.config.attacker_pmf_source))
+            chain.append((spec.attacker_action, int(SeedRole.ATTACKER), self.config.attacker_source))
         if spec.cm_action != "N":
-            chain.append((spec.cm_action, int(SeedRole.COUNTERMEASURE), self.config.cm_pmf_source))
+            chain.append((spec.cm_action, int(SeedRole.COUNTERMEASURE), self.config.cm_source))
         return tuple(chain)
 
     def score_file(self, index: int, passes) -> dict:
@@ -489,7 +491,7 @@ class _MatrixRunner:
         if not uncached:
             return results
         models = list(dict.fromkeys(key for p in uncached for key in specs[p].models()))
-        tests = [(i, e.label) for i, e in enumerate(self.manifest.entries) if e.subset == "test"]
+        tests = [(i, e.label) for i, e in self.manifest.select("test")]
         # every scenario scores every test file, so the model stage reads them
         # all: an unreadable one fails every row before any pass runs
         stage = [(self.model, *key) for key in models] + [(self.waveform, i) for i, _ in tests]

@@ -71,11 +71,17 @@ class GenuinizeParams:
             raise InputError("extra_bits must be non-negative")
 
 
-def file_streams(seed: int, ordinal: int):
-    """Per-file RNG streams (dither, reference choice); see module docstring."""
+def _file_ordinal(ordinal) -> int:
+    """ordinal as an int, else InputError: it must be a non-negative integer."""
     ordinal = typed(ordinal, "int", "file ordinal")
     if ordinal < 0:
         raise InputError(f"file ordinal must be non-negative; got {ordinal}")
+    return ordinal
+
+
+def file_streams(seed: int, ordinal: int):
+    """Per-file RNG streams (dither, reference choice); see module docstring."""
+    ordinal = _file_ordinal(ordinal)
     root = np.random.SeedSequence(entropy=(seed & _SEED_MASK, ordinal))
     dither_ss, choice_ss = root.spawn(2)
     return np.random.default_rng(dither_ss), np.random.default_rng(choice_ss)
@@ -201,7 +207,9 @@ def reference_pool(waveforms) -> tuple:
 def genuinize(src: Waveform, params: GenuinizeParams, references, ordinal: int = 0) -> Waveform:
     """Genuinize one file in params.mode against a reference set (a sequence
     of Cdfs): basic and perturbed take exactly one CDF, random draws one per
-    (seed, ordinal) (see genuinize_random)."""
+    (seed, ordinal) (see genuinize_random). Every mode takes the same
+    ordinals, basic too, though it draws nothing."""
+    _file_ordinal(ordinal)
     if params.mode == "random":
         return genuinize_random(src, references, params, ordinal)
     if len(references) != 1:

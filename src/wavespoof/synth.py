@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InputError, typed
 from .genuinize import DEFAULT_EXTRA_BITS
-from .waveform import Waveform, amp_to_index, write_wav
+from .waveform import MAX_SAMPLE_RATE, Waveform, amp_to_index, write_wav
 
 GENUINE_POLE = 0.92
 SPOOF_POLE = 0.55
@@ -81,9 +81,10 @@ def make_toy_corpus(
     files_per_class = typed(files_per_class, "int", "files_per_class")
     sample_rate = typed(sample_rate, "int", "sample_rate")
     duration_s = typed(duration_s, "float", "duration_s")
-    if seed < 0 or files_per_class < 2 or sample_rate < 1 or not 0 < duration_s < math.inf:
+    if (seed < 0 or files_per_class < 2 or not 0 < sample_rate <= MAX_SAMPLE_RATE
+            or not 0 < duration_s < math.inf):
         raise InputError("seed must be non-negative, files_per_class at least 2, "
-                         "sample_rate positive and duration_s finite and positive")
+                         f"sample_rate in 1..{MAX_SAMPLE_RATE} and duration_s finite and positive")
     out_dir = Path(out_dir)
     num_samples = int(round(duration_s * sample_rate))
     edge = int(round(0.01 * sample_rate))

@@ -25,6 +25,9 @@ _HALF_LEVELS = 1 << (BASE_BITS - 1)
 # 1..65536 in which code +32767 carries the grid's +1.0 level, so WAV round
 # trips are exact at the index level.
 _CODE_OFFSET = _HALF_LEVELS + 1
+# The largest rate a 16-bit mono WAV header holds: its 32-bit byte-rate
+# field stores 2 bytes per sample.
+MAX_SAMPLE_RATE = (2**32 - 1) // 2
 
 
 @dataclass(frozen=True)
@@ -39,8 +42,8 @@ class Waveform:
         samples = frozen_array(self, "samples", np.int64, 1)
         if samples.min() < 1 or samples.max() > NUM_LEVELS:
             raise InputError(f"sample indices must lie in 1..{NUM_LEVELS}")
-        if self.sample_rate <= 0:
-            raise InputError("sample rate must be positive")
+        if not 0 < self.sample_rate <= MAX_SAMPLE_RATE:
+            raise InputError(f"sample rate must be positive and at most {MAX_SAMPLE_RATE}")
 
     def __len__(self) -> int:
         return int(self.samples.size)

@@ -11,17 +11,23 @@ import pytest
 
 import wavespoof
 from wavespoof import (
+    GenuinizeParams,
     LfccConfig,
     RunConfig,
+    ToolError,
+    cdf_from_pmf,
     load_features,
     load_gmm,
     load_pmf,
+    load_run_setup,
     load_scores,
+    make_toy_corpus,
     read_wav,
+    train_gmm,
 )
 from wavespoof.cli import _lfcc_config, build_parser, main, parse_args
 from wavespoof.experiment import SUBSETS
-from wavespoof.genuinize import DEFAULT_EXTRA_BITS, MODES
+from wavespoof.genuinize import DEFAULT_EXTRA_BITS, MODES, genuinize, reference_pool
 from wavespoof.gmm import DEFAULT_COMPONENTS, DEFAULT_ITERS, LABELS, PROVENANCES
 from wavespoof.pmf import KEEPS
 from wavespoof.vad import DEFAULT_ALPHA
@@ -269,8 +275,12 @@ def test_run_matrix_progress_names_the_failure(corpus, tmp_path, capsys):
 
 
 def test_exit_codes_and_error_format(corpus, tmp_path, capsys):
-    # 2: argparse rejects the flag value
-    assert main(["genuinize", "--mode", "perturbed", "--d-bits", "-1", "a", "b"]) == 2
+    # 2: a value, flag or subcommand that does not parse; an out-of-range
+    # value is its owner's to reject (test_out_of_range_flags_exit_with_their_owners_code)
+    for argv in (["genuinize", "--mode", "perturbed", "--d-bits", "x", "a", "b"],
+                 ["genuinize", "--mode", "perturbed", "--no-such-flag", "a", "b"],
+                 ["no-such-command"]):
+        assert main(argv) == 2, argv
 
     # 3: input file missing
     capsys.readouterr()
@@ -428,6 +438,108 @@ def test_exit_codes_and_error_format(corpus, tmp_path, capsys):
         assert main(argv) == code
         err = capsys.readouterr().err
         assert err.startswith(f"error: {kind}: {path}:") and err.count("\n") == 1
+
+
+@pytest.fixture(scope="module")
+def stage_inputs(corpus, tmp_path_factory):
+    """A WAV, a target PMF and a feature cache, with the corpus manifest and config."""
+    root = tmp_path_factory.mktemp("stage")
+    wav = wavs(corpus, "train", "genuine")[0]
+    assert main(["estimate-pmf", "--out", str(root / "target.csv"), wav]) == 0
+    assert main(["extract-features", "--fft-size", "256", "--out", str(root / "in.feat"),
+                 wav]) == 0
+    return {"wav": wav, "target": str(root / "target.csv"), "feat": str(root / "in.feat"),
+            "manifest": str(corpus / "manifest.csv"), "config": str(corpus / "config.json")}
+
+
+def _genuinize_ordinal(mode):
+    def owner(f):
+        source = read_wav(f["wav"])
+        references = (reference_pool([source]) if mode == "random"
+                      else (cdf_from_pmf(load_pmf(f["target"])),))
+        return genuinize(source, GenuinizeParams(mode=mode), references, -1)
+    return owner
+
+
+def _single_file_genuinize(mode, *flags):
+    reference = ["--pool", "{wav}"] if mode == "random" else ["--target", "{target}"]
+    return ["genuinize", "--mode", mode, *flags, "{wav}", "{out}", *reference]
+
+
+# case: (argv, owner) where owner(files) passes the same value to the flag's
+# owner in Python; {name} in argv is files[name], and {out} is never made
+_OUT_OF_RANGE = {
+    "num-ceps 0": (["extract-features", "--num-ceps", "0", "--out", "{out}", "{wav}"],
+                   lambda f: LfccConfig(num_ceps=0)),
+    "num-ceps 25": (["extract-features", "--num-ceps", "25", "--out", "{out}", "{wav}"],
+                    lambda f: LfccConfig(num_ceps=25)),
+    "fft-size 0": (["extract-features", "--fft-size", "0", "--out", "{out}", "{wav}"],
+                   lambda f: LfccConfig(fft_size=0)),
+    "fft-size 3": (["extract-features", "--fft-size", "3", "--out", "{out}", "{wav}"],
+                   lambda f: LfccConfig(fft_size=3)),
+    "d-bits -1": (_single_file_genuinize("perturbed", "--d-bits", "-1"),
+                  lambda f: GenuinizeParams(mode="perturbed", extra_bits=-1)),
+    **{f"ordinal -1 {mode}": (_single_file_genuinize(mode, "--ordinal", "-1"),
+                              _genuinize_ordinal(mode)) for mode in MODES},
+    "components 0": (["train-gmm", "--components", "0", "--out", "{out}", "{feat}"],
+                     lambda f: train_gmm(load_features(f["feat"]).frames, k=0)),
+    "iters 0": (["train-gmm", "--iters", "0", "--out", "{out}", "{feat}"],
+                lambda f: train_gmm(load_features(f["feat"]).frames, k=DEFAULT_COMPONENTS,
+                                          iters=0)),
+    "workers 0": (["run-matrix", "--manifest", "{manifest}", "--config", "{config}",
+                   "--workers", "0", "--out", "{out}"],
+                  lambda f: load_run_setup(f["manifest"], f["config"], workers=0)),
+    "files-per-class 0": (["make-corpus", "--files-per-class", "0", "--out", "{out}"],
+                          lambda f: make_toy_corpus(f["out"], files_per_class=0)),
+    "files-per-class 1": (["make-corpus", "--files-per-class", "1", "--out", "{out}"],
+                          lambda f: make_toy_corpus(f["out"], files_per_class=1)),
+    "sample-rate 2**32": (["make-corpus", "--sample-rate", str(2**32), "--out", "{out}"],
+                          lambda f: make_toy_corpus(f["out"], sample_rate=2**32)),
+    "sample-rate 0": (["make-corpus", "--sample-rate", "0", "--out", "{out}"],
+                      lambda f: make_toy_corpus(f["out"], sample_rate=0)),
+}
+
+
+@pytest.mark.parametrize("case", list(_OUT_OF_RANGE))
+def test_out_of_range_flags_exit_with_their_owners_code(stage_inputs, tmp_path, capsys, case):
+    # the flag parses as a plain number; its owner alone checks the range,
+    # so the command line and a Python caller get one error, and nothing is made
+    argv, owner = _OUT_OF_RANGE[case]
+    files = {**stage_inputs, "out": str(tmp_path / "out")}
+    with pytest.raises(ToolError) as raised:
+        owner(files)
+    assert raised.value.exit_code == (6 if case == "workers 0" else 5)
+    capsys.readouterr()
+    assert main([arg.format(**files) for arg in argv]) == raised.value.exit_code
+    assert capsys.readouterr().err == f"error: {type(raised.value).__name__}: {raised.value}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_score_rejects_a_flag_its_form_does_not_read(corpus, tmp_path, capsys):
+    model, cache = tmp_path / "m.gmm", tmp_path / "c.feat"
+    wav = wavs(corpus, "test", "genuine")[0]
+    assert main(["extract-features", "--fft-size", "256", "--out", str(cache), wav]) == 0
+    assert main(["train-gmm", "--components", "1", "--iters", "1",
+                 "--out", str(model), str(cache)]) == 0
+    out = tmp_path / "s.csv"
+    score = ["score", "--fft-size", "256", "--genuine-model", str(model),
+             "--spoof-model", str(model), "--out", str(out)]
+    manifest = ["--manifest", str(corpus / "manifest.csv")]
+    for flags, unread in ((["--label", "spoof", *manifest], "--label"),
+                          (["--label", "genuine", "--subset", "train", wav], "--subset"),
+                          ([*manifest, wav], "listed WAVs")):
+        capsys.readouterr()
+        assert main([*score, *flags]) == 6, flags
+        assert capsys.readouterr().err.endswith(f"does not read {unread}\n")
+        assert not out.exists()
+    # the manifest form scores the test rows unless --subset says otherwise
+    for subset, wanted in ((None, {"test"}), ("test", {"test"}), ("train", {"train"}),
+                           ("all", {"train", "test"})):
+        flags = [] if subset is None else ["--subset", subset]
+        assert main([*score, *manifest, *flags]) == 0
+        trials = load_scores(out).trials
+        assert {t.file_id.split("/")[1] for t in trials} == wanted
+        assert len(trials) == 8 * len(wanted)
 
 
 def test_parser_defaults_come_from_their_owners():

@@ -43,8 +43,9 @@ from wavespoof import (
     validate_manifest,
 )
 from wavespoof.cli import main
-from wavespoof.experiment import _MatrixRunner
+from wavespoof.experiment import SUBSETS, _MatrixRunner
 from wavespoof.features import _EXTRACTORS
+from wavespoof.gmm import LABELS
 
 
 @pytest.fixture(scope="module")
@@ -123,13 +124,17 @@ def test_config_selectors_reach_the_runner_chains(corpus, tmp_path):
     spec = ScenarioSpec(h_train="G", s_train="G", attacker_action="R", cm_action="G",
                         feature="lfcc")
     assert runner._test_chain(spec, "spoof") == (
-        ("R", int(SeedRole.ATTACKER), "train:spoof"),
-        ("G", int(SeedRole.COUNTERMEASURE), "test:genuine"),
+        ("R", int(SeedRole.ATTACKER), ("train", "spoof")),
+        ("G", int(SeedRole.COUNTERMEASURE), ("test", "genuine")),
     )
-    assert runner._train_chain("spoof", "R") == (("R", int(SeedRole.TRAIN_SPOOF), "test:genuine"),)
+    assert runner._train_chain("spoof", "R") == (
+        ("R", int(SeedRole.TRAIN_SPOOF), ("test", "genuine")),
+    )
     defaults = RunConfig(seed=1)
     assert (defaults.attacker_pmf_source, defaults.cm_pmf_source) == ("test:genuine",
                                                                       "train:genuine")
+    assert (defaults.attacker_source, defaults.cm_source) == (("test", "genuine"),
+                                                              ("train", "genuine"))
 
 
 def test_manifest_csv_round_trip(tmp_path):
@@ -264,6 +269,29 @@ def test_run_config_validation():
     assert type(RunConfig(seed=np.int64(3)).seed) is int
 
 
+def test_select_is_the_row_filter():
+    rows = (("test", "spoof"), ("train", "genuine"), ("test", "genuine"), ("train", "spoof"),
+            ("test", "spoof"))
+    entries = tuple(ManifestEntry(path=f"{i}.wav", label=label, subset=subset)
+                    for i, (subset, label) in enumerate(rows))
+    manifest = DatasetManifest(entries=entries)
+    every = list(enumerate(entries))
+    # None matches any subset or label; rows come in manifest order
+    assert manifest.select() == every
+    for subset in SUBSETS:
+        assert manifest.select(subset) == [(i, e) for i, e in every if e.subset == subset]
+        for label in LABELS:
+            assert manifest.select(subset, label) == [
+                (i, e) for i, e in every if (e.subset, e.label) == (subset, label)]
+    for label in LABELS:
+        assert manifest.select(label=label) == [(i, e) for i, e in every if e.label == label]
+    assert [i for i, _ in manifest.select("test", "spoof")] == [0, 4]
+    for subset, label in (("dev", None), (None, "human"), ("test:spoof", None), ("Test", None),
+                          ("test", ""), (0, None)):
+        with pytest.raises(ConfigError, match="select takes a subset"):
+            manifest.select(subset, label)
+
+
 def test_validate_manifest(tmp_path, corpus):
     _, manifest_path, manifest, _ = corpus
     validate_manifest(manifest)  # the generated corpus is complete
@@ -282,9 +310,9 @@ def test_validate_manifest(tmp_path, corpus):
         validate_manifest(train_only)
 
     with pytest.raises(ConfigError):
-        manifest.select("test")
+        manifest.select("dev")
     with pytest.raises(ConfigError):
-        manifest.select("dev:genuine")
+        manifest.select("test", "human")
 
 
 def test_baseline_scenario_matches_hand_assembled_pipeline(corpus):
@@ -293,26 +321,26 @@ def test_baseline_scenario_matches_hand_assembled_pipeline(corpus):
                         feature="lfcc")
     result = run_scenario(manifest, spec, config)
 
-    def features_for(selector):
+    def features_for(label):
         rows = [lfcc(read_wav(manifest.resolve(e)), config.lfcc).frames
-                for _, e in manifest.select(selector)]
+                for _, e in manifest.select("train", label)]
         return np.vstack(rows)
 
     genuine_model = train_gmm(
-        features_for("train:genuine"), k=config.gmm_components, iters=config.em_iters,
+        features_for("genuine"), k=config.gmm_components, iters=config.em_iters,
         seed=role_seed(config.seed, SeedRole.MODEL_GENUINE),
     )
     spoof_model = train_gmm(
-        features_for("train:spoof"), k=config.gmm_components, iters=config.em_iters,
+        features_for("spoof"), k=config.gmm_components, iters=config.em_iters,
         seed=role_seed(config.seed, SeedRole.MODEL_SPOOF),
     )
     genuine_scores = [
         score_trial(genuine_model, spoof_model, lfcc(read_wav(manifest.resolve(e)), config.lfcc))
-        for _, e in manifest.select("test:genuine")
+        for _, e in manifest.select("test", "genuine")
     ]
     spoof_scores = [
         score_trial(genuine_model, spoof_model, lfcc(read_wav(manifest.resolve(e)), config.lfcc))
-        for _, e in manifest.select("test:spoof")
+        for _, e in manifest.select("test", "spoof")
     ]
     assert result.eer == eer_from_scores(genuine_scores, spoof_scores)
     assert result.genuine_trials == len(genuine_scores)
@@ -585,8 +613,8 @@ def test_matrix_scores_each_model_file_chain_once(corpus, monkeypatch, workers):
     results = run_matrix(manifest, dataclasses.replace(config, workers=workers))
     monkeypatch.undo()
 
-    test_genuine = manifest.select("test:genuine")
-    test_spoof = manifest.select("test:spoof")
+    test_genuine = manifest.select("test", "genuine")
+    test_spoof = manifest.select("test", "spoof")
     assert all(r.error is None for r in results)
     assert len(passes) == 18 * len(test_genuine) + 54 * len(test_spoof) == 432
     naive = _MatrixRunner(manifest, config)
@@ -816,7 +844,7 @@ def test_matrix_reads_a_damaged_training_wav_once(corpus, tmp_path, monkeypatch,
     damaged = tmp_path / "damaged.wav"
     damaged.write_bytes(b"RIFF\x24\x00\x00")
     entries = list(manifest.entries)
-    index = manifest.select("train:genuine")[0][0]
+    index = manifest.select("train", "genuine")[0][0]
     entries[index] = dataclasses.replace(entries[index], path=str(damaged))
     reads = []
 
@@ -868,7 +896,7 @@ def test_matrix_keeps_a_files_features_only_in_its_pass(corpus, tmp_path, monkey
     finally:
         gc.enable()
     assert len(results) == 45 and all((r.error is None) == (damaged is None) for r in results)
-    training = max(len(manifest.select(f"train:{label}")) for label in ("genuine", "spoof"))
+    training = max(len(manifest.select("train", label)) for label in ("genuine", "spoof"))
     assert alive and max(alive) <= workers * max(training, 9)
     assert left == 0
 

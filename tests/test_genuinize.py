@@ -260,9 +260,11 @@ def test_params_check_their_field_types():
 
 
 def test_ordinal_is_a_non_negative_integer():
-    # -1 used to end in a SeedSequence ValueError, and 1.5 and True ran as 1
+    # -1 used to end in a SeedSequence ValueError, and 1.5 and True ran as 1;
+    # basic mode draws nothing, yet takes only the ordinals the others take
     src = _wave([1, 2, 3, 5, 8])
-    for params, references in ((GenuinizeParams(mode="perturbed"), (TARGET8,)),
+    for params, references in ((GenuinizeParams(mode="basic"), (TARGET8,)),
+                               (GenuinizeParams(mode="perturbed"), (TARGET8,)),
                                (GenuinizeParams(mode="random"), (TARGET8, TARGET8))):
         for ordinal in (-1, 1.5, True, "1", None):
             with pytest.raises(InputError, match="file ordinal"):

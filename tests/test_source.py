@@ -306,3 +306,31 @@ def test_traced_report_finds_every_name_it_wraps():
         "self", "store", "key", "build"
     ]
     assert callable(get_extractor("lfcc"))
+
+
+def argparse_range_rules(source: str):
+    """Lines of source whose add_argument parses with a type other than int or
+    float, or that name ArgumentTypeError: a range rule kept by the parser."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument":
+            lines += [node.lineno for kw in node.keywords if kw.arg == "type"
+                      and not (isinstance(kw.value, ast.Name) and kw.value.id in ("int", "float"))]
+        elif isinstance(node, (ast.Name, ast.Attribute)) and "ArgumentTypeError" in (
+                getattr(node, "id", None), getattr(node, "attr", None)):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_argparse_range_rules_are_detected():
+    source = ('p.add_argument("--a", type=int)\n'
+              'p.add_argument("--b", type=_positive_int, default=1)\n'
+              'raise argparse.ArgumentTypeError("must be positive")\n'
+              'p.add_argument("--c", type=float)\n'
+              'raise ArgumentTypeError("x")\n')
+    assert argparse_range_rules(source) == [2, 3, 5]
+
+
+def test_the_command_line_keeps_no_range_rule():
+    # a flag value reaches its owner as a plain number, which checks it
+    assert argparse_range_rules((PACKAGE / "cli.py").read_text(encoding="utf-8")) == []

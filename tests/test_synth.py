@@ -12,6 +12,7 @@ from wavespoof import InputError, make_toy_corpus
     {"files_per_class": 1},
     {"files_per_class": True},
     {"sample_rate": 0},
+    {"sample_rate": 2**31},  # over a WAV header's 32-bit byte rate: a struct.error once
     {"duration_s": float("nan")},
     {"duration_s": -1.0},
     {"duration_s": "0.5"},

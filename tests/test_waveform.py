@@ -55,6 +55,12 @@ def test_waveform_validation():
         Waveform(samples=np.array([[1, 2]]), sample_rate=8000)
     with pytest.raises(InputError):
         Waveform(samples=np.array([1]), sample_rate=0)
+    # a 16-bit mono WAV header stores 2 bytes per sample, a second's worth in
+    # 32 bits: 2**31 and 2**32 ended in a struct.error traceback from
+    # write_wav, after the file was opened
+    for rate in (2**31, 2**32):
+        with pytest.raises(InputError, match="at most 2147483647"):
+            Waveform(samples=np.array([1]), sample_rate=rate)
     # the rate is an integer, never a bool; it used to be truncated, so
     # 8000.7 became 8000 and True became 1
     for rate in (8000.7, 8000.0, True, "8000", None):
@@ -89,6 +95,10 @@ def test_wav_round_trip(tmp_path):
     back = read_wav(path)
     assert np.array_equal(back.samples, w.samples)
     assert back.sample_rate == 16000
+    # the largest rate the header holds round-trips
+    top = Waveform(samples=np.array([1, 2, 3, 4]), sample_rate=2**31 - 1)
+    write_wav(path, top)
+    assert read_wav(path).sample_rate == 2**31 - 1
 
 
 def test_read_wav_against_hand_built_bytes(tmp_path):
