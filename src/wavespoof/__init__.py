@@ -1,10 +1,11 @@
 """Waveform-domain anti-spoofing toolkit.
 
 Quantile-based "genuinization" of 16-bit speech amplitudes (basic,
-dithered, and random-reference variants) together with the classical
-countermeasure stack it attacks and defends: energy VAD, LFCC features,
-diagonal-covariance GMM classifiers, EER scoring, and a seeded
-attacker/countermeasure scenario matrix runner.
+dithered and random-reference modes, each one genuinize call against a
+target CDF or a reference_pool) together with the classical countermeasure
+stack it attacks and defends: energy VAD, LFCC features, diagonal-covariance
+GMM classifiers, EER scoring, and a seeded attacker/countermeasure scenario
+matrix runner.
 """
 
 from .errors import CapacityError, ConfigError, FormatError, InputError, ToolError
@@ -36,13 +37,7 @@ from .features import (
     register_extractor,
     save_features,
 )
-from .genuinize import (
-    GenuinizeParams,
-    file_streams,
-    genuinize_basic,
-    genuinize_perturbed,
-    genuinize_random,
-)
+from .genuinize import GenuinizeParams, file_streams, genuinize, reference_pool
 from .gmm import (
     GmmModel,
     ScoreSet,

@@ -90,13 +90,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--mode", choices=MODES, required=True)
     sub.add_argument("--target", help="target PMF file (basic and perturbed modes)")
     sub.add_argument("--pool", nargs="+", help="reference WAVs (random mode, single-file form)")
-    sub.add_argument("--pool-selector", default=RunConfig.cm_pmf_source,
-                     help="manifest selector for the random-mode pool (batch form)")
+    sub.add_argument("--pool-selector",
+                     help="manifest selector for the random-mode pool (batch form; default "
+                          f"{RunConfig.cm_pmf_source})")
     sub.add_argument("--d-bits", type=int, default=DEFAULT_EXTRA_BITS,
                      help="dither sub-level bits")
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--ordinal", type=int, default=0,
-                     help="file ordinal for stream derivation (single-file form)")
+    sub.add_argument("--ordinal", type=int,
+                     help="file ordinal for stream derivation (single-file form; default 0)")
     sub.add_argument("--manifest", help="batch form: manifest CSV of files to process")
     sub.add_argument("--out-dir", help="batch form: root of the mirror output tree")
     sub.add_argument("--subset", choices=SUBSETS, help="batch form: only this subset")
@@ -181,13 +182,12 @@ def _cmd_estimate_pmf(args) -> int:
     return 0
 
 
-def _references(args, pool_paths) -> tuple:
+def _references(args, pool_paths, source="--pool") -> tuple:
     """Reference set: the --target CDF (basic, perturbed) or one CDF per
-    pool file (random)."""
+    pool file (random), the pool_paths that source names."""
     if args.mode == "random":
         if not pool_paths:
-            raise ConfigError("--mode random needs reference WAVs: --pool, or in the batch "
-                              f"form manifest rows matching --pool-selector {args.pool_selector}")
+            raise ConfigError(f"--mode random needs reference WAVs: {source}")
         return reference_pool(read_wav(p) for p in pool_paths)
     if args.target is None:
         raise ConfigError(f"--mode {args.mode} requires --target")
@@ -224,12 +224,15 @@ def _cmd_genuinize(args) -> int:
         ("--out-dir", args.out_dir, batch),
         ("--subset", args.subset, batch),
         ("--label", args.label, batch),
+        ("--ordinal", args.ordinal, not batch),
+        ("--pool-selector", args.pool_selector, batch and args.mode == "random"),
     ))
     if not batch:
         if len(args.paths) != 2:
             raise ConfigError("single-file genuinize takes exactly: input.wav output.wav")
         references = _references(args, args.pool)
-        write_wav(args.paths[1], genuinize(read_wav(args.paths[0]), params, references, args.ordinal))
+        write_wav(args.paths[1],
+                  genuinize(read_wav(args.paths[0]), params, references, args.ordinal or 0))
         return 0
     if args.out_dir is None:
         raise ConfigError("batch genuinize requires --out-dir")
@@ -239,8 +242,10 @@ def _cmd_genuinize(args) -> int:
     suffix = ".rgen.wav" if args.mode == "random" else ".gen.wav"
     jobs = [(ordinal, entry, _mirror_path(manifest, entry, args.out_dir, suffix))
             for ordinal, entry in manifest.select(args.subset, args.label)]
-    pool = manifest.select(*_parse_selector(args.pool_selector)) if args.mode == "random" else ()
-    references = _references(args, [manifest.resolve(entry) for _, entry in pool])
+    selector = RunConfig.cm_pmf_source if args.pool_selector is None else args.pool_selector
+    pool = manifest.select(*_parse_selector(selector)) if args.mode == "random" else ()
+    references = _references(args, [manifest.resolve(entry) for _, entry in pool],
+                             f"manifest rows matching --pool-selector {selector}")
     for ordinal, entry, dest in jobs:
         out = genuinize(read_wav(manifest.resolve(entry)), params, references, ordinal)
         dest.parent.mkdir(parents=True, exist_ok=True)

@@ -63,7 +63,8 @@ from .errors import ConfigError, InputError, ToolError, reading, text_rows, type
 from .features import FeatureMatrix, LfccConfig, get_extractor, stack_features
 from .genuinize import _SEED_MASK, DEFAULT_EXTRA_BITS, GenuinizeParams, genuinize, reference_pool
 from .gmm import (
-    DEFAULT_COMPONENTS, DEFAULT_ITERS, LABELS, GmmModel, eer_from_scores, gmm_loglik, train_gmm,
+    DEFAULT_COMPONENTS, DEFAULT_ITERS, LABELS, GmmModel, check_budget, eer_from_scores,
+    gmm_loglik, train_gmm,
 )
 from .pmf import cdf_from_pmf, estimate_pmf
 from .waveform import read_wav
@@ -182,10 +183,9 @@ class RunConfig:
             raise ConfigError(f"features must not repeat; got {self.features}")
         if not isinstance(self.lfcc, LfccConfig):
             raise ConfigError(f"lfcc must be an LfccConfig; got {self.lfcc!r}")
-        if self.gmm_components < 1 or self.em_iters < 1:
-            raise ConfigError("gmm_components and em_iters must be positive")
-        if self.extra_bits < 0:
-            raise ConfigError("extra_bits must be non-negative")
+        # the owners' range rules, checked before any file is read
+        check_budget(self.gmm_components, self.em_iters)
+        GenuinizeParams(mode="perturbed", extra_bits=self.extra_bits)
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
         # each side's (subset, label) of reference files, parsed once here
@@ -274,9 +274,9 @@ def load_run_setup(manifest_csv, config_json=None, seed=None, workers=None):
     """Build (DatasetManifest, RunConfig) from the CSV manifest and the
     key-value config file; seed/workers arguments override the config.
 
-    The config's keys, defaults and type rules are those of the RunConfig
-    fields ("lfcc" an object of LfccConfig fields), so a JSON config and a
-    Python caller get the same checks.
+    The config's keys, defaults and rules are those of the RunConfig fields
+    ("lfcc" an object of LfccConfig fields), so a JSON config and a Python
+    caller get the same checks and the same errors.
     """
     raw = {}
     if config_json is not None:
@@ -293,10 +293,7 @@ def load_run_setup(manifest_csv, config_json=None, seed=None, workers=None):
                 if not isinstance(raw["lfcc"], dict):
                     raise ConfigError(f"'lfcc' must be an object; got {raw['lfcc']!r}")
                 _check_keys(raw["lfcc"], [f.name for f in fields(LfccConfig)], "lfcc ")
-                try:
-                    raw["lfcc"] = LfccConfig(**raw["lfcc"])
-                except InputError as exc:
-                    raise ConfigError(f"lfcc: {exc}") from exc
+                raw["lfcc"] = LfccConfig(**raw["lfcc"])
     if seed is not None:
         raw["seed"] = seed
     if workers is not None:

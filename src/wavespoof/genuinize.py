@@ -16,7 +16,8 @@ Every caller treats a file against a reference set, a sequence of target
 Cdfs: basic and perturbed match against its one CDF, random draws one CDF
 from it per file. genuinize(src, params, references, ordinal) is the one
 entry point that dispatches on the mode; reference_pool builds the per-file
-reference CDFs of a pool.
+reference CDFs of a pool. The package exports these two; the per-mode steps
+genuinize_perturbed and genuinize_random are called only by genuinize.
 
 The kernel computes at most one value per sample, from integer prefix sums
 over the levels the file occupies, and finds each sample's match inside the
@@ -162,34 +163,19 @@ def _match(src: Waveform, target: Cdf, d: int, dither_rng) -> Waveform:
     return Waveform(samples=q, sample_rate=src.sample_rate)
 
 
-def genuinize_basic(src: Waveform, target: Cdf) -> Waveform:
-    """Map src through discrete quantile matching against the target CDF."""
-    return _match(src, target, 0, None)
-
-
 def genuinize_perturbed(
-    src: Waveform, target: Cdf, params: GenuinizeParams, ordinal: int = 0
+    src: Waveform, target: Cdf, params: GenuinizeParams, ordinal: int
 ) -> Waveform:
-    """Dithered quantile matching on the 2**d-times finer source grid.
-
-    d=0 reproduces genuinize_basic bit-exactly. ordinal selects the
-    per-file RNG stream in batch runs.
-    """
-    if params.mode != "perturbed":
-        raise InputError("genuinize_perturbed requires params.mode='perturbed'")
+    """Perturbed mode's step: matching on the 2**d-times finer source grid,
+    dithered from the file's (seed, ordinal) stream."""
     dither_rng, _ = file_streams(params.seed, ordinal)
     return _match(src, target, params.extra_bits, dither_rng)
 
 
-def genuinize_random(src: Waveform, pool, params: GenuinizeParams, ordinal: int = 0) -> Waveform:
-    """Perturbed matching against one reference CDF drawn from pool.
-
-    pool is a reference set, usually built once by reference_pool. The
-    reference is drawn uniformly (from the choice stream); a new one is
-    drawn for every (seed, ordinal) pair.
-    """
-    if params.mode != "random":
-        raise InputError("genuinize_random requires params.mode='random'")
+def genuinize_random(src: Waveform, pool, params: GenuinizeParams, ordinal: int) -> Waveform:
+    """Random mode's step: perturbed matching against one CDF of the
+    reference set pool, drawn uniformly from the choice stream, so a new one
+    is drawn for every (seed, ordinal) pair."""
     if not pool:
         raise ConfigError("reference pool is empty")
     dither_rng, choice_rng = file_streams(params.seed, ordinal)
@@ -207,13 +193,15 @@ def reference_pool(waveforms) -> tuple:
 def genuinize(src: Waveform, params: GenuinizeParams, references, ordinal: int = 0) -> Waveform:
     """Genuinize one file in params.mode against a reference set (a sequence
     of Cdfs): basic and perturbed take exactly one CDF, random draws one per
-    (seed, ordinal) (see genuinize_random). Every mode takes the same
-    ordinals, basic too, though it draws nothing."""
+    (seed, ordinal). Every mode takes the same ordinals, basic too, though it
+    draws nothing. The per-mode steps are looked up by name at each call, so
+    a wrapper set over genuinize_perturbed or genuinize_random sees every
+    file of its mode."""
     _file_ordinal(ordinal)
     if params.mode == "random":
         return genuinize_random(src, references, params, ordinal)
     if len(references) != 1:
         raise ConfigError(f"mode {params.mode!r} takes one reference CDF, not {len(references)}")
     if params.mode == "basic":
-        return genuinize_basic(src, references[0])
+        return _match(src, references[0], 0, None)
     return genuinize_perturbed(src, references[0], params, ordinal)

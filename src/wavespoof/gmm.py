@@ -190,6 +190,14 @@ def _accumulate(rows, weights, means, variances):
     return occupancy, moments[f:].T, moments[:f].T, total, best_row
 
 
+def check_budget(k: int, iters: int) -> None:
+    """InputError unless k components and an iters EM budget are each at least 1."""
+    if k < 1:
+        raise InputError("component count must be at least 1")
+    if iters < 1:
+        raise InputError("iteration budget must be at least 1")
+
+
 def train_gmm(
     features,
     k: int,
@@ -209,10 +217,7 @@ def train_gmm(
     """
     rows = _as_rows(features)
     n, f = rows.shape
-    if k < 1:
-        raise InputError("component count must be at least 1")
-    if iters < 1:
-        raise InputError("iteration budget must be at least 1")
+    check_budget(k, iters)
     if n < k:
         raise InputError(f"{n} rows cannot support {k} components")
     rng = np.random.default_rng(seed & _SEED_MASK)

@@ -27,8 +27,7 @@ from wavespoof import (
     enumerate_scenarios,
     estimate_pmf,
     extend_cdf,
-    genuinize_basic,
-    genuinize_perturbed,
+    genuinize,
     index_to_amp,
     load_run_setup,
     make_toy_corpus,
@@ -70,7 +69,7 @@ def test_criterion_02_self_target_identity(capsys):
         rng.shuffle(samples)
         w = wave(samples)
         target = cdf_from_pmf(estimate_pmf([w]))
-        out = genuinize_basic(w, target)
+        out = genuinize(w, GenuinizeParams(mode="basic"), (target,))
         assert np.array_equal(out.samples, w.samples)
     announce(capsys, 2)
 
@@ -88,9 +87,7 @@ def test_criterion_03_distribution_matching(capsys):
     samples = rng.choice(np.arange(1, levels + 1), size=1_000_000, p=source_mass)
     src = wave(samples)
     target = cdf_from_pmf(Pmf(mass=target_mass))
-    out = genuinize_perturbed(
-        src, target, GenuinizeParams(mode="perturbed", extra_bits=5, seed=3)
-    )
+    out = genuinize(src, GenuinizeParams(mode="perturbed", extra_bits=5, seed=3), (target,))
     out_mass = estimate_pmf([out], num_levels=levels).mass
     gap = tv_distance(out_mass, target_mass)
     baseline_gap = tv_distance(source_mass, target_mass)
@@ -118,13 +115,13 @@ def test_criterion_04_notch_and_repair(capsys):
 
     target = cdf_from_pmf(Pmf(mass=target_mass))
 
-    basic_out = genuinize_basic(src, target)
+    basic_out = genuinize(src, GenuinizeParams(mode="basic"), (target,))
     basic_mass = estimate_pmf([basic_out], num_levels=levels).mass
     unhit = (basic_mass == 0.0) & (target_mass > 1e-6)
     assert unhit.any()
 
-    perturbed_out = genuinize_perturbed(
-        src, target, GenuinizeParams(mode="perturbed", extra_bits=5, seed=8)
+    perturbed_out = genuinize(
+        src, GenuinizeParams(mode="perturbed", extra_bits=5, seed=8), (target,)
     )
     perturbed_mass = estimate_pmf([perturbed_out], num_levels=levels).mass
     assert tv_distance(perturbed_mass, target_mass) < tv_distance(basic_mass, target_mass)

@@ -1,5 +1,6 @@
 """End-to-end command-line checks, run in process via main(argv)."""
 
+import json
 import os
 import shutil
 import subprocess
@@ -338,6 +339,10 @@ def test_exit_codes_and_error_format(corpus, tmp_path, capsys):
         ["--mode", "perturbed", "--target", str(target), "--out-dir", str(tmp_path), *single],
         ["--mode", "perturbed", "--target", str(target), "--subset", "test", *single],
         ["--mode", "perturbed", "--target", str(target), "--label", "spoof", *single],
+        ["--mode", "perturbed", "--target", str(target), "--ordinal", "5", *batch],
+        ["--mode", "random", "--pool", wav, "--pool-selector", "bogus", *single],
+        ["--mode", "perturbed", "--target", str(target), "--pool-selector", "train:genuine",
+         *batch],
     ):
         capsys.readouterr()
         assert main(["genuinize", *flags]) == 6, flags
@@ -360,20 +365,22 @@ def test_exit_codes_and_error_format(corpus, tmp_path, capsys):
                  "--config", str(bad_config), "--out", str(tmp_path / "r.csv")]) == 6
     assert "error: ConfigError:" in capsys.readouterr().err
 
-    # 6: wrong-typed lfcc option in the run config
-    for lfcc_options in ('{"num_ceps": 19.0}', '{"include_energy": "no"}'):
+    # 5: a wrong-typed or out-of-range lfcc option in the run config is
+    # LfccConfig's InputError, named by the config file, before any scenario
+    # runs or a results CSV is written
+    results = tmp_path / "never.csv"
+    for lfcc_options in ('{"num_ceps": 19.0}', '{"include_energy": "no"}',
+                         '{"fft_size": 300}', '{"num_ceps": 30}'):
         bad_config.write_text('{"lfcc": %s}' % lfcc_options)
         capsys.readouterr()
         assert main(["run-matrix", "--manifest", str(corpus / "manifest.csv"),
-                     "--config", str(bad_config), "--seed", "7",
-                     "--out", str(tmp_path / "r.csv")]) == 6
-        assert "error: ConfigError:" in capsys.readouterr().err
+                     "--config", str(bad_config), "--seed", "7", "--out", str(results)]) == 5
+        assert f"error: InputError: {bad_config}: " in capsys.readouterr().err
+        assert not results.exists()
 
-    # 6: out-of-range values and bad selectors in the run config, before any
-    # scenario runs or a results CSV is written
-    results = tmp_path / "never.csv"
-    for config_text in ('{"lfcc": {"fft_size": 300}}', '{"lfcc": {"num_ceps": 30}}',
-                        '{"attacker_pmf_source": 5}', '{"cm_pmf_source": "train:bogus"}',
+    # 6: bad selectors in the run config, before any scenario runs or a
+    # results CSV is written
+    for config_text in ('{"attacker_pmf_source": 5}', '{"cm_pmf_source": "train:bogus"}',
                         '{"cm_pmf_source": "test:genuine:x"}'):
         bad_config.write_text(config_text)
         capsys.readouterr()
@@ -515,6 +522,49 @@ def test_out_of_range_flags_exit_with_their_owners_code(stage_inputs, tmp_path, 
     assert not (tmp_path / "out").exists()
 
 
+# case: (run config settings, owner) where owner(files) passes the same value
+# to the setting's owner in Python, as the setting's flag does
+_CONFIG_OUT_OF_RANGE = {
+    "lfcc num_ceps 30": ({"lfcc": {"num_ceps": 30}}, lambda f: LfccConfig(num_ceps=30)),
+    "extra_bits -1": ({"extra_bits": -1},
+                      lambda f: GenuinizeParams(mode="perturbed", extra_bits=-1)),
+    "gmm_components 0": ({"gmm_components": 0},
+                         lambda f: train_gmm(load_features(f["feat"]).frames, k=0)),
+    "em_iters 0": ({"em_iters": 0},
+                   lambda f: train_gmm(load_features(f["feat"]).frames, k=DEFAULT_COMPONENTS,
+                                       iters=0)),
+    "workers 0": ({"workers": 0}, lambda f: RunConfig(seed=7, workers=0)),
+}
+
+
+@pytest.mark.parametrize("case", list(_CONFIG_OUT_OF_RANGE))
+def test_out_of_range_config_values_exit_with_their_owners_code(stage_inputs, tmp_path, capsys,
+                                                                monkeypatch, case):
+    # a run config value reaches the owner its flag reaches and gets its
+    # error, before any WAV is read or a results CSV is written; only the
+    # lfcc block is read inside the config file, so only its error names it
+    settings, owner = _CONFIG_OUT_OF_RANGE[case]
+    with pytest.raises(ToolError) as raised:
+        owner(stage_inputs)
+    assert raised.value.exit_code == (6 if case == "workers 0" else 5)
+    config, results = tmp_path / "config.json", tmp_path / "results.csv"
+    config.write_text(json.dumps({"seed": 7, **settings}))
+    reads = []
+
+    def counting_read_wav(path):
+        reads.append(str(path))
+        return read_wav(path)
+
+    monkeypatch.setattr("wavespoof.experiment.read_wav", counting_read_wav)
+    capsys.readouterr()
+    assert main(["run-matrix", "--manifest", stage_inputs["manifest"], "--config", str(config),
+                 "--out", str(results), "--quiet"]) == raised.value.exit_code
+    prefix = f"{config}: " if "lfcc" in settings else ""
+    error = f"error: {type(raised.value).__name__}: {prefix}{raised.value}\n"
+    assert capsys.readouterr().err == error
+    assert reads == [] and not results.exists()
+
+
 def test_score_rejects_a_flag_its_form_does_not_read(corpus, tmp_path, capsys):
     model, cache = tmp_path / "m.gmm", tmp_path / "c.feat"
     wav = wavs(corpus, "test", "genuine")[0]
@@ -542,13 +592,24 @@ def test_score_rejects_a_flag_its_form_does_not_read(corpus, tmp_path, capsys):
         assert len(trials) == 8 * len(wanted)
 
 
-def test_parser_defaults_come_from_their_owners():
+def test_parser_defaults_come_from_their_owners(corpus, tmp_path):
     assert _lfcc_config(parse_args(["extract-features", "--out", "f", "in.wav"])) == LfccConfig()
     train = parse_args(["train-gmm", "--out", "m", "in.feat"])
     assert (train.components, train.iters) == (DEFAULT_COMPONENTS, DEFAULT_ITERS)
     gen = parse_args(["genuinize", "--mode", "random"])
     assert gen.d_bits == DEFAULT_EXTRA_BITS
-    assert gen.pool_selector == RunConfig.cm_pmf_source == "train:genuine"
+    # without --pool-selector, the batch random pool is RunConfig.cm_pmf_source
+    assert RunConfig.cm_pmf_source == "train:genuine"
+    batch = ["genuinize", "--mode", "random", "--seed", "3", "--manifest",
+             str(corpus / "manifest.csv"), "--subset", "test", "--label", "spoof"]
+    written = {}
+    for name, flags in (("default", []), ("train", ["--pool-selector", "train:genuine"]),
+                        ("test", ["--pool-selector", "test:genuine"])):
+        assert main([*batch, "--out-dir", str(tmp_path / name), *flags]) == 0
+        written[name] = {p.relative_to(tmp_path / name): p.read_bytes()
+                         for p in (tmp_path / name).rglob("*.wav")}
+    assert len(written["default"]) == 4
+    assert written["default"] == written["train"] != written["test"]
     assert parse_args(["vad", "in.wav"]).alpha == DEFAULT_ALPHA
     assert parse_args(["estimate-pmf", "--out", "p", "in.wav"]).alpha == DEFAULT_ALPHA
     # choices that name the matrix vocabulary are its constants themselves

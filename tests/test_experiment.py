@@ -208,6 +208,18 @@ def test_load_run_setup_validation(tmp_path):
         {"seed": "abc"},
         {"seed": 1, "extra_bits": 1.7},
         {"seed": 1, "em_iters": True},
+        {"seed": 1, "lfcc": 5},
+        # selectors that are not subset:label
+        {"seed": 1, "attacker_pmf_source": 5},
+        {"seed": 1, "cm_pmf_source": "train:bogus"},
+        {"seed": 1, "cm_pmf_source": "test:genuine:x"},
+    ):
+        config.write_text(json.dumps(bad))
+        with pytest.raises(ConfigError):
+            load_run_setup(manifest_csv, config)
+    # the lfcc block's wrong-typed and out-of-range values, and range rules
+    # other owners hold, are those owners' InputErrors
+    for bad in (
         {"seed": 1, "lfcc": {"num_ceps": 19.0}},
         {"seed": 1, "lfcc": {"fft_size": True}},
         {"seed": 1, "lfcc": {"num_filters": "20"}},
@@ -216,16 +228,14 @@ def test_load_run_setup_validation(tmp_path):
         {"seed": 1, "lfcc": {"include_energy": 1}},
         {"seed": 1, "lfcc": {"frame_len_ms": "20"}},
         {"seed": 1, "lfcc": {"frame_hop_ms": False}},
-        {"seed": 1, "lfcc": 5},
-        # values out of range and selectors that are not subset:label
         {"seed": 1, "lfcc": {"fft_size": 300}},
         {"seed": 1, "lfcc": {"num_ceps": 30}},
-        {"seed": 1, "attacker_pmf_source": 5},
-        {"seed": 1, "cm_pmf_source": "train:bogus"},
-        {"seed": 1, "cm_pmf_source": "test:genuine:x"},
+        {"seed": 1, "extra_bits": -1},
+        {"seed": 1, "gmm_components": 0},
+        {"seed": 1, "em_iters": 0},
     ):
         config.write_text(json.dumps(bad))
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             load_run_setup(manifest_csv, config)
 
 
@@ -238,11 +248,12 @@ def test_run_config_validation():
         RunConfig(seed=0, features=())
     with pytest.raises(ConfigError):
         RunConfig(seed=0, features=("lfcc", "lfcc"))
-    with pytest.raises(ConfigError):
+    # a range rule another owner holds is that owner's InputError
+    with pytest.raises(InputError, match="^component count must be at least 1$"):
         RunConfig(seed=0, gmm_components=0)
     with pytest.raises(ConfigError):
         RunConfig(seed=0, workers=0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError, match="^extra_bits must be non-negative$"):
         RunConfig(seed=0, extra_bits=-1)
     for selector in (5, "train:bogus", "test:genuine:x"):
         for name in ("attacker_pmf_source", "cm_pmf_source"):

@@ -16,12 +16,10 @@ from wavespoof import (
     estimate_pmf,
     extend_cdf,
     file_streams,
-    genuinize_basic,
-    genuinize_perturbed,
-    genuinize_random,
+    genuinize,
+    reference_pool,
     tv_distance,
 )
-from wavespoof.genuinize import genuinize, reference_pool
 from wavespoof.pmf import load_pmf_csv
 from oracles import basic_genuinize_oracle, extended_value_oracle, match_one, pmf_by_counting
 
@@ -37,11 +35,12 @@ def _cdf_from_counts(counts):
 
 
 TARGET8 = _cdf_from_counts([4, 0, 1, 0, 2, 0, 0, 1])
+BASIC = GenuinizeParams(mode="basic")
 
 
 def test_basic_frozen_example():
     src = _wave([1, 1, 2, 5, 5, 5, 8, 2])
-    out = genuinize_basic(src, TARGET8)
+    out = genuinize(src, BASIC, (TARGET8,))
     assert out.samples.tolist() == [1, 1, 2, 7, 7, 7, 8, 2]
     assert out.sample_rate == src.sample_rate
 
@@ -54,7 +53,7 @@ def test_basic_matches_scan_oracle_on_random_cases():
         counts = rng.integers(0, 6, size=levels)
         counts[rng.integers(0, levels)] += 1
         target = _cdf_from_counts(counts)
-        out = genuinize_basic(src, target)
+        out = genuinize(src, BASIC, (target,))
         want = basic_genuinize_oracle(src.samples.tolist(), target.cum.tolist(), levels)
         assert out.samples.tolist() == want
 
@@ -66,7 +65,7 @@ def test_basic_identity_on_full_support():
     rng.shuffle(samples)
     src = _wave(samples)
     own = cdf_from_pmf(estimate_pmf([src], num_levels=32))
-    out = genuinize_basic(src, own)
+    out = genuinize(src, BASIC, (own,))
     assert np.array_equal(out.samples, src.samples)
 
 
@@ -75,13 +74,13 @@ def test_basic_self_target_with_support_gaps_is_not_identity():
     # the top of its run of equal cumulative values
     src = _wave([1, 3, 1, 3])
     own = cdf_from_pmf(estimate_pmf([src], num_levels=4))
-    assert genuinize_basic(src, own).samples.tolist() == [2, 4, 2, 4]
+    assert genuinize(src, BASIC, (own,)).samples.tolist() == [2, 4, 2, 4]
 
 
 def test_basic_constant_file_maps_to_alphabet_top():
     src = _wave([7, 7, 7])
     own = cdf_from_pmf(estimate_pmf([src], num_levels=16))
-    assert genuinize_basic(src, own).samples.tolist() == [16, 16, 16]
+    assert genuinize(src, BASIC, (own,)).samples.tolist() == [16, 16, 16]
 
 
 def test_basic_fallback_below_first_target_mass():
@@ -89,13 +88,13 @@ def test_basic_fallback_below_first_target_mass():
     # argmax set falls back to the smallest positive-mass target index
     src = _wave([1, 2, 2, 2])
     target = _cdf_from_counts([3, 1])
-    assert genuinize_basic(src, target).samples.tolist() == [1, 2, 2, 2]
+    assert genuinize(src, BASIC, (target,)).samples.tolist() == [1, 2, 2, 2]
 
 
 def test_basic_fallback_skips_leading_zero_mass():
     src = _wave([1, 1, 1, 2])
     target = _cdf_from_counts([0, 0, 3, 1])
-    out = genuinize_basic(src, target)
+    out = genuinize(src, BASIC, (target,))
     want = basic_genuinize_oracle(src.samples.tolist(), target.cum.tolist(), 4)
     assert out.samples.tolist() == want
     assert out.samples.min() == 3  # never lands on a zero-mass leading bin
@@ -106,7 +105,7 @@ def test_basic_map_is_monotone():
     src = _wave(rng.integers(1, 65, size=400))
     counts = rng.integers(0, 5, size=64)
     counts[0] += 1
-    out = genuinize_basic(src, _cdf_from_counts(counts))
+    out = genuinize(src, BASIC, (_cdf_from_counts(counts),))
     order = np.argsort(src.samples, kind="stable")
     assert np.all(np.diff(out.samples[order]) >= 0)
 
@@ -115,14 +114,14 @@ def test_perturbed_d0_equals_basic():
     rng = np.random.default_rng(31)
     src = _wave(rng.integers(1, 9, size=50))
     params = GenuinizeParams(mode="perturbed", extra_bits=0, seed=99)
-    out = genuinize_perturbed(src, TARGET8, params, ordinal=4)
-    assert np.array_equal(out.samples, genuinize_basic(src, TARGET8).samples)
+    out = genuinize(src, params, (TARGET8,), 4)
+    assert np.array_equal(out.samples, genuinize(src, BASIC, (TARGET8,)).samples)
 
 
 def test_perturbed_frozen_example():
     src = _wave([1, 1, 2, 5, 5, 5, 8, 2])
     params = GenuinizeParams(mode="perturbed", extra_bits=2, seed=11)
-    out = genuinize_perturbed(src, TARGET8, params, ordinal=3)
+    out = genuinize(src, params, (TARGET8,), 3)
     assert out.samples.tolist() == [1, 1, 1, 4, 2, 7, 8, 1]
 
 
@@ -135,7 +134,7 @@ def test_perturbed_matches_per_sample_oracle():
     target = _cdf_from_counts(counts)
     d = 3
     params = GenuinizeParams(mode="perturbed", extra_bits=d, seed=77)
-    out = genuinize_perturbed(src, target, params, ordinal=9)
+    out = genuinize(src, params, (target,), 9)
 
     sub = 1 << d
     dither_rng, _ = file_streams(77, 9)
@@ -154,9 +153,9 @@ def test_perturbed_deterministic_per_seed_and_ordinal():
     rng = np.random.default_rng(2)
     src = _wave(rng.integers(1, 9, size=4000))
     params = GenuinizeParams(mode="perturbed", extra_bits=5, seed=5)
-    a = genuinize_perturbed(src, TARGET8, params, ordinal=0)
-    b = genuinize_perturbed(src, TARGET8, params, ordinal=0)
-    c = genuinize_perturbed(src, TARGET8, params, ordinal=1)
+    a = genuinize(src, params, (TARGET8,), 0)
+    b = genuinize(src, params, (TARGET8,), 0)
+    c = genuinize(src, params, (TARGET8,), 1)
     assert np.array_equal(a.samples, b.samples)
     assert not np.array_equal(a.samples, c.samples)
 
@@ -171,13 +170,13 @@ def test_perturbed_fills_notch_left_by_basic():
     target = _cdf_from_counts(rng.integers(1, 5, size=16))
     target_mass = np.diff(np.concatenate(([0.0], target.cum)))
 
-    basic_out = genuinize_basic(src, target)
+    basic_out = genuinize(src, BASIC, (target,))
     basic_mass, _, _ = pmf_by_counting([basic_out.samples.tolist()], 16)
     unhit = [k for k in range(16) if target_mass[k] > 0 and basic_mass[k] == 0.0]
     assert unhit, "the atom should leave at least one positive-mass bin empty"
 
     params = GenuinizeParams(mode="perturbed", extra_bits=5, seed=1)
-    pert_out = genuinize_perturbed(src, target, params)
+    pert_out = genuinize(src, params, (target,))
     pert_mass, _, _ = pmf_by_counting([pert_out.samples.tolist()], 16)
     assert tv_distance(np.asarray(pert_mass), target_mass) < tv_distance(
         np.asarray(basic_mass), target_mass
@@ -191,8 +190,8 @@ def test_random_pool_of_one_equals_perturbed():
     ref_cdf = cdf_from_pmf(estimate_pmf([reference], num_levels=8))
     rparams = GenuinizeParams(mode="random", extra_bits=4, seed=13)
     pparams = GenuinizeParams(mode="perturbed", extra_bits=4, seed=13)
-    a = genuinize_random(src, [ref_cdf], rparams, ordinal=6)
-    b = genuinize_perturbed(src, ref_cdf, pparams, ordinal=6)
+    a = genuinize(src, rparams, [ref_cdf], 6)
+    b = genuinize(src, pparams, (ref_cdf,), 6)
     assert np.array_equal(a.samples, b.samples)
 
 
@@ -203,11 +202,11 @@ def test_random_choice_stream_picks_frozen_reference():
     pool = [_wave(rng.integers(1, 9, size=200)) for _ in range(5)]
     params = GenuinizeParams(mode="random", extra_bits=2, seed=11)
     pool_cdfs = [cdf_from_pmf(estimate_pmf([w], num_levels=8)) for w in pool]
-    out = genuinize_random(src, pool_cdfs, params, ordinal=3)
+    out = genuinize(src, params, pool_cdfs, 3)
     chosen = cdf_from_pmf(estimate_pmf([pool[2]], num_levels=8))
     pparams = GenuinizeParams(mode="perturbed", extra_bits=2, seed=11)
     assert np.array_equal(
-        out.samples, genuinize_perturbed(src, chosen, pparams, ordinal=3).samples
+        out.samples, genuinize(src, pparams, (chosen,), 3).samples
     )
 
 
@@ -217,21 +216,16 @@ def test_random_redraws_reference_per_ordinal():
     pool = [_wave(rng.integers(1, 9, size=300)) for _ in range(8)]
     params = GenuinizeParams(mode="random", extra_bits=5, seed=21)
     pool_cdfs = [cdf_from_pmf(estimate_pmf([w], num_levels=8)) for w in pool]
-    outs = [genuinize_random(src, pool_cdfs, params, ordinal=i) for i in range(4)]
+    outs = [genuinize(src, params, pool_cdfs, i) for i in range(4)]
     distinct = {tuple(o.samples.tolist()) for o in outs}
     assert len(distinct) > 1
 
 
 def test_mode_and_pool_validation():
     src = _wave([1, 2, 3])
-    pparams = GenuinizeParams(mode="perturbed", extra_bits=2, seed=0)
-    with pytest.raises(InputError):
-        genuinize_random(src, [TARGET8], pparams)
     rparams = GenuinizeParams(mode="random")
-    with pytest.raises(InputError):
-        genuinize_perturbed(src, TARGET8, rparams)
     with pytest.raises(ConfigError):
-        genuinize_random(src, [], rparams)
+        genuinize(src, rparams, [])
     with pytest.raises(ConfigError):
         genuinize(src, rparams, ())
     for mode in ("basic", "perturbed"):
@@ -276,7 +270,7 @@ def test_ordinal_is_a_non_negative_integer():
 def test_source_outside_target_grid_rejected():
     src = _wave([300])
     with pytest.raises(InputError):
-        genuinize_basic(src, TARGET8)
+        genuinize(src, BASIC, (TARGET8,))
 
 
 def test_output_distribution_approaches_target():
@@ -295,7 +289,7 @@ def test_output_distribution_approaches_target():
     src = _wave(samples)
     target = Cdf(cum=np.cumsum(target_mass))
     params = GenuinizeParams(mode="perturbed", extra_bits=5, seed=3)
-    out = genuinize_perturbed(src, target, params)
+    out = genuinize(src, params, (target,))
     out_mass = np.bincount(out.samples - 1, minlength=levels) / out.samples.size
     assert tv_distance(out_mass, target_mass) < 0.05
     assert tv_distance(out_mass, target_mass) < 0.2 * tv_distance(source_mass, target_mass)
@@ -352,12 +346,12 @@ def test_occupied_level_kernel_matches_full_grid_table(kind, d):
     src = _wave(_grid_source(kind, rng))
     target = _cdf_from_counts(_grid_target_counts(kind, rng))
     params = GenuinizeParams(mode="perturbed", extra_bits=d, seed=29)
-    out = genuinize_perturbed(src, target, params, ordinal=5)
+    out = genuinize(src, params, (target,), 5)
 
     q = _full_grid_lookup(src, target, d, 29, 5)
     assert np.array_equal(out.samples, q)
     if d == 0:
-        assert np.array_equal(genuinize_basic(src, target).samples, q)
+        assert np.array_equal(genuinize(src, BASIC, (target,)).samples, q)
 
 
 def test_random_kernel_matches_full_grid_table_per_drawn_reference():
@@ -371,7 +365,7 @@ def test_random_kernel_matches_full_grid_table_per_drawn_reference():
         _, choice_rng = file_streams(41, ordinal)
         chosen = int(choice_rng.integers(0, len(pool)))
         drawn.add(chosen)
-        out = genuinize_random(src, pool, params, ordinal=ordinal)
+        out = genuinize(src, params, pool, ordinal)
         assert np.array_equal(out.samples, _full_grid_lookup(src, pool[chosen], 5, 41, ordinal))
     assert len(drawn) > 1
 
@@ -403,7 +397,7 @@ def test_compact_target_matches_dense_search_on_its_traps(tmp_path):
             src = _wave(rng.integers(1, 9, size=int(rng.integers(1, 200))))
             for d in (0, 2, 5):
                 params = GenuinizeParams(mode="perturbed", extra_bits=d, seed=trial)
-                out = genuinize_perturbed(src, target, params, ordinal=trial)
+                out = genuinize(src, params, (target,), trial)
                 assert np.array_equal(out.samples, _full_grid_lookup(src, target, d, trial, trial)), (
                     name, trial, d,
                 )
