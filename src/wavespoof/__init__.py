@@ -40,7 +40,6 @@ from .features import (
 from .genuinize import GenuinizeParams, file_streams, genuinize, reference_pool
 from .gmm import (
     GmmModel,
-    ScoreSet,
     Trial,
     compute_eer,
     eer_from_scores,

@@ -21,7 +21,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import ConfigError, ToolError
+from .errors import ConfigError, ToolError, reading
 from .experiment import (
     SUBSETS, DatasetManifest, RunConfig, _parse_selector, load_run_setup, run_matrix,
 )
@@ -32,7 +32,6 @@ from .gmm import (
     DEFAULT_ITERS,
     LABELS,
     PROVENANCES,
-    ScoreSet,
     Trial,
     compute_eer,
     load_gmm,
@@ -276,14 +275,12 @@ def _cmd_extract_features(args) -> int:
 
 
 def _cmd_train_gmm(args) -> int:
-    rows, fingerprint = stack_features([load_features(p) for p in args.inputs])
     model = train_gmm(
-        rows,
+        stack_features([load_features(p) for p in args.inputs]),
         k=args.components,
         iters=args.iters,
         seed=args.seed,
         provenance=args.provenance,
-        feature_fingerprint=fingerprint,
     )
     save_gmm(args.out, model)
     return 0
@@ -308,15 +305,17 @@ def _cmd_score(args) -> int:
         subset = args.subset or "test"
         jobs = [(entry.path, entry.label, manifest.resolve(entry))
                 for _, entry in manifest.select(None if subset == "all" else subset)]
-    trials = [Trial(file_id=file_id, label=label,
-                    score=score_trial(genuine_model, spoof_model, extract(path)))
-              for file_id, label, path in jobs]
-    save_scores(args.out, ScoreSet(trials=tuple(trials)))
+    trials = tuple(Trial(file_id=file_id, label=label,
+                         score=score_trial(genuine_model, spoof_model, extract(path)))
+                   for file_id, label, path in jobs)
+    save_scores(args.out, trials)
     return 0
 
 
 def _cmd_eer(args) -> int:
-    value = compute_eer(load_scores(args.scores))
+    trials = load_scores(args.scores)
+    with reading(args.scores):
+        value = compute_eer(trials)
     sys.stdout.write(f"EER={value:.6f}\n")
     return 0
 

@@ -45,6 +45,7 @@ its own pass.
 from __future__ import annotations
 
 import copy
+import errno
 import hashlib
 import json
 import logging
@@ -408,15 +409,13 @@ class _MatrixRunner:
             chain = self._train_chain(label, provenance)
             train = self.manifest.select("train", label)
             matrices = [self.features({}, i, chain, feature) for i, _ in train]  # a store per file
-            rows, fingerprint = stack_features(matrices)
             role = SeedRole.MODEL_GENUINE if label == "genuine" else SeedRole.MODEL_SPOOF
             return train_gmm(
-                rows,
+                stack_features(matrices),
                 k=self.config.gmm_components,
                 iters=self.config.em_iters,
                 seed=role_seed(self.config.seed, role),
                 provenance=provenance,
-                feature_fingerprint=fingerprint,
             )
 
         return self._memo(self._models, (label, provenance, feature), build)
@@ -599,8 +598,12 @@ def run_matrix(
     module docstring names. A failed scenario becomes a row with an empty
     EER and its error, and the run goes on. Results come back in canonical
     order; out_csv, when given, receives the CSV rendering. config.workers
-    threads train and score; results do not depend on their number.
+    threads train and score; results do not depend on their number. An
+    out_csv whose directory does not exist is a FileNotFoundError raised
+    before any file is read or cache directory made.
     """
+    if out_csv is not None and not Path(out_csv).parent.is_dir():
+        raise FileNotFoundError(errno.ENOENT, "no directory for the results CSV", str(out_csv))
     specs = enumerate_scenarios(config.features)
     results = _MatrixRunner(manifest, config, cache_dir=cache_dir).run(specs, progress)
     if out_csv is not None:

@@ -118,7 +118,7 @@ def _framed_log_energies(w: Waveform, cfg: LfccConfig):
     return frames, np.log(np.maximum(filterbank_energies, LOG_FLOOR))
 
 
-def lfcc(w: Waveform, cfg: LfccConfig | None = None) -> FeatureMatrix:
+def lfcc(w: Waveform, cfg: LfccConfig = LfccConfig()) -> FeatureMatrix:
     """Extract LFCC(+energy) with deltas and delta-deltas.
 
     Frames are Hamming-windowed, zero-padded to fft_size, and reduced to
@@ -126,8 +126,6 @@ def lfcc(w: Waveform, cfg: LfccConfig | None = None) -> FeatureMatrix:
     are floored at 1e-12 before an orthonormal DCT-II. Output width is
     (num_ceps + energy) * 3.
     """
-    if cfg is None:
-        cfg = LfccConfig()
     frames, log_energies = _framed_log_energies(w, cfg)
     ceps = scipy.fft.dct(log_energies, type=2, norm="ortho", axis=1)[:, : cfg.num_ceps]
     columns = [ceps]
@@ -159,14 +157,15 @@ def get_extractor(name: str):
 register_extractor("lfcc", lfcc)
 
 
-def stack_features(matrices):
-    """Rows of all matrices stacked in order, and their shared fingerprint.
+def stack_features(matrices) -> FeatureMatrix:
+    """One FeatureMatrix of the rows of all matrices stacked in order, with
+    their shared meta: the training input of train_gmm.
 
     Raises ConfigError unless the matrices share one (fingerprint, width)."""
     kinds = sorted({(fm.meta or "-", fm.num_coeffs) for fm in matrices})
     if len(kinds) != 1:
         raise ConfigError(f"feature matrices must share one (fingerprint, width); got {kinds}")
-    return np.vstack([fm.frames for fm in matrices]), matrices[0].meta
+    return FeatureMatrix(frames=np.vstack([fm.frames for fm in matrices]), meta=matrices[0].meta)
 
 
 def save_features(path, fm: FeatureMatrix) -> None:

@@ -13,6 +13,7 @@ from .errors import (
     ConfigError, FormatError, InputError, frozen_array, payload_arrays, read_headed, reading,
     text_rows, write_headed,
 )
+from .features import FeatureMatrix
 from .genuinize import _SEED_MASK
 
 log = logging.getLogger(__name__)
@@ -77,13 +78,6 @@ class GmmModel:
         """(const, proj) of the fused log density (see _kernel), computed
         once per model and reused by every scoring pass."""
         return _kernel(self.weights, self.means, self.variances)
-
-
-def _as_rows(features) -> np.ndarray:
-    rows = np.ascontiguousarray(getattr(features, "frames", features), dtype=np.float64)
-    if rows.ndim != 2 or rows.size == 0:
-        raise InputError("features must form a non-empty 2-D row matrix")
-    return rows
 
 
 def _kmeans_pp_init(rows: np.ndarray, k: int, rng) -> np.ndarray:
@@ -199,14 +193,14 @@ def check_budget(k: int, iters: int) -> None:
 
 
 def train_gmm(
-    features,
+    features: FeatureMatrix,
     k: int,
     iters: int = DEFAULT_ITERS,
     seed: int = 0,
     provenance: str = "O",
-    feature_fingerprint: str = "",
 ) -> GmmModel:
-    """EM training from a k-means++-style seeded initialization.
+    """EM training on the rows of features from a k-means++-style seeded
+    initialization; the model records features.meta as its fingerprint.
 
     Stops after iters iterations or when the relative log-likelihood
     improvement falls below DEFAULT_TOL, whichever comes first. Variances
@@ -215,7 +209,7 @@ def train_gmm(
     highest single responsibility. The per-iteration total log-likelihood
     trace is attached to the returned model.
     """
-    rows = _as_rows(features)
+    rows = features.frames
     n, f = rows.shape
     check_budget(k, iters)
     if n < k:
@@ -254,24 +248,23 @@ def train_gmm(
         means=means,
         variances=variances,
         provenance=provenance,
-        feature_fingerprint=feature_fingerprint,
+        feature_fingerprint=features.meta,
         loglik_trace=np.asarray(trace),
     )
 
 
-def gmm_loglik(model: GmmModel, features) -> float:
-    """Mean per-frame log-likelihood of the rows under the model.
+def gmm_loglik(model: GmmModel, features: FeatureMatrix) -> float:
+    """Mean per-frame log-likelihood of the rows of features under the model.
 
-    A FeatureMatrix must carry the fingerprint the model records, if any
-    (ConfigError otherwise); raw row arrays carry none and are not checked.
+    When the model records a fingerprint, features.meta must equal it
+    (ConfigError otherwise).
     """
     recorded = model.feature_fingerprint
-    meta = getattr(features, "meta", None)
-    if recorded and meta is not None and meta != recorded:
+    if recorded and features.meta != recorded:
         raise ConfigError(
-            f"model was trained on features {recorded}, but these are {meta or '-'}"
+            f"model was trained on features {recorded}, but these are {features.meta or '-'}"
         )
-    rows = _as_rows(features)
+    rows = features.frames
     if rows.shape[1] != model.num_features:
         raise InputError(
             f"feature width {rows.shape[1]} does not match the model's {model.num_features}"
@@ -282,7 +275,7 @@ def gmm_loglik(model: GmmModel, features) -> float:
     return total / rows.shape[0]
 
 
-def score_trial(genuine_model: GmmModel, spoof_model: GmmModel, features) -> float:
+def score_trial(genuine_model: GmmModel, spoof_model: GmmModel, features: FeatureMatrix) -> float:
     """Log-likelihood ratio: positive favours the genuine hypothesis."""
     return gmm_loglik(genuine_model, features) - gmm_loglik(spoof_model, features)
 
@@ -298,17 +291,6 @@ class Trial:
             raise InputError(f"label must be one of {LABELS}; got {self.label!r}")
         if not np.isfinite(self.score):
             raise InputError(f"score for {self.file_id!r} is not finite")
-
-
-@dataclass(frozen=True)
-class ScoreSet:
-    trials: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "trials", tuple(self.trials))
-
-    def scores(self, label: str) -> np.ndarray:
-        return np.asarray([t.score for t in self.trials if t.label == label], dtype=np.float64)
 
 
 def eer_from_scores(genuine_scores, spoof_scores) -> float:
@@ -342,23 +324,25 @@ def eer_from_scores(genuine_scores, spoof_scores) -> float:
     return 100.0 * float(eer)
 
 
-def compute_eer(scores: ScoreSet) -> float:
-    """EER in percent for a labelled score set."""
-    return eer_from_scores(scores.scores("genuine"), scores.scores("spoof"))
+def compute_eer(trials: tuple) -> float:
+    """EER in percent for a tuple of labelled Trials."""
+    genuine, spoof = ([t.score for t in trials if t.label == label] for label in LABELS)
+    return eer_from_scores(genuine, spoof)
 
 
-def save_scores(path, scores: ScoreSet) -> None:
+def save_scores(path, trials: tuple) -> None:
+    """Write the Trials in order under the header `file_id,label,score`."""
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write(_SCORE_HEADER + "\n")
-        for t in scores.trials:
+        for t in trials:
             fh.write(f"{t.file_id},{t.label},{float(t.score)!r}\n")
 
 
-def load_scores(path) -> ScoreSet:
+def load_scores(path) -> tuple:
+    """The Trials of a scores CSV, in file order."""
     with reading(path):
-        trials = text_rows(path, _SCORE_HEADER, "ascii", FormatError,
-                           lambda file_id, label, score: Trial(file_id, label, float(score)))
-        return ScoreSet(trials=tuple(trials))
+        return tuple(text_rows(path, _SCORE_HEADER, "ascii", FormatError,
+                               lambda file_id, label, score: Trial(file_id, label, float(score))))
 
 
 def save_gmm(path, model: GmmModel) -> None:

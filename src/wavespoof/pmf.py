@@ -103,7 +103,7 @@ class Cdf:
 def estimate_pmf(waveforms, masks=None, keep="all", num_levels=NUM_LEVELS) -> Pmf:
     """Pool one or more waveforms into a PMF over num_levels indices.
 
-    masks, when given, supplies one VadMask (or boolean array) per waveform;
+    masks, when given, supplies one VadMask per waveform;
     keep selects which samples enter the histogram: "speech", "nonspeech",
     or "all". Estimation is pure integer counting until the final division.
     """
@@ -122,7 +122,7 @@ def estimate_pmf(waveforms, masks=None, keep="all", num_levels=NUM_LEVELS) -> Pm
     for pos, w in enumerate(waveforms):
         samples = w.samples
         if keep != "all":
-            flags = np.asarray(getattr(masks[pos], "speech", masks[pos]), dtype=bool)
+            flags = masks[pos].speech
             if flags.size != samples.size:
                 raise InputError("mask length must match the waveform length")
             samples = samples[flags] if keep == "speech" else samples[~flags]
@@ -203,16 +203,12 @@ def extend_cdf(p: Pmf, d: int) -> Cdf:
     return Cdf(cum=vals.reshape(-1))
 
 
-def tv_distance(a, b) -> float:
-    """Total variation distance 0.5 * sum(|a - b|) between two mass vectors.
-
-    Accepts Pmf instances or plain arrays of equal length.
-    """
-    mass_a = np.asarray(getattr(a, "mass", a), dtype=np.float64)
-    mass_b = np.asarray(getattr(b, "mass", b), dtype=np.float64)
-    if mass_a.shape != mass_b.shape:
+def tv_distance(a: Pmf, b: Pmf) -> float:
+    """Total variation distance 0.5 * sum(|a.mass - b.mass|) between two PMFs
+    over the same number of levels (InputError otherwise)."""
+    if a.num_levels != b.num_levels:
         raise InputError("TV distance requires equally sized mass vectors")
-    return 0.5 * float(np.abs(mass_a - mass_b).sum())
+    return 0.5 * float(np.abs(a.mass - b.mass).sum())
 
 
 def save_pmf_csv(path, p: Pmf) -> None:

@@ -43,7 +43,7 @@ class VadMask:
         return int(self.speech.size)
 
 
-def energy_vad(w: Waveform, cfg: VadConfig | None = None) -> VadMask:
+def energy_vad(w: Waveform, cfg: VadConfig = VadConfig()) -> VadMask:
     """Label each sample speech/non-speech.
 
     A frame is speech when its mean squared zero-centred amplitude is at
@@ -52,8 +52,6 @@ def energy_vad(w: Waveform, cfg: VadConfig | None = None) -> VadMask:
     inherit the last frame's label. The relative threshold makes the
     mask invariant to scaling all amplitudes by a positive constant.
     """
-    if cfg is None:
-        cfg = VadConfig()
     amp = index_to_amp(w.samples)
     amp = amp - amp.mean()  # a DC offset would swamp the energies
     frames, hop = framed(amp * amp, w.sample_rate, cfg.frame_ms, cfg.hop_ms)

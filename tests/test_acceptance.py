@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from wavespoof import (
+    FeatureMatrix,
     GenuinizeParams,
     Pmf,
     InputError,
@@ -86,11 +87,12 @@ def test_criterion_03_distribution_matching(capsys):
     rng = np.random.default_rng(123)
     samples = rng.choice(np.arange(1, levels + 1), size=1_000_000, p=source_mass)
     src = wave(samples)
-    target = cdf_from_pmf(Pmf(mass=target_mass))
+    target_pmf = Pmf(mass=target_mass)
+    target = cdf_from_pmf(target_pmf)
     out = genuinize(src, GenuinizeParams(mode="perturbed", extra_bits=5, seed=3), (target,))
-    out_mass = estimate_pmf([out], num_levels=levels).mass
-    gap = tv_distance(out_mass, target_mass)
-    baseline_gap = tv_distance(source_mass, target_mass)
+    out_pmf = estimate_pmf([out], num_levels=levels)
+    gap = tv_distance(out_pmf, target_pmf)
+    baseline_gap = tv_distance(Pmf(mass=source_mass), target_pmf)
     elapsed = time.perf_counter() - start
     assert gap < 0.02
     assert gap < baseline_gap
@@ -113,18 +115,19 @@ def test_criterion_04_notch_and_repair(capsys):
     src = wave(samples)
     assert np.mean(src.samples == atom) >= 0.9
 
-    target = cdf_from_pmf(Pmf(mass=target_mass))
+    target_pmf = Pmf(mass=target_mass)
+    target = cdf_from_pmf(target_pmf)
 
     basic_out = genuinize(src, GenuinizeParams(mode="basic"), (target,))
-    basic_mass = estimate_pmf([basic_out], num_levels=levels).mass
-    unhit = (basic_mass == 0.0) & (target_mass > 1e-6)
+    basic_pmf = estimate_pmf([basic_out], num_levels=levels)
+    unhit = (basic_pmf.mass == 0.0) & (target_mass > 1e-6)
     assert unhit.any()
 
     perturbed_out = genuinize(
         src, GenuinizeParams(mode="perturbed", extra_bits=5, seed=8), (target,)
     )
-    perturbed_mass = estimate_pmf([perturbed_out], num_levels=levels).mass
-    assert tv_distance(perturbed_mass, target_mass) < tv_distance(basic_mass, target_mass)
+    perturbed_pmf = estimate_pmf([perturbed_out], num_levels=levels)
+    assert tv_distance(perturbed_pmf, target_pmf) < tv_distance(basic_pmf, target_pmf)
     announce(capsys, 4)
 
 
@@ -182,13 +185,14 @@ def test_criterion_07_em_sanity(capsys):
         f = int(rng.integers(1, 7))
         k = int(rng.integers(1, 5))
         data = rng.normal(size=(n, f)) * rng.uniform(0.5, 2.0)
-        model = train_gmm(data, k=k, iters=int(rng.integers(3, 9)), seed=int(rng.integers(1 << 30)))
+        model = train_gmm(FeatureMatrix(frames=data), k=k, iters=int(rng.integers(3, 9)),
+                          seed=int(rng.integers(1 << 30)))
         trace = model.loglik_trace
         slack = 1e-6 * np.abs(trace[:-1])
         assert np.all(np.diff(trace) >= -slack)
 
     data = rng.normal(1.5, 0.7, size=(500, 3))
-    single = train_gmm(data, k=1, iters=2, seed=0)
+    single = train_gmm(FeatureMatrix(frames=data), k=1, iters=2, seed=0)
     assert np.allclose(single.means[0], data.mean(axis=0), atol=1e-9)
     assert np.allclose(single.variances[0], data.var(axis=0), atol=1e-9)
 
@@ -196,7 +200,7 @@ def test_criterion_07_em_sanity(capsys):
     b = rng.normal(2.0, 0.5, size=(600, 2))
     data = np.vstack([a, b])
     rng.shuffle(data)
-    model = train_gmm(data, k=2, iters=30, seed=5)
+    model = train_gmm(FeatureMatrix(frames=data), k=2, iters=30, seed=5)
     order = np.argsort(model.means[:, 0])
     assert np.allclose(model.means[order][0], [-2.0, -2.0], atol=0.1)
     assert np.allclose(model.means[order][1], [2.0, 2.0], atol=0.1)

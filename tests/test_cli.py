@@ -175,9 +175,9 @@ def test_feature_model_score_eer_chain(corpus, tmp_path, capsys):
     assert main(["score", "--fft-size", "256",
                  "--genuine-model", models["genuine"], "--spoof-model", models["spoof"],
                  "--out", str(scores_csv), "--manifest", str(corpus / "manifest.csv")]) == 0
-    scores = load_scores(scores_csv)
-    assert len(scores.trials) == 8
-    assert {t.label for t in scores.trials} == {"genuine", "spoof"}
+    trials = load_scores(scores_csv)
+    assert len(trials) == 8
+    assert {t.label for t in trials} == {"genuine", "spoof"}
 
     capsys.readouterr()
     assert main(["eer", str(scores_csv)]) == 0
@@ -320,6 +320,15 @@ def test_exit_codes_and_error_format(corpus, tmp_path, capsys):
     capsys.readouterr()
     assert main(["pmf-distance", str(good_pmf), str(nan_pmf)]) == 5
     assert f"error: InputError: {nan_pmf}: " in capsys.readouterr().err
+
+    # 5: a scores file without one label's trials names that file, once
+    header_only = tmp_path / "header.csv"
+    header_only.write_text("file_id,label,score\n")
+    capsys.readouterr()
+    assert main(["eer", str(header_only)]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: InputError: {header_only}: ")
+    assert err.count(str(header_only)) == 1
 
     # 6: inconsistent request
     capsys.readouterr()
@@ -489,10 +498,10 @@ _OUT_OF_RANGE = {
     **{f"ordinal -1 {mode}": (_single_file_genuinize(mode, "--ordinal", "-1"),
                               _genuinize_ordinal(mode)) for mode in MODES},
     "components 0": (["train-gmm", "--components", "0", "--out", "{out}", "{feat}"],
-                     lambda f: train_gmm(load_features(f["feat"]).frames, k=0)),
+                     lambda f: train_gmm(load_features(f["feat"]), k=0)),
     "iters 0": (["train-gmm", "--iters", "0", "--out", "{out}", "{feat}"],
-                lambda f: train_gmm(load_features(f["feat"]).frames, k=DEFAULT_COMPONENTS,
-                                          iters=0)),
+                lambda f: train_gmm(load_features(f["feat"]), k=DEFAULT_COMPONENTS,
+                                    iters=0)),
     "workers 0": (["run-matrix", "--manifest", "{manifest}", "--config", "{config}",
                    "--workers", "0", "--out", "{out}"],
                   lambda f: load_run_setup(f["manifest"], f["config"], workers=0)),
@@ -529,9 +538,9 @@ _CONFIG_OUT_OF_RANGE = {
     "extra_bits -1": ({"extra_bits": -1},
                       lambda f: GenuinizeParams(mode="perturbed", extra_bits=-1)),
     "gmm_components 0": ({"gmm_components": 0},
-                         lambda f: train_gmm(load_features(f["feat"]).frames, k=0)),
+                         lambda f: train_gmm(load_features(f["feat"]), k=0)),
     "em_iters 0": ({"em_iters": 0},
-                   lambda f: train_gmm(load_features(f["feat"]).frames, k=DEFAULT_COMPONENTS,
+                   lambda f: train_gmm(load_features(f["feat"]), k=DEFAULT_COMPONENTS,
                                        iters=0)),
     "workers 0": ({"workers": 0}, lambda f: RunConfig(seed=7, workers=0)),
 }
@@ -565,6 +574,28 @@ def test_out_of_range_config_values_exit_with_their_owners_code(stage_inputs, tm
     assert reads == [] and not results.exists()
 
 
+def test_run_matrix_into_a_missing_directory_runs_nothing(stage_inputs, tmp_path, capsys,
+                                                          monkeypatch):
+    # the results CSV's directory is checked before the matrix runs, so no
+    # WAV is read, no cache directory made and no CSV written
+    reads = []
+
+    def counting_read_wav(path):
+        reads.append(str(path))
+        return read_wav(path)
+
+    monkeypatch.setattr("wavespoof.experiment.read_wav", counting_read_wav)
+    results, cache = tmp_path / "missing" / "r.csv", tmp_path / "cache"
+    capsys.readouterr()
+    assert main(["run-matrix", "--manifest", stage_inputs["manifest"], "--config",
+                 stage_inputs["config"], "--cache-dir", str(cache), "--out", str(results),
+                 "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: FileNotFoundError: ") and str(results) in err
+    assert reads == []
+    assert not cache.exists() and not results.parent.exists()
+
+
 def test_score_rejects_a_flag_its_form_does_not_read(corpus, tmp_path, capsys):
     model, cache = tmp_path / "m.gmm", tmp_path / "c.feat"
     wav = wavs(corpus, "test", "genuine")[0]
@@ -587,7 +618,7 @@ def test_score_rejects_a_flag_its_form_does_not_read(corpus, tmp_path, capsys):
                            ("all", {"train", "test"})):
         flags = [] if subset is None else ["--subset", subset]
         assert main([*score, *manifest, *flags]) == 0
-        trials = load_scores(out).trials
+        trials = load_scores(out)
         assert {t.file_id.split("/")[1] for t in trials} == wanted
         assert len(trials) == 8 * len(wanted)
 

@@ -335,7 +335,7 @@ def test_baseline_scenario_matches_hand_assembled_pipeline(corpus):
     def features_for(label):
         rows = [lfcc(read_wav(manifest.resolve(e)), config.lfcc).frames
                 for _, e in manifest.select("train", label)]
-        return np.vstack(rows)
+        return FeatureMatrix(frames=np.vstack(rows), meta=config.lfcc.fingerprint())
 
     genuine_model = train_gmm(
         features_for("genuine"), k=config.gmm_components, iters=config.em_iters,

@@ -17,8 +17,11 @@ from wavespoof import (
     load_features,
     register_extractor,
     save_features,
+    train_gmm,
 )
-from wavespoof.features import _EXTRACTORS, _framed_log_energies, _linear_filterbank
+from wavespoof.features import (
+    _EXTRACTORS, _framed_log_energies, _linear_filterbank, stack_features,
+)
 from oracles import dct2_ortho, delta_oracle, dft_power
 
 
@@ -174,6 +177,22 @@ def test_feature_matrix_validation():
     fm = FeatureMatrix(frames=np.ones((2, 3)))
     with pytest.raises(ValueError):
         fm.frames[0, 0] = 9.0
+
+
+def test_stack_features_keeps_rows_and_meta_for_training():
+    rng = np.random.default_rng(12)
+    ms = [FeatureMatrix(frames=rng.normal(size=(n, 3)), meta="lfcc-abc") for n in (4, 7, 5)]
+    stacked = stack_features(ms)
+    assert np.array_equal(stacked.frames, np.vstack([fm.frames for fm in ms]))
+    assert not stacked.frames.flags.writeable
+    assert stacked.meta == "lfcc-abc"
+    other_meta = FeatureMatrix(frames=np.ones((2, 3)), meta="lfcc-def")
+    other_width = FeatureMatrix(frames=np.ones((2, 4)), meta="lfcc-abc")
+    for odd in (other_meta, other_width):
+        with pytest.raises(ConfigError):
+            stack_features([*ms, odd])
+    model = train_gmm(stack_features(ms), k=2, iters=2, seed=0)
+    assert model.feature_fingerprint == ms[0].meta
 
 
 def test_extractor_registry():

@@ -11,6 +11,7 @@ from wavespoof import (
     ConfigError,
     GenuinizeParams,
     InputError,
+    Pmf,
     Waveform,
     cdf_from_pmf,
     estimate_pmf,
@@ -178,8 +179,9 @@ def test_perturbed_fills_notch_left_by_basic():
     params = GenuinizeParams(mode="perturbed", extra_bits=5, seed=1)
     pert_out = genuinize(src, params, (target,))
     pert_mass, _, _ = pmf_by_counting([pert_out.samples.tolist()], 16)
-    assert tv_distance(np.asarray(pert_mass), target_mass) < tv_distance(
-        np.asarray(basic_mass), target_mass
+    target_pmf = Pmf(mass=target_mass)
+    assert tv_distance(Pmf(mass=np.asarray(pert_mass)), target_pmf) < tv_distance(
+        Pmf(mass=np.asarray(basic_mass)), target_pmf
     )
 
 
@@ -291,8 +293,9 @@ def test_output_distribution_approaches_target():
     params = GenuinizeParams(mode="perturbed", extra_bits=5, seed=3)
     out = genuinize(src, params, (target,))
     out_mass = np.bincount(out.samples - 1, minlength=levels) / out.samples.size
-    assert tv_distance(out_mass, target_mass) < 0.05
-    assert tv_distance(out_mass, target_mass) < 0.2 * tv_distance(source_mass, target_mass)
+    out_pmf, target_pmf = Pmf(mass=out_mass), Pmf(mass=target_mass)
+    assert tv_distance(out_pmf, target_pmf) < 0.05
+    assert tv_distance(out_pmf, target_pmf) < 0.2 * tv_distance(Pmf(mass=source_mass), target_pmf)
 
 
 def _grid_source(kind, rng):

@@ -7,7 +7,6 @@ from wavespoof import (
     FormatError,
     GmmModel,
     InputError,
-    ScoreSet,
     Trial,
     compute_eer,
     eer_from_scores,
@@ -54,7 +53,7 @@ def test_loglik_matches_loop_oracle():
     want = gmm_loglik_oracle(
         rows.tolist(), model.weights.tolist(), model.means.tolist(), model.variances.tolist()
     )
-    assert gmm_loglik(model, rows) == pytest.approx(want, abs=1e-9)
+    assert gmm_loglik(model, FeatureMatrix(frames=rows)) == pytest.approx(want, abs=1e-9)
 
 
 def _check_estep(rows, model):
@@ -105,7 +104,7 @@ def test_negligible_densities_are_exact_zeros_and_no_density_is_subnormal():
     want = gmm_loglik_oracle(
         rows.tolist(), model.weights.tolist(), model.means.tolist(), model.variances.tolist()
     )
-    assert gmm_loglik(model, rows) == pytest.approx(want, abs=1e-9)
+    assert gmm_loglik(model, FeatureMatrix(frames=rows)) == pytest.approx(want, abs=1e-9)
     _check_estep(rows, model)
     assert _accumulate(rows, model.weights, model.means, model.variances)[0][2] == 0.0
     for _, _, dens, _, _ in _block_logliks(rows, *model.kernel):
@@ -146,7 +145,7 @@ def test_seeding_picks_the_centers_of_exact_distances():
 def test_loglik_width_mismatch():
     model = _random_model(np.random.default_rng(0), 2, 3)
     with pytest.raises(InputError):
-        gmm_loglik(model, np.ones((5, 4)))
+        gmm_loglik(model, FeatureMatrix(frames=np.ones((5, 4))))
 
 
 def test_loglik_checks_the_recorded_fingerprint():
@@ -155,7 +154,7 @@ def test_loglik_checks_the_recorded_fingerprint():
     model = GmmModel(weights=base.weights, means=base.means, variances=base.variances,
                      feature_fingerprint="lfcc-aaa")
     rows = rng.normal(size=(5, 3))
-    value = gmm_loglik(model, rows)  # raw rows carry no fingerprint
+    value = gmm_loglik(base, FeatureMatrix(frames=rows))
     assert gmm_loglik(model, FeatureMatrix(frames=rows, meta="lfcc-aaa")) == value
     for meta in ("lfcc-bbb", ""):
         with pytest.raises(ConfigError):
@@ -169,7 +168,7 @@ def test_loglik_checks_the_recorded_fingerprint():
 def test_train_single_component_closed_form():
     rng = np.random.default_rng(4)
     rows = rng.normal(3.0, 1.5, size=(400, 2))
-    model = train_gmm(rows, k=1, iters=3, seed=0)
+    model = train_gmm(FeatureMatrix(frames=rows), k=1, iters=3, seed=0)
     assert model.weights.tolist() == [1.0]
     assert model.means[0] == pytest.approx(rows.mean(axis=0), abs=1e-9)
     assert model.variances[0] == pytest.approx(rows.var(axis=0), rel=1e-9)
@@ -179,7 +178,7 @@ def test_train_recovers_two_separated_gaussians():
     rng = np.random.default_rng(11)
     a = rng.normal(-4.0, 0.5, size=(500, 2))
     b = rng.normal(4.0, 0.5, size=(500, 2))
-    model = train_gmm(np.vstack([a, b]), k=2, iters=20, seed=1)
+    model = train_gmm(FeatureMatrix(frames=np.vstack([a, b])), k=2, iters=20, seed=1)
     got = sorted(model.means[:, 0].tolist())
     assert got[0] == pytest.approx(-4.0, abs=0.1)
     assert got[1] == pytest.approx(4.0, abs=0.1)
@@ -190,7 +189,7 @@ def test_training_trace_is_monotone():
     rng = np.random.default_rng(30)
     for trial in range(5):
         rows = rng.normal(size=(200, 3)) * rng.random(3)
-        model = train_gmm(rows, k=4, iters=8, seed=trial)
+        model = train_gmm(FeatureMatrix(frames=rows), k=4, iters=8, seed=trial)
         trace = model.loglik_trace
         assert trace.size >= 2
         slack = 1e-6 * np.abs(trace[:-1])
@@ -198,14 +197,14 @@ def test_training_trace_is_monotone():
 
 
 def test_training_on_degenerate_data_stays_valid():
-    rows = np.full((60, 2), 1.25)
+    rows = FeatureMatrix(frames=np.full((60, 2), 1.25))
     model = train_gmm(rows, k=2, iters=4, seed=0)
     assert model.weights.sum() == pytest.approx(1.0, abs=1e-12)
     assert model.variances.min() > 0.0
 
 
 def test_train_validation():
-    rows = np.ones((5, 2))
+    rows = FeatureMatrix(frames=np.ones((5, 2)))
     with pytest.raises(InputError):
         train_gmm(rows, k=0)
     with pytest.raises(InputError):
@@ -216,7 +215,7 @@ def test_train_validation():
 
 def test_training_is_seed_deterministic():
     rng = np.random.default_rng(9)
-    rows = rng.normal(size=(300, 4))
+    rows = FeatureMatrix(frames=rng.normal(size=(300, 4)))
     a = train_gmm(rows, k=3, iters=5, seed=42)
     b = train_gmm(rows, k=3, iters=5, seed=42)
     c = train_gmm(rows, k=3, iters=5, seed=43)
@@ -227,10 +226,12 @@ def test_training_is_seed_deterministic():
 
 def test_score_trial_sign():
     rng = np.random.default_rng(2)
-    genuine = train_gmm(rng.normal(-3.0, 1.0, size=(300, 2)), k=2, iters=5, seed=0)
-    spoof = train_gmm(rng.normal(3.0, 1.0, size=(300, 2)), k=2, iters=5, seed=0)
-    near_genuine = rng.normal(-3.0, 1.0, size=(40, 2))
-    near_spoof = rng.normal(3.0, 1.0, size=(40, 2))
+    genuine = train_gmm(FeatureMatrix(frames=rng.normal(-3.0, 1.0, size=(300, 2))), k=2, iters=5,
+                        seed=0)
+    spoof = train_gmm(FeatureMatrix(frames=rng.normal(3.0, 1.0, size=(300, 2))), k=2, iters=5,
+                      seed=0)
+    near_genuine = FeatureMatrix(frames=rng.normal(-3.0, 1.0, size=(40, 2)))
+    near_spoof = FeatureMatrix(frames=rng.normal(3.0, 1.0, size=(40, 2)))
     assert score_trial(genuine, spoof, near_genuine) > 0.0
     assert score_trial(genuine, spoof, near_spoof) < 0.0
 
@@ -286,12 +287,11 @@ def test_score_set_and_csv_round_trip(tmp_path):
         Trial(file_id="b.wav", label="spoof", score=-0.75),
         Trial(file_id="dir/c,v1.wav", label="spoof", score=0.5),
     )
-    scores = ScoreSet(trials=trials)
-    assert compute_eer(scores) == 0.0
+    assert compute_eer(trials) == 0.0
     path = tmp_path / "s.csv"
-    save_scores(path, scores)
+    save_scores(path, trials)
     back = load_scores(path)
-    assert back.trials == trials  # commas in file ids survive the round trip
+    assert back == trials  # commas in file ids survive the round trip
 
     with pytest.raises(InputError):
         Trial(file_id="x", label="bonafide", score=0.0)

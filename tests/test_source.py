@@ -251,6 +251,36 @@ def test_only_framed_cuts_frames():
     assert [module for module, _ in sliding_window_calls(sources)] == ["waveform.py"]
 
 
+def field_fallbacks(sources, fields):
+    """(module, line) of each getattr(x, "<field>", default) in sources (a
+    mapping of module name to source text) whose field is one of fields:
+    a path that takes a bare value in place of the value type."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
+                    and len(node.args) == 3 and isinstance(node.args[1], ast.Constant)
+                    and node.args[1].value in fields):
+                found.append((module, node.lineno))
+    return sorted(found)
+
+
+def test_field_fallbacks_are_detected():
+    sources = {
+        "a": 'rows = getattr(features, "frames", features)\n',
+        "b": 'meta = getattr(fm, "meta")\nkind = getattr(t, "__name__", t)\n',
+        "c": 'def f(p):\n    return getattr(p, "mass", None)\n',
+    }
+    assert field_fallbacks(sources, ("frames", "meta", "mass")) == [("a", 1), ("c", 2)]
+
+
+def test_value_types_are_the_only_inputs():
+    # features reach the GMM layer as a FeatureMatrix, masses tv_distance as
+    # a Pmf and masks estimate_pmf as a VadMask: no raw-array side door
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert field_fallbacks(sources, ("frames", "meta", "mass", "speech")) == []
+
+
 def naming_places(sources, names):
     """(module, line) of each place in sources (a mapping of module name to
     source text) that names one of names: a name, an attribute, an imported
