@@ -599,11 +599,14 @@ def run_matrix(
     EER and its error, and the run goes on. Results come back in canonical
     order; out_csv, when given, receives the CSV rendering. config.workers
     threads train and score; results do not depend on their number. An
-    out_csv whose directory does not exist is a FileNotFoundError raised
-    before any file is read or cache directory made.
+    out_csv whose directory does not exist is a FileNotFoundError, and one
+    that is a directory an IsADirectoryError, raised before any file is read
+    or cache directory made.
     """
     if out_csv is not None and not Path(out_csv).parent.is_dir():
         raise FileNotFoundError(errno.ENOENT, "no directory for the results CSV", str(out_csv))
+    if out_csv is not None and Path(out_csv).is_dir():
+        raise IsADirectoryError(errno.EISDIR, "the results CSV is a directory", str(out_csv))
     specs = enumerate_scenarios(config.features)
     results = _MatrixRunner(manifest, config, cache_dir=cache_dir).run(specs, progress)
     if out_csv is not None:

@@ -1,10 +1,11 @@
 """LFCC front end: framed power spectra through a linear triangular
-filterbank, log compression, orthonormal DCT, optional log-energy, and
-regression deltas. Extractors are looked up by id and share one contract,
-fn(waveform, cfg: LfccConfig) -> FeatureMatrix whose meta is the fingerprint.
-They all receive the run's LfccConfig, so an alternative front end (e.g. a
-constant-Q variant) takes its settings from it and the result cache digest,
-which hashes that config, covers it.
+filterbank, log compression, an orthonormal DCT-II (a product with its basis
+matrix), optional log-energy, and regression deltas. Extractors are looked
+up by id and share one contract, fn(waveform, cfg: LfccConfig) ->
+FeatureMatrix whose meta is the fingerprint. They all receive the run's
+LfccConfig, so an alternative front end (e.g. a constant-Q variant) takes its
+settings from it and the result cache digest, which hashes that config,
+covers it.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 
 import numpy as np
-import scipy.fft
 
 from .errors import (
     ConfigError, InputError, frozen_array, payload_arrays, read_headed, reading, typed_fields,
@@ -78,6 +79,17 @@ def _linear_filterbank(num_filters: int, fft_size: int, sample_rate: int) -> np.
     return np.clip(np.minimum(rising, falling), 0.0, None)
 
 
+@lru_cache(maxsize=None)
+def _dct_basis(num_filters: int, num_ceps: int) -> np.ndarray:
+    """The first num_ceps orthonormal DCT-II basis vectors as the columns of
+    a read-only (num_filters x num_ceps) matrix, shared by every thread."""
+    n = np.arange(num_filters)[:, None]
+    k = np.arange(num_ceps)[None, :]
+    basis = np.cos(np.pi * k * (2 * n + 1) / (2 * num_filters)) * math.sqrt(2.0 / num_filters)
+    basis[:, 0] = math.sqrt(1.0 / num_filters)
+    return np.broadcast_to(basis, basis.shape)  # a read-only view of it
+
+
 def _regression_delta(m: np.ndarray, window: int) -> np.ndarray:
     padded = np.pad(m, ((window, window), (0, 0)), mode="edge")
     frames = m.shape[0]
@@ -123,11 +135,11 @@ def lfcc(w: Waveform, cfg: LfccConfig = LfccConfig()) -> FeatureMatrix:
 
     Frames are Hamming-windowed, zero-padded to fft_size, and reduced to
     num_filters triangular-filterbank energies on the power spectrum; logs
-    are floored at 1e-12 before an orthonormal DCT-II. Output width is
-    (num_ceps + energy) * 3.
+    are floored at 1e-12 and multiplied by the first num_ceps columns of the
+    orthonormal DCT-II basis. Output width is (num_ceps + energy) * 3.
     """
     frames, log_energies = _framed_log_energies(w, cfg)
-    ceps = scipy.fft.dct(log_energies, type=2, norm="ortho", axis=1)[:, : cfg.num_ceps]
+    ceps = log_energies @ _dct_basis(cfg.num_filters, cfg.num_ceps)
     columns = [ceps]
     if cfg.include_energy:
         frame_energy = np.log(np.maximum((frames * frames).sum(axis=1), LOG_FLOOR))

@@ -31,9 +31,13 @@ SPOOF_GATE = 0.012
 
 
 def _ar1(innovations: np.ndarray, pole: float) -> np.ndarray:
-    from scipy.signal import lfilter  # about 1 s to import; only corpus generation needs it
-
-    return lfilter([1.0], [1.0, -pole], innovations)
+    """The first-order all-pole filter y[n] = x[n] + pole * y[n-1] from rest,
+    one float64 step per sample."""
+    out, y = [], 0.0
+    for x in innovations.tolist():
+        y = x + pole * y
+        out.append(y)
+    return np.array(out, dtype=np.float64)
 
 
 def _fade(n: int, edge: int) -> np.ndarray:

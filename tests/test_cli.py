@@ -574,10 +574,8 @@ def test_out_of_range_config_values_exit_with_their_owners_code(stage_inputs, tm
     assert reads == [] and not results.exists()
 
 
-def test_run_matrix_into_a_missing_directory_runs_nothing(stage_inputs, tmp_path, capsys,
-                                                          monkeypatch):
-    # the results CSV's directory is checked before the matrix runs, so no
-    # WAV is read, no cache directory made and no CSV written
+def _run_matrix_into(out, stage_inputs, cache, capsys, monkeypatch):
+    """Exit code, stderr and the WAVs read by a run-matrix into out."""
     reads = []
 
     def counting_read_wav(path):
@@ -585,15 +583,35 @@ def test_run_matrix_into_a_missing_directory_runs_nothing(stage_inputs, tmp_path
         return read_wav(path)
 
     monkeypatch.setattr("wavespoof.experiment.read_wav", counting_read_wav)
-    results, cache = tmp_path / "missing" / "r.csv", tmp_path / "cache"
     capsys.readouterr()
-    assert main(["run-matrix", "--manifest", stage_inputs["manifest"], "--config",
-                 stage_inputs["config"], "--cache-dir", str(cache), "--out", str(results),
-                 "--quiet"]) == 3
-    err = capsys.readouterr().err
+    code = main(["run-matrix", "--manifest", stage_inputs["manifest"], "--config",
+                 stage_inputs["config"], "--cache-dir", str(cache), "--out", str(out),
+                 "--quiet"])
+    return code, capsys.readouterr().err, reads
+
+
+def test_run_matrix_into_a_missing_directory_runs_nothing(stage_inputs, tmp_path, capsys,
+                                                          monkeypatch):
+    # the results CSV's directory is checked before the matrix runs, so no
+    # WAV is read, no cache directory made and no CSV written
+    results, cache = tmp_path / "missing" / "r.csv", tmp_path / "cache"
+    code, err, reads = _run_matrix_into(results, stage_inputs, cache, capsys, monkeypatch)
+    assert code == 3
     assert err.startswith("error: FileNotFoundError: ") and str(results) in err
     assert reads == []
     assert not cache.exists() and not results.parent.exists()
+
+
+def test_run_matrix_into_a_directory_runs_nothing(stage_inputs, tmp_path, capsys, monkeypatch):
+    # a results CSV path that names a directory used to fail only after the
+    # whole matrix had run, with the IsADirectoryError of the final write
+    results, cache = tmp_path / "results", tmp_path / "cache"
+    results.mkdir()
+    code, err, reads = _run_matrix_into(results, stage_inputs, cache, capsys, monkeypatch)
+    assert code == 3
+    assert err.startswith("error: IsADirectoryError: ") and str(results) in err
+    assert reads == []
+    assert not cache.exists() and list(results.iterdir()) == []
 
 
 def test_score_rejects_a_flag_its_form_does_not_read(corpus, tmp_path, capsys):
@@ -663,8 +681,43 @@ def test_parser_defaults_come_from_their_owners(corpus, tmp_path):
     assert wavespoof.experiment.LABELS is LABELS  # one definition, in gmm
 
 
-def test_cli_import_leaves_scipy_signal_unloaded():
+def _run_probe(probe, *args):
     src = Path(wavespoof.__file__).resolve().parents[1]
-    probe = "import sys, wavespoof.cli; sys.exit('scipy.signal' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    assert subprocess.run([sys.executable, "-c", probe], env=env, timeout=120).returncode == 0
+    done = subprocess.run([sys.executable, "-c", probe, *args], env=env, timeout=300,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_cli_corpus_and_features_load_no_scipy(tmp_path):
+    probe = """if True:
+        import sys
+        import wavespoof.cli
+        from wavespoof import lfcc, make_toy_corpus, read_wav
+        manifest = make_toy_corpus(sys.argv[1], files_per_class=2)
+        wav = manifest.parent / manifest.read_text().splitlines()[1].split(",")[0]
+        assert lfcc(read_wav(wav)).frames.size
+        print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+    """
+    assert _run_probe(probe, str(tmp_path / "corpus")).strip() == "[]"
+
+
+def test_matrix_runs_where_scipy_cannot_be_imported(tmp_path):
+    # a meta-path finder that refuses scipy stands in for an environment
+    # holding the runtime dependencies only
+    probe = """if True:
+        import sys
+
+        class NoScipy:
+            def find_spec(self, name, path=None, target=None):
+                if name == "scipy" or name.startswith("scipy."):
+                    raise ImportError(f"{name} is blocked")
+
+        sys.meta_path.insert(0, NoScipy())
+        from wavespoof import load_run_setup, make_toy_corpus, run_matrix
+        manifest = make_toy_corpus(sys.argv[1], files_per_class=2)
+        rows = run_matrix(*load_run_setup(manifest, manifest.parent / "config.json"))
+        print(len(rows), sum(row.error is not None for row in rows))
+    """
+    assert _run_probe(probe, str(tmp_path / "corpus")).split() == ["45", "0"]

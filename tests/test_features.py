@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from wavespoof import (
     ConfigError,
@@ -20,7 +21,7 @@ from wavespoof import (
     train_gmm,
 )
 from wavespoof.features import (
-    _EXTRACTORS, _framed_log_energies, _linear_filterbank, stack_features,
+    _EXTRACTORS, _dct_basis, _framed_log_energies, _linear_filterbank, stack_features,
 )
 from oracles import dct2_ortho, delta_oracle, dft_power
 
@@ -90,6 +91,16 @@ def test_dct_is_orthonormal_on_log_energies():
     assert np.linalg.norm(ceps, axis=1) == pytest.approx(
         np.linalg.norm(logs, axis=1), abs=1e-9
     )
+
+
+@pytest.mark.parametrize("num_filters, num_ceps", [(20, 19), (20, 20), (8, 3), (1, 1)])
+def test_dct_basis_matches_scipy_dct(num_filters, num_ceps):
+    logs = np.log(np.random.default_rng(num_filters).uniform(1e-12, 1e3, size=(50, num_filters)))
+    want = scipy.fft.dct(logs, type=2, norm="ortho", axis=1)[:, :num_ceps]
+    basis = _dct_basis(num_filters, num_ceps)
+    assert np.abs(logs @ basis - want).max() <= 1e-12
+    # one matrix per shape, read-only, so threads share it
+    assert _dct_basis(num_filters, num_ceps) is basis and not basis.flags.writeable
 
 
 def test_append_deltas_matches_loop_oracle():

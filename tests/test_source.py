@@ -430,3 +430,28 @@ def test_argparse_range_rules_are_detected():
 def test_the_command_line_keeps_no_range_rule():
     # a flag value reaches its owner as a plain number, which checks it
     assert argparse_range_rules((PACKAGE / "cli.py").read_text(encoding="utf-8")) == []
+
+
+def imported_modules(source: str):
+    """(line, top-level package) of every import in source, relative ones aside."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name.split(".")[0]) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.append((node.lineno, node.module.split(".")[0]))
+    return sorted(found)
+
+
+def test_imported_modules_are_detected():
+    source = ("import numpy as np\nfrom .errors import x\nimport scipy.signal\n"
+              "def f():\n    from scipy.fft import dct\n")
+    assert imported_modules(source) == [(1, "numpy"), (3, "scipy"), (5, "scipy")]
+
+
+def test_the_package_imports_no_scipy():
+    # scipy is a test oracle only; the runtime needs numpy alone
+    found = {path.name: lines for path in sorted(PACKAGE.glob("*.py"))
+             if (lines := [line for line, name in imported_modules(path.read_text(encoding="utf-8"))
+                           if name == "scipy"])}
+    assert found == {}
