@@ -11,7 +11,6 @@ stderr:
     4  malformed file format (a payload of the wrong size included)
     5  invalid input data
     6  invalid configuration
-    7  resource limit exceeded
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from pathlib import Path
 
 from .errors import ConfigError, ToolError, reading
 from .experiment import (
-    SUBSETS, DatasetManifest, RunConfig, _parse_selector, load_run_setup, run_matrix,
+    SUBSETS, DatasetManifest, RunConfig, load_run_setup, parse_selector, run_matrix,
 )
 from .features import LfccConfig, get_extractor, load_features, save_features, stack_features
 from .genuinize import DEFAULT_EXTRA_BITS, MODES, GenuinizeParams, genuinize, reference_pool
@@ -81,8 +80,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("estimate-pmf", help="estimate an amplitude PMF from WAV files")
     sub.add_argument("--out", required=True, help="output path (.csv or binary)")
     sub.add_argument("--keep", choices=KEEPS, default="all")
-    sub.add_argument("--alpha", type=float, default=DEFAULT_ALPHA,
-                     help="VAD energy threshold factor")
+    sub.add_argument("--alpha", type=float,
+                     help="VAD energy threshold factor, read by --keep speech and nonspeech "
+                          f"(default {DEFAULT_ALPHA})")
     sub.add_argument("inputs", nargs="+", help="WAV files")
 
     sub = commands.add_parser("genuinize", help="quantile-match WAV amplitudes to a target PMF")
@@ -166,18 +166,20 @@ def parse_args(argv=None) -> argparse.Namespace:
 # -- subcommand bodies ------------------------------------------------------
 
 
-def _read_masked(paths, keep: str, alpha: float):
-    waveforms = [read_wav(p) for p in paths]
-    if keep == "all":
-        return waveforms, None
-    cfg = VadConfig(alpha=alpha)
-    return waveforms, [energy_vad(w, cfg) for w in waveforms]
+def _refuse_unread(form: str, flags) -> None:
+    """ConfigError for the first (flag, value, read) given a value form does not read."""
+    for flag, value, read in flags:
+        if value is not None and not read:
+            raise ConfigError(f"{form} does not read {flag}")
 
 
 def _cmd_estimate_pmf(args) -> int:
-    waveforms, masks = _read_masked(args.inputs, args.keep, args.alpha)
-    pmf = estimate_pmf(waveforms, masks=masks, keep=args.keep)
-    save_pmf(args.out, pmf)
+    _refuse_unread(f"estimate-pmf --keep {args.keep}",
+                   (("--alpha", args.alpha, args.keep != "all"),))
+    cfg = VadConfig() if args.alpha is None else VadConfig(alpha=args.alpha)
+    waveforms = [read_wav(p) for p in args.inputs]
+    masks = None if args.keep == "all" else [energy_vad(w, cfg) for w in waveforms]
+    save_pmf(args.out, estimate_pmf(waveforms, masks=masks, keep=args.keep))
     return 0
 
 
@@ -205,13 +207,6 @@ def _mirror_path(manifest: DatasetManifest, entry, out_dir: str, suffix: str) ->
                           "so it has no place under --out-dir")
     rel = path.relative_to(manifest.root)
     return Path(out_dir) / rel.parent / (rel.name.removesuffix(".wav") + suffix)
-
-
-def _refuse_unread(form: str, flags) -> None:
-    """ConfigError for the first (flag, value, read) given a value form does not read."""
-    for flag, value, read in flags:
-        if value is not None and not read:
-            raise ConfigError(f"{form} does not read {flag}")
 
 
 def _cmd_genuinize(args) -> int:
@@ -242,7 +237,7 @@ def _cmd_genuinize(args) -> int:
     jobs = [(ordinal, entry, _mirror_path(manifest, entry, args.out_dir, suffix))
             for ordinal, entry in manifest.select(args.subset, args.label)]
     selector = RunConfig.cm_pmf_source if args.pool_selector is None else args.pool_selector
-    pool = manifest.select(*_parse_selector(selector)) if args.mode == "random" else ()
+    pool = manifest.select(*parse_selector(selector)) if args.mode == "random" else ()
     references = _references(args, [manifest.resolve(entry) for _, entry in pool],
                              f"manifest rows matching --pool-selector {selector}")
     for ordinal, entry, dest in jobs:
@@ -253,9 +248,8 @@ def _cmd_genuinize(args) -> int:
 
 
 def _cmd_vad(args) -> int:
-    w = read_wav(args.input)
-    mask = energy_vad(w, VadConfig(alpha=args.alpha))
-    text = format_runs(mask)
+    cfg = VadConfig(alpha=args.alpha)
+    text = format_runs(energy_vad(read_wav(args.input), cfg))
     if args.out:
         Path(args.out).write_text(text, encoding="ascii")
     else:

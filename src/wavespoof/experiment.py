@@ -62,7 +62,7 @@ import numpy as np
 
 from .errors import ConfigError, InputError, ToolError, reading, text_rows, typed_fields
 from .features import FeatureMatrix, LfccConfig, get_extractor, stack_features
-from .genuinize import _SEED_MASK, DEFAULT_EXTRA_BITS, GenuinizeParams, genuinize, reference_pool
+from .genuinize import DEFAULT_EXTRA_BITS, SEED_MASK, GenuinizeParams, genuinize, reference_pool
 from .gmm import (
     DEFAULT_COMPONENTS, DEFAULT_ITERS, LABELS, GmmModel, check_budget, eer_from_scores,
     gmm_loglik, train_gmm,
@@ -99,7 +99,7 @@ class SeedRole(IntEnum):
 
 def role_seed(run_seed: int, role: int) -> int:
     """Deterministic 64-bit sub-seed for one randomness consumer."""
-    ss = np.random.SeedSequence(entropy=(run_seed & _SEED_MASK, int(role)))
+    ss = np.random.SeedSequence(entropy=(run_seed & SEED_MASK, int(role)))
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -116,7 +116,7 @@ class ManifestEntry:
             raise ConfigError(f"subset must be one of {SUBSETS}; got {self.subset!r}")
 
 
-def _parse_selector(selector) -> tuple:
+def parse_selector(selector) -> tuple:
     """(subset, label) of a `subset:label` selector."""
     parts = tuple(selector.split(":")) if isinstance(selector, str) else ()
     if len(parts) != 2 or parts[0] not in SUBSETS or parts[1] not in LABELS:
@@ -184,14 +184,16 @@ class RunConfig:
             raise ConfigError(f"features must not repeat; got {self.features}")
         if not isinstance(self.lfcc, LfccConfig):
             raise ConfigError(f"lfcc must be an LfccConfig; got {self.lfcc!r}")
-        # the owners' range rules, checked before any file is read
+        # the owners' rules, checked before any file is read
+        for feature in self.features:
+            get_extractor(feature)
         check_budget(self.gmm_components, self.em_iters)
         GenuinizeParams(mode="perturbed", extra_bits=self.extra_bits)
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
         # each side's (subset, label) of reference files, parsed once here
-        object.__setattr__(self, "attacker_source", _parse_selector(self.attacker_pmf_source))
-        object.__setattr__(self, "cm_source", _parse_selector(self.cm_pmf_source))
+        object.__setattr__(self, "attacker_source", parse_selector(self.attacker_pmf_source))
+        object.__setattr__(self, "cm_source", parse_selector(self.cm_pmf_source))
 
 
 @dataclass(frozen=True)
@@ -538,10 +540,7 @@ class _MatrixRunner:
     def _result_path(self, spec: ScenarioSpec) -> Path | None:
         if self.cache_dir is None:
             return None
-        try:
-            extractor = get_extractor(spec.feature)
-        except ConfigError:
-            return None  # its rows fail, and a failed row is not stored
+        extractor = get_extractor(spec.feature)
         code = f"{extractor.__module__}.{extractor.__qualname__}"
         name = hashlib.sha256(f"{self._digest}|{spec.key()}|{code}".encode()).hexdigest()
         return self.cache_dir / "results" / f"{name}.json"

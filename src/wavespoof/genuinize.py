@@ -41,23 +41,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError, InputError, typed, typed_fields
+from .errors import ConfigError, InputError, typed, typed_fields
 from .pmf import MAX_EXTENDED_LEVELS, Cdf, cdf_from_pmf, estimate_pmf, sub_level_values
-from .waveform import Waveform
+from .waveform import NUM_LEVELS, Waveform
 
 MODES = ("basic", "perturbed", "random")
 # d, the dither sub-level bits of the paper's countermeasure setting.
 DEFAULT_EXTRA_BITS = 5
-
-_SEED_MASK = (1 << 64) - 1
+# The largest d (10) at which the dense reference extend_cdf, the one the
+# kernel is tested against, can be built on the 16-bit grid.
+MAX_EXTRA_BITS = (MAX_EXTENDED_LEVELS // NUM_LEVELS).bit_length() - 1
+# Seeds enter a SeedSequence or generator as their low 64 bits.
+SEED_MASK = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
 class GenuinizeParams:
     """Mode, dither resolution (extra bits d), and RNG seed.
 
-    mode="basic" ignores extra_bits; the seed fully determines every random
-    draw made by the perturbed and random variants.
+    extra_bits lies in 0..MAX_EXTRA_BITS in every mode, though mode="basic"
+    ignores it; the seed fully determines every random draw made by the
+    perturbed and random variants.
     """
 
     mode: str
@@ -68,8 +72,8 @@ class GenuinizeParams:
         typed_fields(self, InputError)
         if self.mode not in MODES:
             raise InputError(f"mode must be one of {MODES}; got {self.mode!r}")
-        if self.extra_bits < 0:
-            raise InputError("extra_bits must be non-negative")
+        if not 0 <= self.extra_bits <= MAX_EXTRA_BITS:
+            raise InputError(f"extra_bits must lie in 0..{MAX_EXTRA_BITS}; got {self.extra_bits}")
 
 
 def _file_ordinal(ordinal) -> int:
@@ -83,7 +87,7 @@ def _file_ordinal(ordinal) -> int:
 def file_streams(seed: int, ordinal: int):
     """Per-file RNG streams (dither, reference choice); see module docstring."""
     ordinal = _file_ordinal(ordinal)
-    root = np.random.SeedSequence(entropy=(seed & _SEED_MASK, ordinal))
+    root = np.random.SeedSequence(entropy=(seed & SEED_MASK, ordinal))
     dither_ss, choice_ss = root.spawn(2)
     return np.random.default_rng(dither_ss), np.random.default_rng(choice_ss)
 
@@ -118,16 +122,11 @@ def _match(src: Waveform, target: Cdf, d: int, dither_rng) -> Waveform:
     takes the upper bracket as it is; the others are resolved by a binary
     search inside their bracket. Both searches run over target.values, one
     entry per run, and one gather through target.starts turns each count of
-    runs into q. Memory is O(N + occupied levels), of source and target.
+    runs into q. Memory is O(N + occupied levels), of source and target,
+    at every d: no dense extended CDF is built, so the kernel has no cap.
     """
-    levels = target.num_levels
-    if int(src.samples.max()) > levels:
+    if int(src.samples.max()) > target.num_levels:
         raise InputError("source sample index exceeds the target grid")
-    if d and (levels << d) > MAX_EXTENDED_LEVELS:
-        raise CapacityError(
-            f"extended source CDF would need {levels << d} levels; "
-            f"cap is {MAX_EXTENDED_LEVELS}"
-        )
     sub = 1 << d
     total = src.samples.size
     counts = np.bincount(src.samples)
@@ -194,9 +193,9 @@ def genuinize(src: Waveform, params: GenuinizeParams, references, ordinal: int =
     """Genuinize one file in params.mode against a reference set (a sequence
     of Cdfs): basic and perturbed take exactly one CDF, random draws one per
     (seed, ordinal). Every mode takes the same ordinals, basic too, though it
-    draws nothing. The per-mode steps are looked up by name at each call, so
-    a wrapper set over genuinize_perturbed or genuinize_random sees every
-    file of its mode."""
+    draws nothing; no d that GenuinizeParams accepts fails here. The per-mode
+    steps are looked up by name at each call, so a wrapper set over
+    genuinize_perturbed or genuinize_random sees every file of its mode."""
     _file_ordinal(ordinal)
     if params.mode == "random":
         return genuinize_random(src, references, params, ordinal)

@@ -14,7 +14,7 @@ from .errors import (
     text_rows, write_headed,
 )
 from .features import FeatureMatrix
-from .genuinize import _SEED_MASK
+from .genuinize import SEED_MASK
 
 log = logging.getLogger(__name__)
 
@@ -214,7 +214,7 @@ def train_gmm(
     check_budget(k, iters)
     if n < k:
         raise InputError(f"{n} rows cannot support {k} components")
-    rng = np.random.default_rng(seed & _SEED_MASK)
+    rng = np.random.default_rng(seed & SEED_MASK)
     global_variance = rows.var(axis=0)
     floor = np.maximum(VARIANCE_FLOOR_FRACTION * global_variance, 1e-12)
     means = _kmeans_pp_init(rows, k, rng)

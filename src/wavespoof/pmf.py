@@ -20,7 +20,8 @@ from .errors import (
 from .waveform import NUM_LEVELS
 
 PROB_TOL = 1e-9
-# Cap on len(cum) for extended CDFs; 2**16 base levels with d=10 extra bits.
+# Cap on the levels of a dense extended CDF (extend_cdf): 2**16 base levels
+# at d=10 extra bits, the genuinize.MAX_EXTRA_BITS derived from it.
 MAX_EXTENDED_LEVELS = 1 << 26
 
 _GPMF_MAGIC = b"GPMF"

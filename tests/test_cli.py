@@ -17,6 +17,7 @@ from wavespoof import (
     RunConfig,
     ToolError,
     cdf_from_pmf,
+    get_extractor,
     load_features,
     load_gmm,
     load_pmf,
@@ -358,6 +359,14 @@ def test_exit_codes_and_error_format(corpus, tmp_path, capsys):
         assert "error: ConfigError:" in capsys.readouterr().err
     assert not (tmp_path / "o.wav").exists() and not (tmp_path / "ignored").exists()
 
+    # 6: --alpha, which only --keep speech and nonspeech read
+    capsys.readouterr()
+    assert main(["estimate-pmf", "--keep", "all", "--alpha", "0.5", "--out",
+                 str(tmp_path / "p.csv"), wav]) == 6
+    err = capsys.readouterr().err
+    assert err == "error: ConfigError: estimate-pmf --keep all does not read --alpha\n"
+    assert not (tmp_path / "p.csv").exists()
+
     # 6: wrong-typed run config value
     bad_config = tmp_path / "bad.json"
     bad_config.write_text('{"gmm_components": "x"}')
@@ -495,6 +504,9 @@ _OUT_OF_RANGE = {
                    lambda f: LfccConfig(fft_size=3)),
     "d-bits -1": (_single_file_genuinize("perturbed", "--d-bits", "-1"),
                   lambda f: GenuinizeParams(mode="perturbed", extra_bits=-1)),
+    **{f"d-bits 11 {mode}": (_single_file_genuinize(mode, "--d-bits", "11"),
+                             lambda f, mode=mode: GenuinizeParams(mode=mode, extra_bits=11))
+       for mode in ("perturbed", "basic")},
     **{f"ordinal -1 {mode}": (_single_file_genuinize(mode, "--ordinal", "-1"),
                               _genuinize_ordinal(mode)) for mode in MODES},
     "components 0": (["train-gmm", "--components", "0", "--out", "{out}", "{feat}"],
@@ -517,18 +529,30 @@ _OUT_OF_RANGE = {
 
 
 @pytest.mark.parametrize("case", list(_OUT_OF_RANGE))
-def test_out_of_range_flags_exit_with_their_owners_code(stage_inputs, tmp_path, capsys, case):
+def test_out_of_range_flags_exit_with_their_owners_code(stage_inputs, tmp_path, capsys,
+                                                       monkeypatch, case):
     # the flag parses as a plain number; its owner alone checks the range,
-    # so the command line and a Python caller get one error, and nothing is made
+    # so the command line and a Python caller get one error, and nothing is
+    # made; a setting is checked before any WAV is read, but the ordinal,
+    # which genuinize checks as it treats the file
     argv, owner = _OUT_OF_RANGE[case]
     files = {**stage_inputs, "out": str(tmp_path / "out")}
     with pytest.raises(ToolError) as raised:
         owner(files)
     assert raised.value.exit_code == (6 if case == "workers 0" else 5)
+    reads = []
+
+    def counting_read_wav(path):
+        reads.append(str(path))
+        return read_wav(path)
+
+    for module in ("cli", "experiment"):
+        monkeypatch.setattr(f"wavespoof.{module}.read_wav", counting_read_wav)
     capsys.readouterr()
     assert main([arg.format(**files) for arg in argv]) == raised.value.exit_code
     assert capsys.readouterr().err == f"error: {type(raised.value).__name__}: {raised.value}\n"
     assert not (tmp_path / "out").exists()
+    assert reads == [] or case.startswith("ordinal")
 
 
 # case: (run config settings, owner) where owner(files) passes the same value
@@ -537,6 +561,9 @@ _CONFIG_OUT_OF_RANGE = {
     "lfcc num_ceps 30": ({"lfcc": {"num_ceps": 30}}, lambda f: LfccConfig(num_ceps=30)),
     "extra_bits -1": ({"extra_bits": -1},
                       lambda f: GenuinizeParams(mode="perturbed", extra_bits=-1)),
+    "extra_bits 11": ({"extra_bits": 11},
+                      lambda f: GenuinizeParams(mode="perturbed", extra_bits=11)),
+    "features cqcc": ({"features": ["cqcc"]}, lambda f: get_extractor("cqcc")),
     "gmm_components 0": ({"gmm_components": 0},
                          lambda f: train_gmm(load_features(f["feat"]), k=0)),
     "em_iters 0": ({"em_iters": 0},
@@ -555,7 +582,7 @@ def test_out_of_range_config_values_exit_with_their_owners_code(stage_inputs, tm
     settings, owner = _CONFIG_OUT_OF_RANGE[case]
     with pytest.raises(ToolError) as raised:
         owner(stage_inputs)
-    assert raised.value.exit_code == (6 if case == "workers 0" else 5)
+    assert raised.value.exit_code == (6 if case in ("workers 0", "features cqcc") else 5)
     config, results = tmp_path / "config.json", tmp_path / "results.csv"
     config.write_text(json.dumps({"seed": 7, **settings}))
     reads = []
@@ -660,7 +687,13 @@ def test_parser_defaults_come_from_their_owners(corpus, tmp_path):
     assert len(written["default"]) == 4
     assert written["default"] == written["train"] != written["test"]
     assert parse_args(["vad", "in.wav"]).alpha == DEFAULT_ALPHA
-    assert parse_args(["estimate-pmf", "--out", "p", "in.wav"]).alpha == DEFAULT_ALPHA
+    # without --alpha, --keep speech masks at VadConfig's DEFAULT_ALPHA
+    speech = ["estimate-pmf", "--keep", "speech", *wavs(corpus, "train", "genuine")]
+    for name, flags in (("default", []), ("given", ["--alpha", str(DEFAULT_ALPHA)]),
+                        ("other", ["--alpha", "0.5"])):
+        assert main([*speech, "--out", str(tmp_path / f"{name}.csv"), *flags]) == 0
+    pmfs = {name: (tmp_path / f"{name}.csv").read_bytes() for name in ("default", "given", "other")}
+    assert pmfs["default"] == pmfs["given"] != pmfs["other"]
     # choices that name the matrix vocabulary are its constants themselves
     subcommands = next(a for a in build_parser()._actions if a.dest == "command").choices
     choices = {

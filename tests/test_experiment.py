@@ -190,7 +190,8 @@ def test_load_run_setup_validation(tmp_path):
     _, rc = load_run_setup(manifest_csv, config)
     assert rc.seed == 2 and rc.extra_bits == 4 and rc.features == ("lfcc",)
     config.write_text(json.dumps({"seed": 2, "features": "wav"}))
-    assert load_run_setup(manifest_csv, config)[1].features == ("wav",)
+    with pytest.raises(ConfigError, match="^unknown feature extractor 'wav'"):
+        load_run_setup(manifest_csv, config)
 
     # frame sizes take any JSON number
     config.write_text(json.dumps({"seed": 2, "lfcc": {"frame_len_ms": 25, "frame_hop_ms": 12.5}}))
@@ -231,6 +232,7 @@ def test_load_run_setup_validation(tmp_path):
         {"seed": 1, "lfcc": {"fft_size": 300}},
         {"seed": 1, "lfcc": {"num_ceps": 30}},
         {"seed": 1, "extra_bits": -1},
+        {"seed": 1, "extra_bits": 11},
         {"seed": 1, "gmm_components": 0},
         {"seed": 1, "em_iters": 0},
     ):
@@ -242,7 +244,8 @@ def test_load_run_setup_validation(tmp_path):
 def test_run_config_validation():
     # one extractor id is a one-item list of features, never its characters
     assert RunConfig(seed=1, features="lfcc").features == ("lfcc",)
-    assert RunConfig(seed=1, features="wav").features == ("wav",)
+    with pytest.raises(ConfigError, match="^unknown feature extractor 'wav'"):
+        RunConfig(seed=1, features="wav")
     assert RunConfig(seed=1, features=["lfcc"]).features == ("lfcc",)
     with pytest.raises(ConfigError):
         RunConfig(seed=0, features=())
@@ -253,8 +256,9 @@ def test_run_config_validation():
         RunConfig(seed=0, gmm_components=0)
     with pytest.raises(ConfigError):
         RunConfig(seed=0, workers=0)
-    with pytest.raises(InputError, match="^extra_bits must be non-negative$"):
-        RunConfig(seed=0, extra_bits=-1)
+    for bits in (-1, 11):
+        with pytest.raises(InputError, match=rf"^extra_bits must lie in 0\.\.10; got {bits}$"):
+            RunConfig(seed=0, extra_bits=bits)
     for selector in (5, "train:bogus", "test:genuine:x"):
         for name in ("attacker_pmf_source", "cm_pmf_source"):
             with pytest.raises(ConfigError):
@@ -786,14 +790,23 @@ def test_memo_builds_each_key_once_under_thread_contention(corpus):
 
 
 def test_matrix_failures_are_reported_not_cached(corpus, tmp_path):
-    import dataclasses
-
+    # an unknown extractor id is the run config's ConfigError, so the rows
+    # fail through a registered extractor that fails on every file
     _, _, manifest, config = corpus
-    broken = dataclasses.replace(config, features=("no-such-extractor",))
-    cache = tmp_path / "cache"
-    out_csv = tmp_path / "broken.csv"
-    results = run_matrix(manifest, broken, cache_dir=cache, out_csv=out_csv)
+
+    def broken_extractor(w, cfg):
+        raise InputError("this extractor fails on every file")
+
+    register_extractor("broken", broken_extractor)
+    try:
+        broken = dataclasses.replace(config, features=("broken",))
+        cache = tmp_path / "cache"
+        out_csv = tmp_path / "broken.csv"
+        results = run_matrix(manifest, broken, cache_dir=cache, out_csv=out_csv)
+    finally:
+        del _EXTRACTORS["broken"]
     assert len(results) == 45
+    assert {r.error for r in results} == {"InputError: this extractor fails on every file"}
     assert all(r.error is not None and r.eer is None for r in results)
     assert list((cache / "results").glob("*.json")) == []
     for line in out_csv.read_text().splitlines()[1:]:

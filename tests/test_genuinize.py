@@ -21,6 +21,7 @@ from wavespoof import (
     reference_pool,
     tv_distance,
 )
+from wavespoof.genuinize import MAX_EXTRA_BITS, MODES
 from wavespoof.pmf import load_pmf_csv
 from oracles import basic_genuinize_oracle, extended_value_oracle, match_one, pmf_by_counting
 
@@ -236,8 +237,17 @@ def test_mode_and_pool_validation():
                 genuinize(src, GenuinizeParams(mode=mode), references)
     with pytest.raises(InputError):
         GenuinizeParams(mode="fancy")
-    with pytest.raises(InputError):
-        GenuinizeParams(mode="perturbed", extra_bits=-1)
+    # d's range is GenuinizeParams's in every mode: the kernel, which builds
+    # no dense extended CDF, has no cap of its own to reach
+    assert MAX_EXTRA_BITS == 10
+    for mode in MODES:
+        for bits in (-1, MAX_EXTRA_BITS + 1):
+            with pytest.raises(InputError, match=rf"^extra_bits must lie in 0\.\.10; got {bits}$"):
+                GenuinizeParams(mode=mode, extra_bits=bits)
+    full = _wave(np.arange(1, 1 << 16, 7))
+    target = cdf_from_pmf(estimate_pmf([full]))
+    params = GenuinizeParams(mode="perturbed", extra_bits=MAX_EXTRA_BITS)
+    assert genuinize(full, params, (target,)).samples.size == full.samples.size
 
 
 def test_params_check_their_field_types():
@@ -398,7 +408,7 @@ def test_compact_target_matches_dense_search_on_its_traps(tmp_path):
     for name, target in traps.items():
         for trial in range(3):
             src = _wave(rng.integers(1, 9, size=int(rng.integers(1, 200))))
-            for d in (0, 2, 5):
+            for d in (0, 2, 5, MAX_EXTRA_BITS):
                 params = GenuinizeParams(mode="perturbed", extra_bits=d, seed=trial)
                 out = genuinize(src, params, (target,), trial)
                 assert np.array_equal(out.samples, _full_grid_lookup(src, target, d, trial, trial)), (

@@ -455,3 +455,37 @@ def test_the_package_imports_no_scipy():
              if (lines := [line for line, name in imported_modules(path.read_text(encoding="utf-8"))
                            if name == "scipy"])}
     assert found == {}
+
+
+def private_imports(sources):
+    """(module, line, name) of each _-prefixed name, dunders aside, that a
+    module of sources (a mapping of module name to source text) imports from
+    another module of the package: `from .x import _name`, or the same from
+    wavespoof.x."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "wavespoof"):
+                found += [(module, node.lineno, alias.name) for alias in node.names
+                          if alias.name.startswith("_") and not alias.name.endswith("__")]
+    return sorted(found)
+
+
+def test_private_imports_are_detected():
+    sources = {
+        "a": "from .genuinize import _SEED_MASK, MODES\nfrom . import _helpers\n",
+        "b": "from numpy import _core\nfrom .errors import ToolError\nfrom . import __version__\n",
+        "c": ("def f():\n    from wavespoof.experiment import _MatrixRunner as runner\n"
+              "    return runner\n"),
+        "d": "from __future__ import annotations\nimport wavespoof._private\n",
+    }
+    assert private_imports(sources) == [
+        ("a", 1, "_SEED_MASK"), ("a", 2, "_helpers"), ("c", 2, "_MatrixRunner"),
+    ]
+
+
+def test_modules_import_no_private_names():
+    # a rule that another module uses has a public name at its owner
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert private_imports(sources) == []
