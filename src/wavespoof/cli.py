@@ -25,7 +25,8 @@ from .experiment import (
     SUBSETS, DatasetManifest, RunConfig, load_run_setup, parse_selector, run_matrix,
 )
 from .features import LfccConfig, get_extractor, load_features, save_features, stack_features
-from .genuinize import DEFAULT_EXTRA_BITS, MODES, GenuinizeParams, genuinize, reference_pool
+from .genuinize import (DEFAULT_EXTRA_BITS, MODES, GenuinizeParams, check_ordinal, genuinize,
+                        reference_pool)
 from .gmm import (
     DEFAULT_COMPONENTS,
     DEFAULT_ITERS,
@@ -211,6 +212,7 @@ def _mirror_path(manifest: DatasetManifest, entry, out_dir: str, suffix: str) ->
 
 def _cmd_genuinize(args) -> int:
     params = GenuinizeParams(mode=args.mode, extra_bits=args.d_bits, seed=args.seed)
+    ordinal = check_ordinal(args.ordinal or 0)
     batch = args.manifest is not None
     _refuse_unread(f"{'batch' if batch else 'single-file'} genuinize --mode {args.mode}", (
         ("--pool", args.pool, args.mode == "random" and not batch),
@@ -226,7 +228,7 @@ def _cmd_genuinize(args) -> int:
             raise ConfigError("single-file genuinize takes exactly: input.wav output.wav")
         references = _references(args, args.pool)
         write_wav(args.paths[1],
-                  genuinize(read_wav(args.paths[0]), params, references, args.ordinal or 0))
+                  genuinize(read_wav(args.paths[0]), params, references, ordinal))
         return 0
     if args.out_dir is None:
         raise ConfigError("batch genuinize requires --out-dir")

@@ -1,12 +1,12 @@
 """Exception types shared across the toolkit, mapped to CLI exit codes; the
 one owner of reading a stored file (reading names the file in each fault,
 text_rows reads headed text, write_headed/read_headed are the one codec of a
-`MAGIC f1 … fn` line heading a binary payload, payload_arrays the one rule
-for a payload of the wrong size); checked_array, the one check of an array
-argument: non-empty, of the declared dimension, converted without changing a
-value, finite when float; frozen_array, which every value type stores its
-arrays through, read-only, after that check; and typed, the one type rule
-of a number or flag argument, which typed_fields applies to a config's fields."""
+`MAGIC f1 … fn` line of whitespace-free ASCII fields heading a <f8 payload,
+payload_arrays the one rule for a payload of the wrong size); checked_array,
+the one check of an array argument: non-empty, of the declared dimension,
+converted without changing a value, finite when float; frozen_array, the
+read-only store of every value type's checked arrays; and typed, the one
+type rule of a number or flag argument, applied to fields by typed_fields."""
 
 import dataclasses
 import math
@@ -87,14 +87,17 @@ def text_rows(path, header: str, encoding: str, error: type, parse) -> list:
     return rows
 
 
-def write_headed(path, magic: str, fields, dtype, *arrays) -> None:
+def write_headed(path, magic: str, fields, *arrays) -> None:
     """Write the ASCII line `magic f1 … fn` (an empty field as `-`), then each
-    array's values as dtype, row-major."""
-    header = " ".join([magic, *(str(value) or "-" for value in fields)])
+    array's values as <f8, row-major. A non-ASCII or whitespace field is an InputError."""
+    texts = [str(value) or "-" for value in fields]
+    for text in texts:
+        if text.split() != [text] or not text.isascii():
+            raise InputError(f"{magic} header field {text!r} must be ASCII without whitespace")
     with open(path, "wb") as fh:
-        fh.write(f"{header}\n".encode("ascii"))
+        fh.write(" ".join([magic, *texts]).encode("ascii") + b"\n")
         for array in arrays:
-            fh.write(np.asarray(array).astype(dtype).tobytes())
+            fh.write(np.asarray(array).astype("<f8").tobytes())
 
 
 def read_headed(path, magic: str, kinds) -> tuple:

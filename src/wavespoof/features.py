@@ -25,7 +25,7 @@ from .errors import (
 from .waveform import Waveform, framed, index_to_amp
 
 LOG_FLOOR = 1e-12
-_CACHE_MAGIC = "FEAT1"
+_CACHE_MAGIC = "FEAT2"
 
 
 @dataclass(frozen=True)
@@ -181,13 +181,13 @@ def stack_features(matrices) -> FeatureMatrix:
 
 
 def save_features(path, fm: FeatureMatrix) -> None:
-    """Cache format: the header `FEAT1 <meta> <frames> <coeffs>`, then
-    row-major LE float32 data."""
-    write_headed(path, _CACHE_MAGIC, (fm.meta, *fm.frames.shape), "<f4", fm.frames)
+    """Cache format: the header `FEAT2 <meta> <frames> <coeffs>`, then the
+    float64 frames as row-major <f8, so a loaded matrix equals fm exactly."""
+    write_headed(path, _CACHE_MAGIC, (fm.meta, *fm.frames.shape), fm.frames)
 
 
 def load_features(path) -> FeatureMatrix:
     with reading(path):
         (meta, frames, coeffs), payload = read_headed(path, _CACHE_MAGIC, (str, int, int))
-        (data,) = payload_arrays(payload, "<f4", (frames, coeffs))
+        (data,) = payload_arrays(payload, "<f8", (frames, coeffs))
         return FeatureMatrix(frames=data, meta=meta)

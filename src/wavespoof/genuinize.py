@@ -76,8 +76,8 @@ class GenuinizeParams:
             raise InputError(f"extra_bits must lie in 0..{MAX_EXTRA_BITS}; got {self.extra_bits}")
 
 
-def _file_ordinal(ordinal) -> int:
-    """ordinal as an int, else InputError: it must be a non-negative integer."""
+def check_ordinal(ordinal) -> int:
+    """ordinal as an int; InputError unless it is a non-negative integer."""
     ordinal = typed(ordinal, "int", "file ordinal")
     if ordinal < 0:
         raise InputError(f"file ordinal must be non-negative; got {ordinal}")
@@ -86,7 +86,7 @@ def _file_ordinal(ordinal) -> int:
 
 def file_streams(seed: int, ordinal: int):
     """Per-file RNG streams (dither, reference choice); see module docstring."""
-    ordinal = _file_ordinal(ordinal)
+    ordinal = check_ordinal(ordinal)
     root = np.random.SeedSequence(entropy=(seed & SEED_MASK, ordinal))
     dither_ss, choice_ss = root.spawn(2)
     return np.random.default_rng(dither_ss), np.random.default_rng(choice_ss)
@@ -196,7 +196,7 @@ def genuinize(src: Waveform, params: GenuinizeParams, references, ordinal: int =
     draws nothing; no d that GenuinizeParams accepts fails here. The per-mode
     steps are looked up by name at each call, so a wrapper set over
     genuinize_perturbed or genuinize_random sees every file of its mode."""
-    _file_ordinal(ordinal)
+    check_ordinal(ordinal)
     if params.mode == "random":
         return genuinize_random(src, references, params, ordinal)
     if len(references) != 1:

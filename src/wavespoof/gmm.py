@@ -350,7 +350,7 @@ def save_gmm(path, model: GmmModel) -> None:
     weights, means, and variances as little-endian doubles."""
     fields = (model.num_components, model.num_features, model.provenance,
               model.feature_fingerprint)
-    write_headed(path, _MODEL_MAGIC, fields, "<f8", model.weights, model.means, model.variances)
+    write_headed(path, _MODEL_MAGIC, fields, model.weights, model.means, model.variances)
 
 
 def load_gmm(path) -> GmmModel:

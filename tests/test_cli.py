@@ -12,6 +12,7 @@ import pytest
 
 import wavespoof
 from wavespoof import (
+    FeatureMatrix,
     GenuinizeParams,
     LfccConfig,
     RunConfig,
@@ -25,10 +26,12 @@ from wavespoof import (
     load_scores,
     make_toy_corpus,
     read_wav,
+    register_extractor,
     train_gmm,
 )
 from wavespoof.cli import _lfcc_config, build_parser, main, parse_args
 from wavespoof.experiment import SUBSETS
+from wavespoof.features import _EXTRACTORS
 from wavespoof.genuinize import DEFAULT_EXTRA_BITS, MODES, genuinize, reference_pool
 from wavespoof.gmm import DEFAULT_COMPONENTS, DEFAULT_ITERS, LABELS, PROVENANCES
 from wavespoof.pmf import KEEPS
@@ -185,6 +188,23 @@ def test_feature_model_score_eer_chain(corpus, tmp_path, capsys):
     line = capsys.readouterr().out.strip()
     assert line.startswith("EER=")
     assert 0.0 <= float(line[4:]) <= 100.0
+
+
+def test_a_meta_that_cannot_be_read_back_is_refused_before_writing(corpus, tmp_path, capsys):
+    # a header field holding whitespace would split into two on reading, so
+    # the feature file is not made
+    register_extractor("spaced", lambda w, cfg: FeatureMatrix(frames=np.ones((2, 3)),
+                                                             meta="my feat"))
+    try:
+        out = tmp_path / "f.feat"
+        capsys.readouterr()
+        assert main(["extract-features", "--feature", "spaced", "--out", str(out),
+                     wavs(corpus, "train", "genuine")[0]]) == 5
+        assert capsys.readouterr().err == ("error: InputError: FEAT2 header field 'my feat' "
+                                           "must be ASCII without whitespace\n")
+        assert not out.exists()
+    finally:
+        del _EXTRACTORS["spaced"]
 
 
 def test_score_bare_wavs_need_label(corpus, tmp_path):
@@ -533,8 +553,7 @@ def test_out_of_range_flags_exit_with_their_owners_code(stage_inputs, tmp_path, 
                                                        monkeypatch, case):
     # the flag parses as a plain number; its owner alone checks the range,
     # so the command line and a Python caller get one error, and nothing is
-    # made; a setting is checked before any WAV is read, but the ordinal,
-    # which genuinize checks as it treats the file
+    # made; a setting is checked before any WAV is read
     argv, owner = _OUT_OF_RANGE[case]
     files = {**stage_inputs, "out": str(tmp_path / "out")}
     with pytest.raises(ToolError) as raised:
@@ -552,7 +571,7 @@ def test_out_of_range_flags_exit_with_their_owners_code(stage_inputs, tmp_path, 
     assert main([arg.format(**files) for arg in argv]) == raised.value.exit_code
     assert capsys.readouterr().err == f"error: {type(raised.value).__name__}: {raised.value}\n"
     assert not (tmp_path / "out").exists()
-    assert reads == [] or case.startswith("ordinal")
+    assert reads == []
 
 
 # case: (run config settings, owner) where owner(files) passes the same value

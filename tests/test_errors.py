@@ -33,7 +33,7 @@ from oracles import pcm16_wav_bytes
 WAV = pcm16_wav_bytes([0, 1, 2, 3, 4, 5, 6, 7], 8000)  # 44-byte header, 16 data bytes
 
 
-def _feat1_bytes(tmp_path):
+def _feat2_bytes(tmp_path):
     save_features(tmp_path / "good.feat", FeatureMatrix(frames=np.ones((3, 4)), meta="m"))
     return (tmp_path / "good.feat").read_bytes()
 
@@ -50,13 +50,13 @@ def _gpmf_bytes(tmp_path):
     return (tmp_path / "good.gpmf").read_bytes()
 
 
-SIGNALING_NAN = struct.pack("<I", 0x7FA00000)
+SIGNALING_NAN = struct.pack("<Q", 0x7FF4000000000000)
 
 
 def _fault_table(tmp_path):
     """(case, file name, bytes, loader, error type, message after `path: `)."""
-    feat1, gmm1, gpmf = _feat1_bytes(tmp_path), _gmm1_bytes(tmp_path), _gpmf_bytes(tmp_path)
-    feat1_payload = len(feat1) - 48
+    feat2, gmm1, gpmf = _feat2_bytes(tmp_path), _gmm1_bytes(tmp_path), _gpmf_bytes(tmp_path)
+    feat2_payload = len(feat2) - 96
     return [
         ("empty WAV", "a.wav", b"", read_wav, FormatError, "not a readable"),
         ("7-byte WAV", "a.wav", WAV[:7], read_wav, FormatError, "not a readable"),
@@ -66,11 +66,13 @@ def _fault_table(tmp_path):
         ("WAV data truncated", "a.wav", WAV[:-6], read_wav, FormatError, "payload of 10 bytes"),
         ("WAV sample rate 0", "a.wav", WAV[:24] + bytes(4) + WAV[28:], read_wav, InputError,
          "sample rate must be positive"),
-        ("FEAT1 NaN payload", "a.feat", feat1[:feat1_payload] + SIGNALING_NAN + feat1[feat1_payload + 4:],
+        ("FEAT2 NaN payload", "a.feat", feat2[:feat2_payload] + SIGNALING_NAN + feat2[feat2_payload + 8:],
          load_features, InputError, "FeatureMatrix.frames holds a non-finite value"),
-        ("FEAT1 short payload", "a.feat", feat1[:-4], load_features, FormatError, "payload of 44"),
-        ("FEAT1 negative size", "a.feat", b"FEAT1 m -3 -4\n" + bytes(48), load_features,
-         FormatError, "bad FEAT1 header"),
+        ("FEAT2 short payload", "a.feat", feat2[:-8], load_features, FormatError, "payload of 88"),
+        ("FEAT2 negative size", "a.feat", b"FEAT2 m -3 -4\n" + bytes(96), load_features,
+         FormatError, "bad FEAT2 header"),
+        ("FEAT1 file", "a.feat", b"FEAT1 m 3 4\n" + np.ones(12, "<f4").tobytes(), load_features,
+         FormatError, "bad FEAT2 header 'FEAT1 m 3 4'"),
         ("GMM1 short payload", "a.gmm", gmm1[:-8], load_gmm, FormatError, "payload of"),
         ("GMM1 provenance typo", "a.gmm", gmm1.replace(b" O ", b" X ", 1), load_gmm, InputError,
          "provenance must be one of"),
@@ -139,19 +141,24 @@ def test_reading_prefixes_a_tool_error_once_and_keeps_its_type():
 
 def test_headed_codec_round_trip_and_faults(tmp_path):
     path = tmp_path / "h.bin"
-    write_headed(path, "TEST1", ("", 2, "x"), "<f4", np.arange(2.0), np.ones((1, 3)))
-    assert path.read_bytes() == b"TEST1 - 2 x\n" + np.array([0, 1, 1, 1, 1], "<f4").tobytes()
+    write_headed(path, "TEST1", ("", 2, "x"), np.arange(2.0), np.ones((1, 3)))
+    assert path.read_bytes() == b"TEST1 - 2 x\n" + np.array([0, 1, 1, 1, 1], "<f8").tobytes()
     (meta, n, tag), payload = read_headed(path, "TEST1", (str, int, str))
     assert (meta, n, tag) == ("", 2, "x")
-    first, second = payload_arrays(payload, "<f4", (n,), (1, 3))
+    first, second = payload_arrays(payload, "<f8", (n,), (1, 3))
     assert first.tolist() == [0.0, 1.0] and second.tolist() == [[1.0, 1.0, 1.0]]
     for header in (b"TEST2 - 2 x", b"TEST1 - 2", b"TEST1 - +2 x", b"TEST1 - -2 x", b"TEST1 - 2 x y"):
         path.write_bytes(header + b"\n" + payload)
         with pytest.raises(FormatError):
             read_headed(path, "TEST1", (str, int, str))
-    for size in (len(payload) - 1, len(payload) + 4):
+    for size in (len(payload) - 1, len(payload) + 8):
         with pytest.raises(FormatError):
-            payload_arrays(bytes(size), "<f4", (n,), (1, 3))
+            payload_arrays(bytes(size), "<f8", (n,), (1, 3))
+    # a field read_headed could not split back is refused before the file is made
+    for field in ("my feat", " x", "x\n", "\u00e9"):
+        with pytest.raises(InputError, match="must be ASCII without whitespace"):
+            write_headed(tmp_path / "w.bin", "TEST1", (field,), np.ones(1))
+    assert not (tmp_path / "w.bin").exists()
 
 
 def test_typed_fields_apply_one_rule_to_numbers_and_flags():

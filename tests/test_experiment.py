@@ -30,6 +30,7 @@ from wavespoof import (
     enumerate_scenarios,
     lfcc,
     load_run_setup,
+    load_scores,
     make_toy_corpus,
     read_manifest_csv,
     read_wav,
@@ -37,7 +38,6 @@ from wavespoof import (
     results_to_csv,
     role_seed,
     run_matrix,
-    run_scenario,
     score_trial,
     train_gmm,
     validate_manifest,
@@ -330,36 +330,45 @@ def test_validate_manifest(tmp_path, corpus):
         manifest.select("test", "human")
 
 
-def test_baseline_scenario_matches_hand_assembled_pipeline(corpus):
-    _, _, manifest, config = corpus
+def test_baseline_scenario_matches_hand_assembled_pipeline(corpus, tmp_path, capsys):
+    # the OO aN cN row assembled from the stage commands, with the run's LFCC
+    # settings, GMM budget and model role seeds: feature files hold the
+    # float64 rows the runner trains on, so every trial's score is the
+    # runner's log-likelihood ratio bit for bit, not just close to it
+    _, manifest_path, manifest, config = corpus
     spec = ScenarioSpec(h_train="O", s_train="O", attacker_action="N", cm_action="N",
                         feature="lfcc")
-    result = run_scenario(manifest, spec, config)
-
-    def features_for(label):
-        rows = [lfcc(read_wav(manifest.resolve(e)), config.lfcc).frames
-                for _, e in manifest.select("train", label)]
-        return FeatureMatrix(frames=np.vstack(rows), meta=config.lfcc.fingerprint())
-
-    genuine_model = train_gmm(
-        features_for("genuine"), k=config.gmm_components, iters=config.em_iters,
-        seed=role_seed(config.seed, SeedRole.MODEL_GENUINE),
-    )
-    spoof_model = train_gmm(
-        features_for("spoof"), k=config.gmm_components, iters=config.em_iters,
-        seed=role_seed(config.seed, SeedRole.MODEL_SPOOF),
-    )
-    genuine_scores = [
-        score_trial(genuine_model, spoof_model, lfcc(read_wav(manifest.resolve(e)), config.lfcc))
-        for _, e in manifest.select("test", "genuine")
-    ]
-    spoof_scores = [
-        score_trial(genuine_model, spoof_model, lfcc(read_wav(manifest.resolve(e)), config.lfcc))
-        for _, e in manifest.select("test", "spoof")
-    ]
-    assert result.eer == eer_from_scores(genuine_scores, spoof_scores)
-    assert result.genuine_trials == len(genuine_scores)
-    assert result.spoof_trials == len(spoof_scores)
+    runner = _MatrixRunner(manifest, config)
+    (result,) = runner.run([spec])
+    assert config.lfcc == LfccConfig(fft_size=256)
+    lfcc_flags = ["--fft-size", "256"]
+    models = {}
+    for label, role in (("genuine", SeedRole.MODEL_GENUINE), ("spoof", SeedRole.MODEL_SPOOF)):
+        caches = []
+        for index, entry in manifest.select("train", label):
+            caches.append(str(tmp_path / f"{index}.feat"))
+            assert main(["extract-features", *lfcc_flags, "--out", caches[-1],
+                         str(manifest.resolve(entry))]) == 0
+        models[label] = str(tmp_path / f"{label}.gmm")
+        assert main(["train-gmm", "--components", str(config.gmm_components),
+                     "--iters", str(config.em_iters), "--seed", str(role_seed(config.seed, role)),
+                     "--out", models[label], *caches]) == 0
+    scores = tmp_path / "scores.csv"
+    assert main(["score", *lfcc_flags, "--genuine-model", models["genuine"],
+                 "--spoof-model", models["spoof"], "--out", str(scores),
+                 "--manifest", str(manifest_path)]) == 0
+    capsys.readouterr()
+    assert main(["eer", str(scores)]) == 0
+    assert capsys.readouterr().out == f"EER={result.eer:.6f}\n"
+    trials = load_scores(scores)
+    assert result.genuine_trials == sum(t.label == "genuine" for t in trials)
+    assert result.spoof_trials == sum(t.label == "spoof" for t in trials)
+    want = []
+    for index, entry in manifest.select("test"):
+        table = runner.score_file(index, [(key, ()) for key in spec.models()])
+        (genuine, _), (spoof, _) = (table[(key, ())] for key in spec.models())
+        want.append((entry.path, entry.label, genuine - spoof))
+    assert [(t.file_id, t.label, t.score) for t in trials] == want
 
 
 def test_every_extractor_gets_the_run_config_and_models_record_its_meta(corpus):

@@ -225,15 +225,15 @@ def test_cache_round_trip(tmp_path):
     save_features(path, fm)
     back = load_features(path)
     assert back.meta == "lfcc-abc123"
-    # payload is float32 on disk; values round-trip at that precision
-    assert np.array_equal(back.frames, fm.frames.astype("<f4").astype(np.float64))
+    # the payload is float64 on disk, so every value round-trips exactly
+    assert np.array_equal(back.frames, fm.frames)
 
 
 def test_cache_empty_meta_uses_dash(tmp_path):
     fm = FeatureMatrix(frames=np.ones((2, 2)))
     path = tmp_path / "f.bin"
     save_features(path, fm)
-    assert path.read_bytes().startswith(b"FEAT1 - 2 2\n")
+    assert path.read_bytes().startswith(b"FEAT2 - 2 2\n")
     assert load_features(path).meta == ""
 
 
