@@ -79,7 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     sub = commands.add_parser("estimate-pmf", help="estimate an amplitude PMF from WAV files")
-    sub.add_argument("--out", required=True, help="output path (.csv or binary)")
+    sub.add_argument("--out", required=True,
+                     help="output path: CSV when it ends in .csv, else GPMF2 binary")
     sub.add_argument("--keep", choices=KEEPS, default="all")
     sub.add_argument("--alpha", type=float,
                      help="VAD energy threshold factor, read by --keep speech and nonspeech "

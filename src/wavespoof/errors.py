@@ -2,7 +2,8 @@
 one owner of reading a stored file (reading names the file in each fault,
 text_rows reads headed text, write_headed/read_headed are the one codec of a
 `MAGIC f1 … fn` line of whitespace-free ASCII fields heading a <f8 payload,
-payload_arrays the one rule for a payload of the wrong size); checked_array,
+that of GPMF2, FEAT2 and GMM1, payload_arrays the one rule for a payload of
+the wrong size); checked_array,
 the one check of an array argument: non-empty, of the declared dimension,
 converted without changing a value, finite when float; frozen_array, the
 read-only store of every value type's checked arrays; and typed, the one
@@ -89,13 +90,16 @@ def text_rows(path, header: str, encoding: str, error: type, parse) -> list:
 
 def write_headed(path, magic: str, fields, *arrays) -> None:
     """Write the ASCII line `magic f1 … fn` (an empty field as `-`), then each
-    array's values as <f8, row-major. A non-ASCII or whitespace field is an InputError."""
-    texts = [str(value) or "-" for value in fields]
-    for text in texts:
+    array's values as <f8, row-major. A field that would not read back as
+    itself (non-ASCII, holding whitespace, or `-`) is an InputError."""
+    texts = [str(value) for value in fields]
+    if "-" in texts:
+        raise InputError(f"{magic} header field '-' would read back as an empty one")
+    for text in filter(None, texts):
         if text.split() != [text] or not text.isascii():
             raise InputError(f"{magic} header field {text!r} must be ASCII without whitespace")
     with open(path, "wb") as fh:
-        fh.write(" ".join([magic, *texts]).encode("ascii") + b"\n")
+        fh.write(" ".join([magic, *(text or "-" for text in texts)]).encode("ascii") + b"\n")
         for array in arrays:
             fh.write(np.asarray(array).astype("<f8").tobytes())
 
@@ -103,15 +107,16 @@ def write_headed(path, magic: str, fields, *arrays) -> None:
 def read_headed(path, magic: str, kinds) -> tuple:
     """(fields, payload) of a file that write_headed wrote; kinds gives the
     type of each field, int (a non-negative decimal) or str (`-` reads as
-    empty). Any other header raises FormatError. Run it inside reading(path)."""
+    empty). Any other header, an empty field among them, raises FormatError
+    quoting its first 64 characters. Run it inside reading(path)."""
     with open(path, "rb") as fh:
         header = fh.readline().decode("ascii", errors="replace").strip()
         payload = fh.read()
     found, *texts = header.split(" ")
     if found != magic or len(texts) != len(kinds) or not all(
-        kind is str or text.isdigit() for kind, text in zip(kinds, texts)
+        text and (kind is str or text.isdigit()) for kind, text in zip(kinds, texts)
     ):
-        raise FormatError(f"bad {magic} header {header!r}")
+        raise FormatError(f"bad {magic} header {header[:64]!r}")
     fields = tuple(int(t) if k is int else "" if t == "-" else t for k, t in zip(kinds, texts))
     return fields, payload
 

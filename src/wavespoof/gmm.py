@@ -289,6 +289,12 @@ class Trial:
     def __post_init__(self):
         if self.label not in LABELS:
             raise InputError(f"label must be one of {LABELS}; got {self.label!r}")
+        # a scores CSV holds one stripped UTF-8 line per Trial
+        fid = self.file_id
+        if (fid != fid.strip() or "\n" in fid or "\r" in fid
+                or fid.encode("utf-8", "replace").decode("utf-8") != fid):
+            raise InputError(f"file id {fid!r} must be UTF-8 without a line break or "
+                             "leading or trailing whitespace")
         if not np.isfinite(self.score):
             raise InputError(f"score for {self.file_id!r} is not finite")
 
@@ -331,8 +337,8 @@ def compute_eer(trials: tuple) -> float:
 
 
 def save_scores(path, trials: tuple) -> None:
-    """Write the Trials in order under the header `file_id,label,score`."""
-    with open(path, "w", encoding="ascii", newline="") as fh:
+    """Write the Trials in order, as UTF-8, under the header `file_id,label,score`."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(_SCORE_HEADER + "\n")
         for t in trials:
             fh.write(f"{t.file_id},{t.label},{float(t.score)!r}\n")
@@ -341,7 +347,7 @@ def save_scores(path, trials: tuple) -> None:
 def load_scores(path) -> tuple:
     """The Trials of a scores CSV, in file order."""
     with reading(path):
-        return tuple(text_rows(path, _SCORE_HEADER, "ascii", FormatError,
+        return tuple(text_rows(path, _SCORE_HEADER, "utf-8", FormatError,
                                lambda file_id, label, score: Trial(file_id, label, float(score))))
 
 

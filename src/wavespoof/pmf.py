@@ -1,5 +1,6 @@
 """Amplitude PMFs and CDFs: estimation, refinement to finer grids, distances,
-and the on-disk formats used by the CLI.
+and the PMF file, which save_pmf and load_pmf alone write and read: a CSV,
+or GPMF2 through the headed codec of errors.write_headed/read_headed.
 
 Count-backed PMFs keep their integer histograms, so cumulative sums stay
 exact rationals until the final division. PMFs that arrive without counts
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    CapacityError, FormatError, InputError, checked_array, frozen_array, payload_arrays, reading,
-    text_rows,
+    CapacityError, FormatError, InputError, checked_array, frozen_array, payload_arrays,
+    read_headed, reading, text_rows, write_headed,
 )
 from .waveform import NUM_LEVELS
 
@@ -24,8 +25,7 @@ PROB_TOL = 1e-9
 # at d=10 extra bits, the genuinize.MAX_EXTRA_BITS derived from it.
 MAX_EXTENDED_LEVELS = 1 << 26
 
-_GPMF_MAGIC = b"GPMF"
-_GPMF_VERSION = 1
+_GPMF_MAGIC = "GPMF2"
 _CSV_HEADER = "index,probability"
 KEEPS = ("speech", "nonspeech", "all")
 
@@ -212,71 +212,39 @@ def tv_distance(a: Pmf, b: Pmf) -> float:
     return 0.5 * float(np.abs(a.mass - b.mass).sum())
 
 
-def save_pmf_csv(path, p: Pmf) -> None:
-    """Write `index,probability` rows for the non-zero bins only."""
+def save_pmf(path, p: Pmf) -> None:
+    """A path ending in .csv gets `index,probability` rows for the non-zero
+    bins only; any other the header `GPMF2 <levels>`, then the masses as <f8."""
+    if not str(path).lower().endswith(".csv"):
+        write_headed(path, _GPMF_MAGIC, (p.num_levels,), p.mass)
+        return
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write(_CSV_HEADER + "\n")
         for pos in np.flatnonzero(p.mass):
             fh.write(f"{pos + 1},{float(p.mass[pos])!r}\n")
 
 
-def load_pmf_csv(path, num_levels=NUM_LEVELS) -> Pmf:
-    mass = np.zeros(num_levels, dtype=np.float64)
-    seen = set()
-
-    def row(index_text, prob_text):
-        index, prob = int(index_text), float(prob_text)
-        if not 1 <= index <= num_levels:
-            raise FormatError(f"index {index} outside 1..{num_levels}")
-        if index in seen:
-            raise FormatError(f"index {index} repeated")
-        seen.add(index)
-        mass[index - 1] = prob
-
-    with reading(path):
-        text_rows(path, _CSV_HEADER, "ascii", FormatError, row)
-        return Pmf(mass=mass)
-
-
-def save_pmf_binary(path, p: Pmf) -> None:
-    """Binary container: magic GPMF, version byte, D byte, 2**D LE doubles."""
-    levels = p.num_levels
-    if levels & (levels - 1):
-        raise InputError("binary PMF files require a power-of-two level count")
-    bits = levels.bit_length() - 1
-    with open(path, "wb") as fh:
-        fh.write(_GPMF_MAGIC)
-        fh.write(bytes((_GPMF_VERSION, bits)))
-        fh.write(p.mass.astype("<f8").tobytes())
-
-
-def load_pmf_binary(path) -> Pmf:
+def load_pmf(path, num_levels=NUM_LEVELS) -> Pmf:
+    """The PMF that save_pmf wrote: a file that starts with `GPMF` on the
+    grid its header names, any other as a CSV over num_levels levels."""
     with reading(path):
         with open(path, "rb") as fh:
-            blob = fh.read()
-        if blob[:4] != _GPMF_MAGIC:
-            raise FormatError("missing GPMF magic")
-        if len(blob) < 6:
-            raise FormatError("truncated GPMF header")
-        version, bits = blob[4], blob[5]
-        if version != _GPMF_VERSION:
-            raise FormatError(f"unsupported GPMF version {version}")
-        (mass,) = payload_arrays(blob[6:], "<f8", (1 << bits,))
+            headed = fh.read(4) == b"GPMF"
+        if headed:
+            (levels,), payload = read_headed(path, _GPMF_MAGIC, (int,))
+            (mass,) = payload_arrays(payload, "<f8", (levels,))
+            return Pmf(mass=mass)
+        mass = np.zeros(num_levels, dtype=np.float64)
+        seen = set()
+
+        def row(index_text, prob_text):
+            index, prob = int(index_text), float(prob_text)
+            if not 1 <= index <= num_levels:
+                raise FormatError(f"index {index} outside 1..{num_levels}")
+            if index in seen:
+                raise FormatError(f"index {index} repeated")
+            seen.add(index)
+            mass[index - 1] = prob
+
+        text_rows(path, _CSV_HEADER, "ascii", FormatError, row)
         return Pmf(mass=mass)
-
-
-def save_pmf(path, p: Pmf) -> None:
-    """Write CSV when the path ends in .csv, the binary container otherwise."""
-    if str(path).lower().endswith(".csv"):
-        save_pmf_csv(path, p)
-    else:
-        save_pmf_binary(path, p)
-
-
-def load_pmf(path, num_levels=NUM_LEVELS) -> Pmf:
-    """Load either PMF format, sniffing the binary magic."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-    if magic == _GPMF_MAGIC:
-        return load_pmf_binary(path)
-    return load_pmf_csv(path, num_levels=num_levels)

@@ -74,6 +74,31 @@ def test_estimate_pmf_and_distance(corpus, tmp_path, capsys):
     assert 0.0 <= float(line[3:]) <= 1.0
 
 
+def test_csv_and_gpmf_targets_genuinize_alike(corpus, tmp_path, capsys):
+    # one PMF in either file format: no distance between them, and the same
+    # genuinized bytes in every mode that reads a target
+    train = wavs(corpus, "train", "genuine")
+    csv, gpmf = tmp_path / "t.csv", tmp_path / "t.gpmf"
+    for out in (csv, gpmf):
+        assert main(["estimate-pmf", "--out", str(out)] + train) == 0
+    assert gpmf.read_bytes().startswith(b"GPMF2 65536\n")
+    capsys.readouterr()
+    assert main(["pmf-distance", str(csv), str(gpmf)]) == 0
+    assert capsys.readouterr().out == "TV=0.000000\n"
+    src = wavs(corpus, "test", "spoof")[0]
+    for mode in ("basic", "perturbed"):
+        outs = [tmp_path / f"{mode}_{target.suffix[1:]}.wav" for target in (csv, gpmf)]
+        for target, out in zip((csv, gpmf), outs):
+            assert main(["genuinize", "--mode", mode, "--target", str(target),
+                         "--seed", "9", src, str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+    # the v1 container (magic, version byte, level-bits byte, doubles) is not read
+    v1 = tmp_path / "v1.gpmf"
+    v1.write_bytes(b"GPMF\x01\x01" + bytes(16))
+    assert main(["pmf-distance", str(v1), str(v1)]) == 4
+    assert capsys.readouterr().err.startswith(f"error: FormatError: {v1}: bad GPMF2 header")
+
+
 def test_genuinize_single_and_batch(corpus, tmp_path):
     target = tmp_path / "target.csv"
     assert main(["estimate-pmf", "--out", str(target)] + wavs(corpus, "train", "genuine")) == 0
@@ -219,6 +244,35 @@ def test_score_bare_wavs_need_label(corpus, tmp_path):
     assert main(["score", "--fft-size", "256", "--label", "genuine",
                  "--genuine-model", str(target), "--spoof-model", str(target),
                  "--out", str(tmp_path / "s.csv"), wav]) == 0
+
+
+def test_every_scores_csv_that_score_writes_eer_reads(corpus, tmp_path, capsys, monkeypatch):
+    # a listed WAV's file id is the path as given, here relative to tmp_path
+    monkeypatch.chdir(tmp_path)
+    model = tmp_path / "m.gmm"
+    cache = tmp_path / "c.feat"
+    wav = wavs(corpus, "train", "genuine")[0]
+    assert main(["extract-features", "--fft-size", "256", "--out", str(cache), wav]) == 0
+    assert main(["train-gmm", "--components", "1", "--iters", "1",
+                 "--out", str(model), str(cache)]) == 0
+
+    def score(name):
+        shutil.copyfile(wav, tmp_path / name)
+        out = tmp_path / "s.csv"
+        capsys.readouterr()
+        code = main(["score", "--fft-size", "256", "--label", "genuine", "--genuine-model",
+                     str(model), "--spoof-model", str(model), "--out", str(out), name])
+        return code, out, capsys.readouterr().err
+
+    code, out, _ = score("é.wav")
+    assert code == 0
+    assert [t.file_id for t in load_scores(out)] == ["é.wav"]
+    out.unlink()
+    # a file id that a CSV line could not carry back is refused before writing
+    for name in ("a\nb.wav", " lead.wav", os.fsdecode(b"\xff.wav")):
+        code, out, err = score(name)
+        assert code == 5 and not out.exists(), (name, code)
+        assert err.startswith("error: InputError: file id ")
 
 
 def test_feature_fingerprints_flow_from_caches_to_scoring(corpus, tmp_path, capsys):

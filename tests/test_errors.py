@@ -19,15 +19,16 @@ from wavespoof import (
     ToolError,
     load_features,
     load_gmm,
+    load_pmf,
     load_run_setup,
     load_scores,
     read_manifest_csv,
     read_wav,
     save_features,
     save_gmm,
+    save_pmf,
 )
 from wavespoof.errors import payload_arrays, read_headed, reading, typed, typed_fields, write_headed
-from wavespoof.pmf import load_pmf, save_pmf_binary
 from oracles import pcm16_wav_bytes
 
 WAV = pcm16_wav_bytes([0, 1, 2, 3, 4, 5, 6, 7], 8000)  # 44-byte header, 16 data bytes
@@ -46,7 +47,7 @@ def _gmm1_bytes(tmp_path):
 
 
 def _gpmf_bytes(tmp_path):
-    save_pmf_binary(tmp_path / "good.gpmf", Pmf(mass=np.full(4, 0.25)))
+    save_pmf(tmp_path / "good.gpmf", Pmf(mass=np.full(4, 0.25)))
     return (tmp_path / "good.gpmf").read_bytes()
 
 
@@ -147,18 +148,34 @@ def test_headed_codec_round_trip_and_faults(tmp_path):
     assert (meta, n, tag) == ("", 2, "x")
     first, second = payload_arrays(payload, "<f8", (n,), (1, 3))
     assert first.tolist() == [0.0, 1.0] and second.tolist() == [[1.0, 1.0, 1.0]]
-    for header in (b"TEST2 - 2 x", b"TEST1 - 2", b"TEST1 - +2 x", b"TEST1 - -2 x", b"TEST1 - 2 x y"):
+    for header in (b"TEST2 - 2 x", b"TEST1 - 2", b"TEST1 - +2 x", b"TEST1 - -2 x", b"TEST1 - 2 x y",
+                   b"TEST1  2 x"):
         path.write_bytes(header + b"\n" + payload)
         with pytest.raises(FormatError):
             read_headed(path, "TEST1", (str, int, str))
     for size in (len(payload) - 1, len(payload) + 8):
         with pytest.raises(FormatError):
             payload_arrays(bytes(size), "<f8", (n,), (1, 3))
-    # a field read_headed could not split back is refused before the file is made
+    # a field read_headed could not read back as itself is refused before the file is made
     for field in ("my feat", " x", "x\n", "\u00e9"):
         with pytest.raises(InputError, match="must be ASCII without whitespace"):
             write_headed(tmp_path / "w.bin", "TEST1", (field,), np.ones(1))
     assert not (tmp_path / "w.bin").exists()
+    # `-` stands for an empty field, so a field that is `-` would read back empty
+    with pytest.raises(InputError, match="^TEST1 header field '-' would read back as an empty one$"):
+        write_headed(tmp_path / "w.bin", "TEST1", ("x", "-"), np.ones(1))
+    assert not (tmp_path / "w.bin").exists()
+    with pytest.raises(InputError):
+        save_features(tmp_path / "dash.feat", FeatureMatrix(frames=np.ones((2, 3)), meta="-"))
+    assert not (tmp_path / "dash.feat").exists()
+
+
+def test_a_bad_header_is_quoted_briefly(tmp_path):
+    path = tmp_path / "h.bin"
+    path.write_bytes(b"RIFF" + bytes(800_000))  # a binary file with no line break
+    with pytest.raises(FormatError) as err:
+        read_headed(path, "FEAT2", (str, int, int))
+    assert str(err.value) == f"bad FEAT2 header {'RIFF' + chr(0) * 60!r}"
 
 
 def test_typed_fields_apply_one_rule_to_numbers_and_flags():

@@ -18,11 +18,11 @@ from wavespoof import (
     extend_cdf,
     file_streams,
     genuinize,
+    load_pmf,
     reference_pool,
     tv_distance,
 )
 from wavespoof.genuinize import MAX_EXTRA_BITS, MODES
-from wavespoof.pmf import load_pmf_csv
 from oracles import basic_genuinize_oracle, extended_value_oracle, match_one, pmf_by_counting
 
 
@@ -386,7 +386,7 @@ def test_random_kernel_matches_full_grid_table_per_drawn_reference():
 def _float_only_cdf(tmp_path, rows, levels):
     path = tmp_path / "target.csv"
     path.write_text("index,probability\n" + "".join(f"{i},{p!r}\n" for i, p in rows))
-    return cdf_from_pmf(load_pmf_csv(path, num_levels=levels))
+    return cdf_from_pmf(load_pmf(path, num_levels=levels))
 
 
 def test_compact_target_matches_dense_search_on_its_traps(tmp_path):

@@ -18,7 +18,6 @@ from wavespoof import (
     save_pmf,
     tv_distance,
 )
-from wavespoof.pmf import load_pmf_binary, load_pmf_csv, save_pmf_binary, save_pmf_csv
 from oracles import cdf_by_fsum, extended_value_oracle, pmf_by_counting, tv_by_fsum
 
 
@@ -199,11 +198,11 @@ def test_pmf_csv_round_trip(tmp_path):
     mass[[0, 3, 97, 255]] = [0.125, 0.5, 0.25, 0.125]
     p = Pmf(mass=mass)
     path = tmp_path / "p.csv"
-    save_pmf_csv(path, p)
+    save_pmf(path, p)
     lines = path.read_text().splitlines()
     assert lines[0] == "index,probability"
     assert len(lines) == 5  # header + the four non-zero bins
-    back = load_pmf_csv(path, num_levels=256)
+    back = load_pmf(path, num_levels=256)
     assert np.array_equal(back.mass, p.mass)
     assert back.counts is None
 
@@ -212,47 +211,52 @@ def test_pmf_csv_errors(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("wrong,header\n")
     with pytest.raises(FormatError):
-        load_pmf_csv(bad, num_levels=8)
+        load_pmf(bad, num_levels=8)
     bad.write_text("index,probability\n1,0.5\nnot-a-row\n")
     with pytest.raises(FormatError):
-        load_pmf_csv(bad, num_levels=8)
+        load_pmf(bad, num_levels=8)
     bad.write_text("index,probability\n9,1.0\n")
     with pytest.raises(FormatError):
-        load_pmf_csv(bad, num_levels=8)
+        load_pmf(bad, num_levels=8)
     bad.write_text("index,probability\n3,nan\n4,1.0\n")
     with pytest.raises(InputError):
-        load_pmf_csv(bad, num_levels=8)
+        load_pmf(bad, num_levels=8)
     bad.write_text("index,probability\n1,0.5\n1,0.5\n2,0.5\n")  # 1.5 of mass
     with pytest.raises(FormatError, match=f"^{re.escape(str(bad))}: line 3: index 1 repeated$"):
-        load_pmf_csv(bad, num_levels=8)
+        load_pmf(bad, num_levels=8)
 
 
 def test_pmf_binary_round_trip(tmp_path):
     rng = np.random.default_rng(8)
     p = _random_power_of_two_pmf(rng, 64)
     path = tmp_path / "p.gpmf"
-    save_pmf_binary(path, p)
-    back = load_pmf_binary(path)
+    save_pmf(path, p)
+    back = load_pmf(path)
     assert np.array_equal(back.mass, p.mass)
 
 
 def test_pmf_binary_errors(tmp_path):
     p = _random_power_of_two_pmf(np.random.default_rng(1), 8)
     path = tmp_path / "p.gpmf"
-    save_pmf_binary(path, p)
+    save_pmf(path, p)
     blob = path.read_bytes()
     (tmp_path / "short.gpmf").write_bytes(blob[:-8])
     with pytest.raises(FormatError):
-        load_pmf_binary(tmp_path / "short.gpmf")
-    (tmp_path / "vers.gpmf").write_bytes(blob[:4] + b"\x09" + blob[5:])
-    with pytest.raises(FormatError):
-        load_pmf_binary(tmp_path / "vers.gpmf")
-    with pytest.raises(InputError):
-        save_pmf_binary(tmp_path / "odd.gpmf", Pmf(mass=np.array([0.5, 0.25, 0.25])))
+        load_pmf(tmp_path / "short.gpmf")
+    # the v1 container (magic, version byte, level-bits byte, doubles) is not read
+    v1 = tmp_path / "v1.gpmf"
+    v1.write_bytes(b"GPMF\x01\x03" + blob[len(b"GPMF2 8\n"):])
+    with pytest.raises(FormatError, match=f"^{re.escape(str(v1))}: bad GPMF2 header"):
+        load_pmf(v1)
+    # any grid round-trips, not only a power-of-two one
+    odd = Pmf(mass=np.array([0.5, 0.25, 0.25]))
+    save_pmf(tmp_path / "odd.gpmf", odd)
+    assert np.array_equal(load_pmf(tmp_path / "odd.gpmf").mass, odd.mass)
     nan = np.array([np.nan], dtype="<f8").tobytes()
-    (tmp_path / "nan.gpmf").write_bytes(blob[:6] + nan + blob[14:])
+    offset = len(b"GPMF2 8\n")
+    (tmp_path / "nan.gpmf").write_bytes(blob[:offset] + nan + blob[offset + 8:])
     with pytest.raises(InputError):
-        load_pmf_binary(tmp_path / "nan.gpmf")
+        load_pmf(tmp_path / "nan.gpmf")
 
 
 def test_save_load_dispatch(tmp_path):
@@ -262,7 +266,7 @@ def test_save_load_dispatch(tmp_path):
     save_pmf(csv_path, p)
     save_pmf(bin_path, p)
     assert csv_path.read_text().startswith("index,probability")
-    assert bin_path.read_bytes()[:4] == b"GPMF"
+    assert bin_path.read_bytes()[:8] == b"GPMF2 16"
     assert np.array_equal(load_pmf(bin_path).mass, p.mass)
     loaded = load_pmf(csv_path, num_levels=16)
     assert np.array_equal(loaded.mass, p.mass)

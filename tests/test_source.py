@@ -189,8 +189,8 @@ def test_package_exports_are_referenced():
     assert uncalled_exports(sources) == sorted(PUBLIC_ONLY)
 
 
-def setflags_calls(sources):
-    """(module, line) of each .setflags(...) call in sources, a mapping of
+def method_calls(sources, method: str):
+    """(module, line) of each .<method>(...) call in sources, a mapping of
     module name to source text."""
     found = []
     for module, source in sources.items():
@@ -198,7 +198,7 @@ def setflags_calls(sources):
             if (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "setflags"
+                and node.func.attr == method
             ):
                 found.append((module, node.lineno))
     return sorted(found)
@@ -210,13 +210,22 @@ def test_setflags_calls_are_detected():
         "b": "def f(y):\n    return y.flags.writeable\n",
         "c": "def g(arr):\n    arr.copy().setflags(write=False)\n",
     }
-    assert setflags_calls(sources) == [("a", 3), ("c", 2)]
+    assert method_calls(sources, "setflags") == [("a", 3), ("c", 2)]
 
 
 def test_only_frozen_array_freezes_arrays():
     # errors.frozen_array is the one owner of a valid, read-only array field
     sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
-    assert [module for module, _ in setflags_calls(sources)] == ["errors.py"]
+    assert [module for module, _ in method_calls(sources, "setflags")] == ["errors.py"]
+
+
+def test_only_the_two_binary_writers_serialise_arrays():
+    # errors.write_headed writes every headed payload (GPMF2, FEAT2, GMM1) and
+    # waveform.write_wav the PCM data: no format keeps a container of its own
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert [module for module, _ in method_calls(sources, "tobytes")] == [
+        "errors.py", "waveform.py"
+    ]
 
 
 def sliding_window_calls(sources):
