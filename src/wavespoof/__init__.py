@@ -8,7 +8,7 @@ GMM classifiers, EER scoring, and a seeded attacker/countermeasure scenario
 matrix runner.
 """
 
-from .errors import CapacityError, ConfigError, FormatError, InputError, ToolError
+from .errors import ConfigError, FormatError, InputError, ToolError
 from .experiment import (
     ACTIONS,
     TRAIN_COMBOS,

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .errors import ConfigError, ToolError, reading
@@ -52,7 +53,6 @@ def _add_lfcc_flags(sub) -> None:
     sub.add_argument("--feature", default="lfcc", help="feature extractor id")
     sub.add_argument("--frame-ms", type=float, default=defaults.frame_len_ms)
     sub.add_argument("--hop-ms", type=float, default=defaults.frame_hop_ms)
-    sub.add_argument("--fft-size", type=int, default=defaults.fft_size)
     sub.add_argument("--num-filters", type=int, default=defaults.num_filters)
     sub.add_argument("--num-ceps", type=int, default=defaults.num_ceps)
     sub.add_argument("--delta-window", type=int, default=defaults.delta_window)
@@ -63,7 +63,6 @@ def _lfcc_config(args) -> LfccConfig:
     return LfccConfig(
         frame_len_ms=args.frame_ms,
         frame_hop_ms=args.hop_ms,
-        fft_size=args.fft_size,
         num_filters=args.num_filters,
         num_ceps=args.num_ceps,
         include_energy=not args.no_energy,
@@ -295,16 +294,16 @@ def _cmd_score(args) -> int:
     extract = _extractor(args)
     genuine_model = load_gmm(args.genuine_model)
     spoof_model = load_gmm(args.spoof_model)
+    # each (id, label) meets Trial's rule, with a placeholder score, before any file is read
     if listed:
-        jobs = [(str(p), args.label, p) for p in args.inputs]
+        jobs = [(Trial(file_id=str(p), label=args.label, score=0.0), p) for p in args.inputs]
     else:
         manifest = DatasetManifest.from_csv(args.manifest)
         subset = args.subset or "test"
-        jobs = [(entry.path, entry.label, manifest.resolve(entry))
+        jobs = [(Trial(file_id=entry.path, label=entry.label, score=0.0), manifest.resolve(entry))
                 for _, entry in manifest.select(None if subset == "all" else subset)]
-    trials = tuple(Trial(file_id=file_id, label=label,
-                         score=score_trial(genuine_model, spoof_model, extract(path)))
-                   for file_id, label, path in jobs)
+    trials = tuple(replace(trial, score=score_trial(genuine_model, spoof_model, extract(path)))
+                   for trial, path in jobs)
     save_scores(args.out, trials)
     return 0
 

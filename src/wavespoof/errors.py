@@ -41,12 +41,6 @@ class ConfigError(ToolError):
     exit_code = 6
 
 
-class CapacityError(ToolError):
-    """A requested allocation exceeds the configured memory cap."""
-
-    exit_code = 7
-
-
 @contextmanager
 def reading(path):
     """Context of a body that reads path: a ToolError raised in it is raised

@@ -32,7 +32,6 @@ _CACHE_MAGIC = "FEAT2"
 class LfccConfig:
     frame_len_ms: float = 20.0
     frame_hop_ms: float = 10.0
-    fft_size: int = 512
     num_filters: int = 20
     num_ceps: int = 19
     include_energy: bool = True
@@ -42,8 +41,6 @@ class LfccConfig:
         typed_fields(self, InputError)
         if not all(math.isfinite(ms) and ms > 0 for ms in (self.frame_len_ms, self.frame_hop_ms)):
             raise InputError("frame sizes must be finite and positive")
-        if self.fft_size < 2 or self.fft_size & (self.fft_size - 1):
-            raise InputError("fft_size must be a power of two")
         if not 1 <= self.num_ceps <= self.num_filters:
             raise InputError("need 1 <= num_ceps <= num_filters")
         if self.delta_window < 1:
@@ -120,12 +117,11 @@ def _framed_log_energies(w: Waveform, cfg: LfccConfig):
     amp = index_to_amp(w.samples)
     frames, _ = framed(amp, w.sample_rate, cfg.frame_len_ms, cfg.frame_hop_ms)
     frame_len = frames.shape[1]
-    if frame_len > cfg.fft_size:
-        raise InputError(f"fft_size {cfg.fft_size} is smaller than the {frame_len}-sample frame")
+    fft_size = 1 << (frame_len - 1).bit_length()  # the smallest power of two >= frame_len
     windowed = frames * np.hamming(frame_len)
-    spectrum = np.fft.rfft(windowed, n=cfg.fft_size, axis=1)
+    spectrum = np.fft.rfft(windowed, n=fft_size, axis=1)
     power = spectrum.real**2 + spectrum.imag**2
-    bank = _linear_filterbank(cfg.num_filters, cfg.fft_size, w.sample_rate)
+    bank = _linear_filterbank(cfg.num_filters, fft_size, w.sample_rate)
     filterbank_energies = power @ bank.T
     return frames, np.log(np.maximum(filterbank_energies, LOG_FLOOR))
 
@@ -133,10 +129,12 @@ def _framed_log_energies(w: Waveform, cfg: LfccConfig):
 def lfcc(w: Waveform, cfg: LfccConfig = LfccConfig()) -> FeatureMatrix:
     """Extract LFCC(+energy) with deltas and delta-deltas.
 
-    Frames are Hamming-windowed, zero-padded to fft_size, and reduced to
-    num_filters triangular-filterbank energies on the power spectrum; logs
-    are floored at 1e-12 and multiplied by the first num_ceps columns of the
-    orthonormal DCT-II basis. Output width is (num_ceps + energy) * 3.
+    Frames are Hamming-windowed, zero-padded to the smallest power of two
+    not below the frame's sample count (256 points for 20 ms at 8 kHz, 512
+    at 16 kHz), and reduced to num_filters triangular-filterbank energies on
+    the power spectrum; logs are floored at 1e-12 and multiplied by the
+    first num_ceps columns of the orthonormal DCT-II basis. Output width is
+    (num_ceps + energy) * 3.
     """
     frames, log_energies = _framed_log_energies(w, cfg)
     ceps = log_energies @ _dct_basis(cfg.num_filters, cfg.num_ceps)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    CapacityError, FormatError, InputError, checked_array, frozen_array, payload_arrays,
+    FormatError, InputError, checked_array, frozen_array, payload_arrays,
     read_headed, reading, text_rows, write_headed,
 )
 from .waveform import NUM_LEVELS
@@ -181,7 +181,7 @@ def extend_cdf(p: Pmf, d: int) -> Cdf:
     Sub-level i of segment k (i in 1..2**d) takes the value
     F(k-1) + (i / 2**d) * mass[k], i.e. the mass of each segment is spread
     uniformly across its sub-levels. d=0 returns the base CDF verbatim; more
-    than MAX_EXTENDED_LEVELS levels raise CapacityError.
+    than MAX_EXTENDED_LEVELS levels raise InputError.
     """
     if d < 0:
         raise InputError("extra bits d must be non-negative")
@@ -189,7 +189,7 @@ def extend_cdf(p: Pmf, d: int) -> Cdf:
         return cdf_from_pmf(p)
     levels = p.num_levels << d
     if levels > MAX_EXTENDED_LEVELS:
-        raise CapacityError(
+        raise InputError(
             f"extended CDF would need {levels} levels; cap is {MAX_EXTENDED_LEVELS}"
         )
     base = cdf_from_pmf(p).cum

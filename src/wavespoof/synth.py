@@ -22,7 +22,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError, typed
-from .genuinize import DEFAULT_EXTRA_BITS
 from .waveform import MAX_SAMPLE_RATE, Waveform, amp_to_index, write_wav
 
 GENUINE_POLE = 0.92
@@ -112,13 +111,6 @@ def make_toy_corpus(
     manifest_path.write_text(
         "path,label,subset\n" + "\n".join(rows) + "\n", encoding="ascii"
     )
-    config = {
-        "seed": run_seed,
-        "features": ["lfcc"],
-        "gmm_components": 4,
-        "em_iters": 5,
-        "extra_bits": DEFAULT_EXTRA_BITS,
-        "lfcc": {"fft_size": 256, "num_filters": 20, "num_ceps": 19},
-    }
+    config = {"seed": run_seed, "gmm_components": 4, "em_iters": 5}
     (out_dir / "config.json").write_text(json.dumps(config, indent=2) + "\n", encoding="ascii")
     return manifest_path

@@ -1,5 +1,6 @@
 """End-to-end command-line checks, run in process via main(argv)."""
 
+import dataclasses
 import json
 import os
 import shutil
@@ -27,6 +28,7 @@ from wavespoof import (
     make_toy_corpus,
     read_wav,
     register_extractor,
+    score_trial,
     train_gmm,
 )
 from wavespoof.cli import _lfcc_config, build_parser, main, parse_args
@@ -186,7 +188,7 @@ def test_feature_model_score_eer_chain(corpus, tmp_path, capsys):
         paths = []
         for i, wav in enumerate(wavs(corpus, "train", label)):
             cache = tmp_path / f"{label}{i}.feat"
-            assert main(["extract-features", "--fft-size", "256", "--out", str(cache), wav]) == 0
+            assert main(["extract-features", "--out", str(cache), wav]) == 0
             paths.append(str(cache))
         caches[label] = paths
     mat = load_features(caches["genuine"][0])
@@ -201,8 +203,7 @@ def test_feature_model_score_eer_chain(corpus, tmp_path, capsys):
     assert load_gmm(models["genuine"]).means.shape[0] == 2
 
     scores_csv = tmp_path / "scores.csv"
-    assert main(["score", "--fft-size", "256",
-                 "--genuine-model", models["genuine"], "--spoof-model", models["spoof"],
+    assert main(["score", "--genuine-model", models["genuine"], "--spoof-model", models["spoof"],
                  "--out", str(scores_csv), "--manifest", str(corpus / "manifest.csv")]) == 0
     trials = load_scores(scores_csv)
     assert len(trials) == 8
@@ -236,12 +237,12 @@ def test_score_bare_wavs_need_label(corpus, tmp_path):
     target = tmp_path / "m.gmm"
     cache = tmp_path / "c.feat"
     wav = wavs(corpus, "train", "genuine")[0]
-    assert main(["extract-features", "--fft-size", "256", "--out", str(cache), wav]) == 0
+    assert main(["extract-features", "--out", str(cache), wav]) == 0
     assert main(["train-gmm", "--components", "1", "--iters", "1",
                  "--out", str(target), str(cache)]) == 0
     assert main(["score", "--genuine-model", str(target), "--spoof-model", str(target),
                  "--out", str(tmp_path / "s.csv"), wav]) == 6
-    assert main(["score", "--fft-size", "256", "--label", "genuine",
+    assert main(["score", "--label", "genuine",
                  "--genuine-model", str(target), "--spoof-model", str(target),
                  "--out", str(tmp_path / "s.csv"), wav]) == 0
 
@@ -252,7 +253,7 @@ def test_every_scores_csv_that_score_writes_eer_reads(corpus, tmp_path, capsys, 
     model = tmp_path / "m.gmm"
     cache = tmp_path / "c.feat"
     wav = wavs(corpus, "train", "genuine")[0]
-    assert main(["extract-features", "--fft-size", "256", "--out", str(cache), wav]) == 0
+    assert main(["extract-features", "--out", str(cache), wav]) == 0
     assert main(["train-gmm", "--components", "1", "--iters", "1",
                  "--out", str(model), str(cache)]) == 0
 
@@ -260,7 +261,7 @@ def test_every_scores_csv_that_score_writes_eer_reads(corpus, tmp_path, capsys, 
         shutil.copyfile(wav, tmp_path / name)
         out = tmp_path / "s.csv"
         capsys.readouterr()
-        code = main(["score", "--fft-size", "256", "--label", "genuine", "--genuine-model",
+        code = main(["score", "--label", "genuine", "--genuine-model",
                      str(model), "--spoof-model", str(model), "--out", str(out), name])
         return code, out, capsys.readouterr().err
 
@@ -275,12 +276,42 @@ def test_every_scores_csv_that_score_writes_eer_reads(corpus, tmp_path, capsys, 
         assert err.startswith("error: InputError: file id ")
 
 
+def test_score_checks_every_file_id_before_it_reads_or_scores_a_file(corpus, tmp_path,
+                                                                      capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    model = tmp_path / "m.gmm"
+    wav = wavs(corpus, "train", "genuine")[0]
+    assert main(["extract-features", "--out", "c.feat", wav]) == 0
+    assert main(["train-gmm", "--components", "1", "--iters", "1", "--out", str(model),
+                 "c.feat"]) == 0
+    for name in ("good.wav", " lead.wav"):
+        shutil.copyfile(wav, tmp_path / name)
+    reads, calls = [], []
+
+    def counting_read_wav(path):
+        reads.append(path)
+        return read_wav(path)
+
+    def counting_score_trial(*args):
+        calls.append(args)
+        return score_trial(*args)
+
+    monkeypatch.setattr("wavespoof.cli.read_wav", counting_read_wav)
+    monkeypatch.setattr("wavespoof.cli.score_trial", counting_score_trial)
+    capsys.readouterr()
+    assert main(["score", "--label", "genuine", "--genuine-model", str(model), "--spoof-model",
+                 str(model), "--out", "s.csv", "good.wav", "good.wav", " lead.wav"]) == 5
+    assert capsys.readouterr().err.startswith("error: InputError: file id ' lead.wav' ")
+    assert (reads, calls) == ([], [])
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_feature_fingerprints_flow_from_caches_to_scoring(corpus, tmp_path, capsys):
     wav = wavs(corpus, "train", "genuine")[0]
     caches = {}
     for name, flags in (("base", []), ("hop", ["--hop-ms", "5"]), ("narrow", ["--no-energy"])):
         caches[name] = str(tmp_path / f"{name}.feat")
-        assert main(["extract-features", "--fft-size", "256", *flags,
+        assert main(["extract-features", *flags,
                      "--out", caches[name], wav]) == 0
     train = ["train-gmm", "--components", "1", "--iters", "1"]
     model = str(tmp_path / "m.gmm")
@@ -297,9 +328,9 @@ def test_feature_fingerprints_flow_from_caches_to_scoring(corpus, tmp_path, caps
 
     score = ["score", "--label", "genuine", "--genuine-model", model, "--spoof-model", model,
              "--out", str(tmp_path / "s.csv")]
-    assert main([*score, "--fft-size", "256", wav]) == 0
+    assert main([*score, wav]) == 0
     capsys.readouterr()
-    assert main([*score, "--fft-size", "256", "--hop-ms", "5", wav]) == 6
+    assert main([*score, "--hop-ms", "5", wav]) == 6
     assert "error: ConfigError:" in capsys.readouterr().err
 
 
@@ -462,7 +493,7 @@ def test_exit_codes_and_error_format(corpus, tmp_path, capsys):
     # runs or a results CSV is written
     results = tmp_path / "never.csv"
     for lfcc_options in ('{"num_ceps": 19.0}', '{"include_energy": "no"}',
-                         '{"fft_size": 300}', '{"num_ceps": 30}'):
+                         '{"delta_window": 0}', '{"num_ceps": 30}'):
         bad_config.write_text('{"lfcc": %s}' % lfcc_options)
         capsys.readouterr()
         assert main(["run-matrix", "--manifest", str(corpus / "manifest.csv"),
@@ -545,8 +576,7 @@ def stage_inputs(corpus, tmp_path_factory):
     root = tmp_path_factory.mktemp("stage")
     wav = wavs(corpus, "train", "genuine")[0]
     assert main(["estimate-pmf", "--out", str(root / "target.csv"), wav]) == 0
-    assert main(["extract-features", "--fft-size", "256", "--out", str(root / "in.feat"),
-                 wav]) == 0
+    assert main(["extract-features", "--out", str(root / "in.feat"), wav]) == 0
     return {"wav": wav, "target": str(root / "target.csv"), "feat": str(root / "in.feat"),
             "manifest": str(corpus / "manifest.csv"), "config": str(corpus / "config.json")}
 
@@ -572,10 +602,8 @@ _OUT_OF_RANGE = {
                    lambda f: LfccConfig(num_ceps=0)),
     "num-ceps 25": (["extract-features", "--num-ceps", "25", "--out", "{out}", "{wav}"],
                     lambda f: LfccConfig(num_ceps=25)),
-    "fft-size 0": (["extract-features", "--fft-size", "0", "--out", "{out}", "{wav}"],
-                   lambda f: LfccConfig(fft_size=0)),
-    "fft-size 3": (["extract-features", "--fft-size", "3", "--out", "{out}", "{wav}"],
-                   lambda f: LfccConfig(fft_size=3)),
+    "delta-window 0": (["extract-features", "--delta-window", "0", "--out", "{out}", "{wav}"],
+                       lambda f: LfccConfig(delta_window=0)),
     "d-bits -1": (_single_file_genuinize("perturbed", "--d-bits", "-1"),
                   lambda f: GenuinizeParams(mode="perturbed", extra_bits=-1)),
     **{f"d-bits 11 {mode}": (_single_file_genuinize(mode, "--d-bits", "11"),
@@ -717,11 +745,11 @@ def test_run_matrix_into_a_directory_runs_nothing(stage_inputs, tmp_path, capsys
 def test_score_rejects_a_flag_its_form_does_not_read(corpus, tmp_path, capsys):
     model, cache = tmp_path / "m.gmm", tmp_path / "c.feat"
     wav = wavs(corpus, "test", "genuine")[0]
-    assert main(["extract-features", "--fft-size", "256", "--out", str(cache), wav]) == 0
+    assert main(["extract-features", "--out", str(cache), wav]) == 0
     assert main(["train-gmm", "--components", "1", "--iters", "1",
                  "--out", str(model), str(cache)]) == 0
     out = tmp_path / "s.csv"
-    score = ["score", "--fft-size", "256", "--genuine-model", str(model),
+    score = ["score", "--genuine-model", str(model),
              "--spoof-model", str(model), "--out", str(out)]
     manifest = ["--manifest", str(corpus / "manifest.csv")]
     for flags, unread in ((["--label", "spoof", *manifest], "--label"),
@@ -785,6 +813,34 @@ def test_parser_defaults_come_from_their_owners(corpus, tmp_path):
     assert choices["estimate-pmf", "keep"] is KEEPS
     assert choices["train-gmm", "provenance"] is PROVENANCES
     assert wavespoof.experiment.LABELS is LABELS  # one definition, in gmm
+
+
+# one flag per LfccConfig field: field -> (its flag's arguments, the value they give)
+_LFCC_FLAGS = {
+    "frame_len_ms": (["--frame-ms", "25"], 25.0),
+    "frame_hop_ms": (["--hop-ms", "5"], 5.0),
+    "num_filters": (["--num-filters", "24"], 24),
+    "num_ceps": (["--num-ceps", "13"], 13),
+    "include_energy": (["--no-energy"], False),
+    "delta_window": (["--delta-window", "3"], 3),
+}
+
+
+def test_each_lfcc_flag_sets_its_field_and_no_other():
+    assert set(_LFCC_FLAGS) == {f.name for f in dataclasses.fields(LfccConfig)}
+    lfcc_flags = {flag[0] for flag, _ in _LFCC_FLAGS.values()}
+    subcommands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    forms = {"extract-features": (["--out", "f", "in.wav"], {"--out"}),
+             "score": (["--genuine-model", "g", "--spoof-model", "s", "--out", "o"],
+                       {"--genuine-model", "--spoof-model", "--out", "--manifest", "--subset",
+                        "--label"})}
+    for command, (required, others) in forms.items():
+        options = {o for a in subcommands[command]._actions for o in a.option_strings}
+        assert options == lfcc_flags | others | {"-h", "--help", "--feature"}, command
+        for name, (flag, value) in _LFCC_FLAGS.items():
+            assert getattr(LfccConfig(), name) != value
+            got = _lfcc_config(parse_args([command, *required, *flag]))
+            assert got == dataclasses.replace(LfccConfig(), **{name: value}), (command, flag)
 
 
 def _run_probe(probe, *args):

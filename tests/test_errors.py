@@ -112,14 +112,14 @@ def test_every_loader_fault_names_its_file_once(tmp_path):
 def test_run_setup_names_the_file_at_fault(tmp_path):
     manifest, config = tmp_path / "m.csv", tmp_path / "c.json"
     manifest.write_text("path,label,subset\na.wav,genuine,train\n")
-    config.write_text(json.dumps({"seed": 1, "lfcc": {"fft_size": 300}}))
+    config.write_text(json.dumps({"seed": 1, "lfcc": {"num_ceps": 30}}))
     with pytest.raises(InputError) as err:
         load_run_setup(manifest, config)
-    assert str(err.value) == f"{config}: fft_size must be a power of two"
-    config.write_text(json.dumps({"seed": 1, "lfcc": {"fft_size": "x"}}))
+    assert str(err.value) == f"{config}: need 1 <= num_ceps <= num_filters"
+    config.write_text(json.dumps({"seed": 1, "lfcc": {"num_filters": "x"}}))
     with pytest.raises(InputError) as err:
         load_run_setup(manifest, config)
-    assert str(err.value) == f"{config}: fft_size must be an integer; got 'x'"
+    assert str(err.value) == f"{config}: num_filters must be an integer; got 'x'"
     # a manifest fault names the manifest, not the config file that was read first
     config.write_text(json.dumps({"seed": 1}))
     manifest.write_text("path,label,subset\na.wav,genuine,exam\n")

@@ -170,8 +170,12 @@ def test_load_run_setup_validation(tmp_path):
     with pytest.raises(ConfigError):
         load_run_setup(manifest_csv, config)
 
-    config.write_text(json.dumps({"lfcc": {"fft_size": 256, "bogus": 1}, "seed": 1}))
+    config.write_text(json.dumps({"lfcc": {"num_filters": 20, "bogus": 1}, "seed": 1}))
     with pytest.raises(ConfigError):
+        load_run_setup(manifest_csv, config)
+    # the FFT length follows the frame, so a config that sets it is refused
+    config.write_text(json.dumps({"lfcc": {"fft_size": 256}, "seed": 1}))
+    with pytest.raises(ConfigError, match="fft_size"):
         load_run_setup(manifest_csv, config)
 
     config.write_text(json.dumps({"gmm_components": 8}))
@@ -222,14 +226,14 @@ def test_load_run_setup_validation(tmp_path):
     # other owners hold, are those owners' InputErrors
     for bad in (
         {"seed": 1, "lfcc": {"num_ceps": 19.0}},
-        {"seed": 1, "lfcc": {"fft_size": True}},
+        {"seed": 1, "lfcc": {"num_ceps": True}},
         {"seed": 1, "lfcc": {"num_filters": "20"}},
         {"seed": 1, "lfcc": {"delta_window": None}},
         {"seed": 1, "lfcc": {"include_energy": "no"}},
         {"seed": 1, "lfcc": {"include_energy": 1}},
         {"seed": 1, "lfcc": {"frame_len_ms": "20"}},
         {"seed": 1, "lfcc": {"frame_hop_ms": False}},
-        {"seed": 1, "lfcc": {"fft_size": 300}},
+        {"seed": 1, "lfcc": {"delta_window": 0}},
         {"seed": 1, "lfcc": {"num_ceps": 30}},
         {"seed": 1, "extra_bits": -1},
         {"seed": 1, "extra_bits": 11},
@@ -269,10 +273,10 @@ def test_run_config_validation():
     config = RunConfig(seed=0)
     for name, value in (("seed", 1.5), ("seed", True), ("em_iters", 2.0),
                         ("gmm_components", "4"), ("extra_bits", 5.0), ("workers", 1.0),
-                        ("features", 5), ("features", None), ("lfcc", {"fft_size": 256})):
+                        ("features", 5), ("features", None), ("lfcc", {"num_ceps": 19})):
         with pytest.raises(ConfigError):
             dataclasses.replace(config, **{name: value})
-    for name, value in (("fft_size", 256.0), ("num_ceps", 19.0), ("delta_window", 2.0),
+    for name, value in (("num_filters", 20.0), ("num_ceps", 19.0), ("delta_window", 2.0),
                         ("num_filters", True), ("include_energy", 1), ("frame_len_ms", "20")):
         with pytest.raises(InputError):
             LfccConfig(**{name: value})
@@ -340,21 +344,20 @@ def test_baseline_scenario_matches_hand_assembled_pipeline(corpus, tmp_path, cap
                         feature="lfcc")
     runner = _MatrixRunner(manifest, config)
     (result,) = runner.run([spec])
-    assert config.lfcc == LfccConfig(fft_size=256)
-    lfcc_flags = ["--fft-size", "256"]
+    assert config.lfcc == LfccConfig()
     models = {}
     for label, role in (("genuine", SeedRole.MODEL_GENUINE), ("spoof", SeedRole.MODEL_SPOOF)):
         caches = []
         for index, entry in manifest.select("train", label):
             caches.append(str(tmp_path / f"{index}.feat"))
-            assert main(["extract-features", *lfcc_flags, "--out", caches[-1],
+            assert main(["extract-features", "--out", caches[-1],
                          str(manifest.resolve(entry))]) == 0
         models[label] = str(tmp_path / f"{label}.gmm")
         assert main(["train-gmm", "--components", str(config.gmm_components),
                      "--iters", str(config.em_iters), "--seed", str(role_seed(config.seed, role)),
                      "--out", models[label], *caches]) == 0
     scores = tmp_path / "scores.csv"
-    assert main(["score", *lfcc_flags, "--genuine-model", models["genuine"],
+    assert main(["score", "--genuine-model", models["genuine"],
                  "--spoof-model", models["spoof"], "--out", str(scores),
                  "--manifest", str(manifest_path)]) == 0
     capsys.readouterr()
@@ -369,6 +372,18 @@ def test_baseline_scenario_matches_hand_assembled_pipeline(corpus, tmp_path, cap
         (genuine, _), (spoof, _) = (table[(key, ())] for key in spec.models())
         want.append((entry.path, entry.label, genuine - spoof))
     assert [(t.file_id, t.label, t.score) for t in trials] == want
+
+
+def test_a_16_khz_bundled_corpus_runs_every_row(tmp_path):
+    # the bundled config holds no LFCC setting: the FFT length follows the
+    # frame, so 20 ms frames of 320 samples take a 512-point FFT
+    manifest_path = make_toy_corpus(tmp_path, sample_rate=16000, files_per_class=2)
+    config_path = tmp_path / "config.json"
+    assert set(json.loads(config_path.read_text())) == {"seed", "gmm_components", "em_iters"}
+    manifest, config = load_run_setup(manifest_path, config_path)
+    results = run_matrix(manifest, config)
+    assert len(results) == 45
+    assert [r.error for r in results if r.eer is None] == []
 
 
 def test_every_extractor_gets_the_run_config_and_models_record_its_meta(corpus):
@@ -532,9 +547,8 @@ def test_result_cache_key_covers_config_selectors_and_results_version(
         return _MatrixRunner(manifest, config, cache_dir=cache)._result_path(spec)
 
     base = result_path(manifest, config)
-    lfcc_changes = {"frame_len_ms": 25.0, "frame_hop_ms": 12.5, "fft_size": 1024,
-                    "num_filters": 24, "num_ceps": 13, "include_energy": False,
-                    "delta_window": 3}
+    lfcc_changes = {"frame_len_ms": 25.0, "frame_hop_ms": 12.5, "num_filters": 24,
+                    "num_ceps": 13, "include_energy": False, "delta_window": 3}
     assert set(lfcc_changes) == {f.name for f in dataclasses.fields(LfccConfig)}
     config_changes = {"seed": config.seed + 1, "gmm_components": config.gmm_components + 1,
                       "em_iters": config.em_iters + 1, "extra_bits": config.extra_bits + 1,

@@ -35,39 +35,41 @@ def _triangle_weight(freq, left, mid, right):
 
 
 def test_static_lfcc_matches_naive_pipeline():
-    """Windowed frame -> naive DFT power -> triangles -> log -> naive DCT."""
+    """Windowed frame -> naive DFT power -> triangles -> log -> naive DCT,
+    each frame zero-padded to the smallest power of two not below it."""
     rng = np.random.default_rng(42)
     amps = np.clip(rng.normal(0.0, 0.3, size=45), -0.9, 0.9)
     rate = 1000
-    cfg = LfccConfig(frame_len_ms=20.0, frame_hop_ms=10.0, fft_size=32,
-                     num_filters=5, num_ceps=3, include_energy=True, delta_window=2)
     w = _wave_from_amps(amps, rate)
-    got = lfcc(w, cfg)
-
-    frame_len, hop, nfft, nfil = 20, 10, 32, 5
     quantized = (-1.0 + w.samples * 2.0**-15).tolist()
-    hamming = [0.54 - 0.46 * math.cos(2.0 * math.pi * m / (frame_len - 1)) for m in range(frame_len)]
+    hop, nfil = 10, 5
     edges = [j * (rate / 2.0) / (nfil + 1) for j in range(nfil + 2)]
-    bin_freqs = [j * rate / nfft for j in range(nfft // 2 + 1)]
+    for frame_len, nfft in ((20, 32), (16, 16), (17, 32)):
+        cfg = LfccConfig(frame_len_ms=float(frame_len), frame_hop_ms=10.0,
+                         num_filters=nfil, num_ceps=3, include_energy=True, delta_window=2)
+        got = lfcc(w, cfg)
+        hamming = [0.54 - 0.46 * math.cos(2.0 * math.pi * m / (frame_len - 1))
+                   for m in range(frame_len)]
+        bin_freqs = [j * rate / nfft for j in range(nfft // 2 + 1)]
 
-    num_frames = (len(quantized) - frame_len) // hop + 1
-    assert got.frames.shape[0] == num_frames
-    assert got.num_coeffs == (3 + 1) * 3
+        num_frames = (len(quantized) - frame_len) // hop + 1
+        assert got.frames.shape[0] == num_frames
+        assert got.num_coeffs == (3 + 1) * 3
 
-    for t in range(num_frames):
-        frame = quantized[t * hop : t * hop + frame_len]
-        windowed = [x * h for x, h in zip(frame, hamming)]
-        power = dft_power(windowed, nfft)
-        fbank = []
-        for j in range(nfil):
-            acc = 0.0
-            for freq, p in zip(bin_freqs, power):
-                acc += p * _triangle_weight(freq, edges[j], edges[j + 1], edges[j + 2])
-            fbank.append(math.log(max(acc, 1e-12)))
-        ceps = dct2_ortho(fbank)[:3]
-        energy = math.log(max(sum(x * x for x in frame), 1e-12))
-        want = ceps + [energy]
-        assert got.frames[t, :4] == pytest.approx(want, abs=1e-9)
+        for t in range(num_frames):
+            frame = quantized[t * hop : t * hop + frame_len]
+            windowed = [x * h for x, h in zip(frame, hamming)]
+            power = dft_power(windowed, nfft)
+            fbank = []
+            for j in range(nfil):
+                acc = 0.0
+                for freq, p in zip(bin_freqs, power):
+                    acc += p * _triangle_weight(freq, edges[j], edges[j + 1], edges[j + 2])
+                fbank.append(math.log(max(acc, 1e-12)))
+            ceps = dct2_ortho(fbank)[:3]
+            energy = math.log(max(sum(x * x for x in frame), 1e-12))
+            want = ceps + [energy]
+            assert got.frames[t, :4] == pytest.approx(want, abs=1e-9), (frame_len, t)
 
 
 def test_linear_filterbank_matches_the_triangle_loop():
@@ -83,7 +85,7 @@ def test_linear_filterbank_matches_the_triangle_loop():
 def test_dct_is_orthonormal_on_log_energies():
     rng = np.random.default_rng(7)
     amps = np.clip(rng.normal(0.0, 0.2, size=400), -0.9, 0.9)
-    cfg = LfccConfig(fft_size=64, num_filters=8, num_ceps=8, include_energy=False)
+    cfg = LfccConfig(num_filters=8, num_ceps=8, include_energy=False)
     w = _wave_from_amps(amps, rate=2000)
     logs = _framed_log_energies(w, cfg)[1]
     ceps = lfcc(w, cfg).frames[:, :8]
@@ -128,8 +130,8 @@ def test_energy_column_toggle():
     rng = np.random.default_rng(3)
     amps = np.clip(rng.normal(0.0, 0.2, size=300), -0.9, 0.9)
     w = _wave_from_amps(amps, rate=2000)
-    with_e = lfcc(w, LfccConfig(fft_size=64, num_filters=6, num_ceps=4))
-    without_e = lfcc(w, LfccConfig(fft_size=64, num_filters=6, num_ceps=4, include_energy=False))
+    with_e = lfcc(w, LfccConfig(num_filters=6, num_ceps=4))
+    without_e = lfcc(w, LfccConfig(num_filters=6, num_ceps=4, include_energy=False))
     assert with_e.num_coeffs == 15 and without_e.num_coeffs == 12
 
 
@@ -144,11 +146,7 @@ def test_default_config_width_is_60():
 def test_lfcc_validation():
     w = _wave_from_amps(np.full(100, 0.1), rate=8000)
     with pytest.raises(InputError):
-        lfcc(w, LfccConfig(fft_size=64))  # 160-sample frame > 64-point fft
-    with pytest.raises(InputError):
-        lfcc(_wave_from_amps(np.full(50, 0.1), rate=8000), LfccConfig(fft_size=256))
-    with pytest.raises(InputError):
-        LfccConfig(fft_size=100)
+        lfcc(w, LfccConfig())  # 100 samples, shorter than one 160-sample frame
     with pytest.raises(InputError):
         LfccConfig(num_ceps=0)
     with pytest.raises(InputError):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from wavespoof import (
-    CapacityError,
     Cdf,
     FormatError,
     InputError,
@@ -176,7 +175,7 @@ def test_extend_cdf_errors():
     odd = Pmf(mass=np.array([0.5, 0.25, 0.25]))
     assert np.array_equal(extend_cdf(odd, 1).cum[1::2], cdf_from_pmf(odd).cum)
     # 2**16 levels at d=11 exceed the 2**26-level cap before any allocation
-    with pytest.raises(CapacityError):
+    with pytest.raises(InputError, match="cap is 67108864"):
         extend_cdf(_random_power_of_two_pmf(np.random.default_rng(5), 1 << 16), 11)
 
 
