@@ -21,7 +21,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .errors import ConfigError, ToolError, reading
+from .errors import ConfigError, ToolError, check_out_path, reading
 from .experiment import (
     SUBSETS, DatasetManifest, RunConfig, load_run_setup, parse_selector, run_matrix,
 )
@@ -178,6 +178,7 @@ def _cmd_estimate_pmf(args) -> int:
     _refuse_unread(f"estimate-pmf --keep {args.keep}",
                    (("--alpha", args.alpha, args.keep != "all"),))
     cfg = VadConfig() if args.alpha is None else VadConfig(alpha=args.alpha)
+    check_out_path(args.out, "PMF file")
     waveforms = [read_wav(p) for p in args.inputs]
     masks = None if args.keep == "all" else [energy_vad(w, cfg) for w in waveforms]
     save_pmf(args.out, estimate_pmf(waveforms, masks=masks, keep=args.keep))
@@ -226,6 +227,7 @@ def _cmd_genuinize(args) -> int:
     if not batch:
         if len(args.paths) != 2:
             raise ConfigError("single-file genuinize takes exactly: input.wav output.wav")
+        check_out_path(args.paths[1], "output WAV")
         references = _references(args, args.pool)
         write_wav(args.paths[1],
                   genuinize(read_wav(args.paths[0]), params, references, ordinal))
@@ -251,6 +253,8 @@ def _cmd_genuinize(args) -> int:
 
 def _cmd_vad(args) -> int:
     cfg = VadConfig(alpha=args.alpha)
+    if args.out:
+        check_out_path(args.out, "run-length text")
     text = format_runs(energy_vad(read_wav(args.input), cfg))
     if args.out:
         Path(args.out).write_text(text, encoding="ascii")
@@ -266,11 +270,14 @@ def _extractor(args):
 
 
 def _cmd_extract_features(args) -> int:
-    save_features(args.out, _extractor(args)(args.input))
+    extract = _extractor(args)
+    check_out_path(args.out, "feature file")
+    save_features(args.out, extract(args.input))
     return 0
 
 
 def _cmd_train_gmm(args) -> int:
+    check_out_path(args.out, "model")
     model = train_gmm(
         stack_features([load_features(p) for p in args.inputs]),
         k=args.components,
@@ -292,6 +299,7 @@ def _cmd_score(args) -> int:
     if listed and not (args.inputs and args.label):
         raise ConfigError("score needs --manifest, or WAV inputs and their --label")
     extract = _extractor(args)
+    check_out_path(args.out, "scores CSV")
     genuine_model = load_gmm(args.genuine_model)
     spoof_model = load_gmm(args.spoof_model)
     # each (id, label) meets Trial's rule, with a placeholder score, before any file is read

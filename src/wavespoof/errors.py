@@ -3,16 +3,19 @@ one owner of reading a stored file (reading names the file in each fault,
 text_rows reads headed text, write_headed/read_headed are the one codec of a
 `MAGIC f1 … fn` line of whitespace-free ASCII fields heading a <f8 payload,
 that of GPMF2, FEAT2 and GMM1, payload_arrays the one rule for a payload of
-the wrong size); checked_array,
+the wrong size); check_out_path, the one check of a path a file is to be
+written to, made before any input is read; checked_array,
 the one check of an array argument: non-empty, of the declared dimension,
 converted without changing a value, finite when float; frozen_array, the
 read-only store of every value type's checked arrays; and typed, the one
 type rule of a number or flag argument, applied to fields by typed_fields."""
 
 import dataclasses
+import errno
 import math
 import numbers
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
@@ -80,6 +83,17 @@ def text_rows(path, header: str, encoding: str, error: type, parse) -> list:
     except UnicodeDecodeError as exc:
         raise error(f"not {encoding} text ({exc})") from exc
     return rows
+
+
+def check_out_path(path, what: str) -> None:
+    """Refuse a path that a file cannot be written to: one whose directory does
+    not exist is a FileNotFoundError, and one that is a directory an
+    IsADirectoryError, each naming what and path (exit 3 on the command line).
+    Callers run it before they read any input, so no work is lost to it."""
+    if not Path(path).parent.is_dir():
+        raise FileNotFoundError(errno.ENOENT, f"no directory for the {what}", str(path))
+    if Path(path).is_dir():
+        raise IsADirectoryError(errno.EISDIR, f"the {what} is a directory", str(path))
 
 
 def write_headed(path, magic: str, fields, *arrays) -> None:

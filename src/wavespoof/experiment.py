@@ -45,7 +45,6 @@ its own pass.
 from __future__ import annotations
 
 import copy
-import errno
 import hashlib
 import json
 import logging
@@ -60,7 +59,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, InputError, ToolError, reading, text_rows, typed_fields
+from .errors import (
+    ConfigError, InputError, ToolError, check_out_path, reading, text_rows, typed_fields,
+)
 from .features import FeatureMatrix, LfccConfig, get_extractor, stack_features
 from .genuinize import DEFAULT_EXTRA_BITS, SEED_MASK, GenuinizeParams, genuinize, reference_pool
 from .gmm import (
@@ -602,10 +603,8 @@ def run_matrix(
     that is a directory an IsADirectoryError, raised before any file is read
     or cache directory made.
     """
-    if out_csv is not None and not Path(out_csv).parent.is_dir():
-        raise FileNotFoundError(errno.ENOENT, "no directory for the results CSV", str(out_csv))
-    if out_csv is not None and Path(out_csv).is_dir():
-        raise IsADirectoryError(errno.EISDIR, "the results CSV is a directory", str(out_csv))
+    if out_csv is not None:
+        check_out_path(out_csv, "results CSV")
     specs = enumerate_scenarios(config.features)
     results = _MatrixRunner(manifest, config, cache_dir=cache_dir).run(specs, progress)
     if out_csv is not None:

@@ -45,10 +45,12 @@ class LfccConfig:
             raise InputError("need 1 <= num_ceps <= num_filters")
         if self.delta_window < 1:
             raise InputError("delta_window must be at least 1")
+        blob = json.dumps(asdict(self), sort_keys=True).encode("ascii")
+        object.__setattr__(self, "_fingerprint", "lfcc-" + hashlib.sha256(blob).hexdigest()[:12])
 
     def fingerprint(self) -> str:
-        blob = json.dumps(asdict(self), sort_keys=True).encode("ascii")
-        return "lfcc-" + hashlib.sha256(blob).hexdigest()[:12]
+        """The id every feature matrix and model made with this config carries."""
+        return self._fingerprint
 
 
 @dataclass(frozen=True)
@@ -74,6 +76,17 @@ def _linear_filterbank(num_filters: int, fft_size: int, sample_rate: int) -> np.
     rising = (freqs - left) / (mid - left)
     falling = (right - freqs) / (right - mid)
     return np.clip(np.minimum(rising, falling), 0.0, None)
+
+
+@lru_cache(maxsize=None)
+def _spectral_setup(frame_len: int, num_filters: int, sample_rate: int):
+    """(fft_size, window, bank) of a frame_len-sample frame: the smallest power
+    of two not below frame_len, and its Hamming window and linear filterbank
+    as read-only arrays shared by every thread."""
+    fft_size = 1 << (frame_len - 1).bit_length()
+    window = np.hamming(frame_len)
+    bank = _linear_filterbank(num_filters, fft_size, sample_rate)
+    return fft_size, np.broadcast_to(window, window.shape), np.broadcast_to(bank, bank.shape)
 
 
 @lru_cache(maxsize=None)
@@ -116,12 +129,10 @@ def _framed_log_energies(w: Waveform, cfg: LfccConfig):
     """Frames of w and their log filterbank energies (the DCT input)."""
     amp = index_to_amp(w.samples)
     frames, _ = framed(amp, w.sample_rate, cfg.frame_len_ms, cfg.frame_hop_ms)
-    frame_len = frames.shape[1]
-    fft_size = 1 << (frame_len - 1).bit_length()  # the smallest power of two >= frame_len
-    windowed = frames * np.hamming(frame_len)
+    fft_size, window, bank = _spectral_setup(frames.shape[1], cfg.num_filters, w.sample_rate)
+    windowed = frames * window
     spectrum = np.fft.rfft(windowed, n=fft_size, axis=1)
     power = spectrum.real**2 + spectrum.imag**2
-    bank = _linear_filterbank(cfg.num_filters, fft_size, w.sample_rate)
     filterbank_energies = power @ bank.T
     return frames, np.log(np.maximum(filterbank_energies, LOG_FLOOR))
 

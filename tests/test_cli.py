@@ -577,7 +577,10 @@ def stage_inputs(corpus, tmp_path_factory):
     wav = wavs(corpus, "train", "genuine")[0]
     assert main(["estimate-pmf", "--out", str(root / "target.csv"), wav]) == 0
     assert main(["extract-features", "--out", str(root / "in.feat"), wav]) == 0
+    assert main(["train-gmm", "--components", "2", "--iters", "1", "--out", str(root / "m.gmm"),
+                 str(root / "in.feat")]) == 0
     return {"wav": wav, "target": str(root / "target.csv"), "feat": str(root / "in.feat"),
+            "model": str(root / "m.gmm"),
             "manifest": str(corpus / "manifest.csv"), "config": str(corpus / "config.json")}
 
 
@@ -740,6 +743,47 @@ def test_run_matrix_into_a_directory_runs_nothing(stage_inputs, tmp_path, capsys
     assert err.startswith("error: IsADirectoryError: ") and str(results) in err
     assert reads == []
     assert not cache.exists() and list(results.iterdir()) == []
+
+
+# a command that writes {out} after it reads a WAV, a PMF, a feature file or a model
+_WRITERS = {
+    "estimate-pmf": ["estimate-pmf", "--out", "{out}", "{wav}"],
+    "genuinize": _single_file_genuinize("perturbed"),
+    "vad": ["vad", "--out", "{out}", "{wav}"],
+    "extract-features": ["extract-features", "--out", "{out}", "{wav}"],
+    "train-gmm": ["train-gmm", "--components", "2", "--out", "{out}", "{feat}"],
+    "score": ["score", "--genuine-model", "{model}", "--spoof-model", "{model}",
+              "--label", "genuine", "--out", "{out}", "{wav}"],
+}
+
+
+@pytest.mark.parametrize("missing", [True, False], ids=["missing-dir", "is-a-dir"])
+@pytest.mark.parametrize("case", list(_WRITERS))
+def test_an_output_path_is_checked_before_any_input_is_read(stage_inputs, tmp_path, capsys,
+                                                            monkeypatch, case, missing):
+    # these commands used to read (and train-gmm to train) before the final
+    # write failed; they now make run_matrix's check of its results CSV first
+    out = tmp_path / "missing" / "o" if missing else tmp_path / "o"
+    if not missing:
+        out.mkdir()
+    calls = []
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("read_wav", "load_pmf", "load_features", "load_gmm", "train_gmm"):
+        monkeypatch.setattr(f"wavespoof.cli.{name}", counting(name, getattr(wavespoof.cli, name)))
+    argv = [arg.format(**stage_inputs, out=out) for arg in _WRITERS[case]]
+    capsys.readouterr()
+    assert main(argv) == 3
+    kind = "FileNotFoundError" if missing else "IsADirectoryError"
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {kind}: ") and str(out) in err
+    assert calls == []
+    assert not out.parent.exists() if missing else list(out.iterdir()) == []
 
 
 def test_score_rejects_a_flag_its_form_does_not_read(corpus, tmp_path, capsys):
