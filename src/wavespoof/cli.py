@@ -34,6 +34,7 @@ from .gmm import (
     LABELS,
     PROVENANCES,
     Trial,
+    check_budget,
     compute_eer,
     load_gmm,
     load_scores,
@@ -236,6 +237,9 @@ def _cmd_genuinize(args) -> int:
         raise ConfigError("batch genuinize requires --out-dir")
     if args.paths:
         raise ConfigError("use either a manifest or an input/output pair, not both")
+    nearest = next(p for p in (Path(args.out_dir), *Path(args.out_dir).parents) if p.exists())
+    if not nearest.is_dir():  # a missing tree is made as files are written
+        raise NotADirectoryError(f"--out-dir needs a directory, not the file {nearest}")
     manifest = DatasetManifest.from_csv(args.manifest)
     suffix = ".rgen.wav" if args.mode == "random" else ".gen.wav"
     jobs = [(ordinal, entry, _mirror_path(manifest, entry, args.out_dir, suffix))
@@ -278,6 +282,7 @@ def _cmd_extract_features(args) -> int:
 
 def _cmd_train_gmm(args) -> int:
     check_out_path(args.out, "model")
+    check_budget(args.components, args.iters)
     model = train_gmm(
         stack_features([load_features(p) for p in args.inputs]),
         k=args.components,

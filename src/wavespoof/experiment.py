@@ -17,9 +17,9 @@ genuinize training material. A treatment needs only its reference set (a
 sequence of Cdfs, see genuinize): action G uses one CDF, the pooled PMF of
 the selector's files, and R one CDF per file (genuinize.reference_pool).
 The runner's treatment chains (_MatrixRunner._train_chain and _test_chain)
-alone decide which files an action touches, and _MatrixRunner.transformed is
-the one place an action becomes a genuinize call. Files on disk take one
-side's action through the CLI's batch genuinize.
+alone decide which files an action touches, and _treat is the one place an
+action becomes a genuinize call. Files on disk take one side's action through
+the CLI's batch genuinize.
 
 Every random draw derives from the single run seed through documented
 SeedSequence layers: role_seed(seed, role) isolates consumers (attacker,
@@ -32,14 +32,14 @@ run's rows and recomputes its failed ones; rows are stored after every
 scoring pass ends, so an interrupted run starts over (ROADMAP item 6).
 
 run_matrix runs in stages over one _MatrixRunner: it reads each scenario's
-cache entry once; trains the distinct (label, provenance, feature) models
-the uncached scenarios need and reads every test file, across the workers;
-then runs one pass per test file across the workers, which scores the file
-under every (model, treatment chain) those scenarios need (a test file's
-chain depends only on the actions) and returns a table of floats; last it
-builds each row from the tables. A run keeps waveforms, reference sets,
-models and the tables; a file's treated audio and features live only in
-its own pass.
+cache entry once; builds the models, the reference sets of the test chains
+and the test waveforms that the uncached scenarios need, across the workers;
+then runs score_file, one pass per test file, across the workers. A pass is
+a function of plain inputs: it scores the file under every (model, chain)
+those scenarios need (a test file's chain depends only on the actions) and
+returns a table of floats. Last it builds each row from the tables. The
+runner's _memo holds only what its threads share (waveforms, reference
+sets, models); a file's treated audio and features live only in its pass.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ import numpy as np
 from .errors import (
     ConfigError, InputError, ToolError, check_out_path, reading, text_rows, typed_fields,
 )
-from .features import FeatureMatrix, LfccConfig, get_extractor, stack_features
+from .features import LfccConfig, get_extractor, stack_features
 from .genuinize import DEFAULT_EXTRA_BITS, SEED_MASK, GenuinizeParams, genuinize, reference_pool
 from .gmm import (
     DEFAULT_COMPONENTS, DEFAULT_ITERS, LABELS, GmmModel, check_budget, eer_from_scores,
@@ -323,7 +323,7 @@ def validate_manifest(manifest: DatasetManifest) -> None:
 
 class _MatrixRunner:
     """Shared state for one matrix run: waveforms, reference sets and models,
-    memoized for the run; treated audio and features go to the caller's store."""
+    memoized for the run and shared by its threads."""
 
     def __init__(self, manifest: DatasetManifest, config: RunConfig, cache_dir=None):
         validate_manifest(manifest)
@@ -378,27 +378,6 @@ class _MatrixRunner:
 
         return self._memo(self._references, (action, source), build)
 
-    # -- transform / feature pipeline --------------------------------------
-
-    def transformed(self, store: dict, index: int, chain: tuple):
-        if not chain:
-            return self.waveform(index)
-
-        def build():
-            action, role, source = chain[-1]
-            params = GenuinizeParams(mode=_ACTION_MODES[action], extra_bits=self.config.extra_bits,
-                                     seed=role_seed(self.config.seed, role))
-            return genuinize(self.transformed(store, index, chain[:-1]), params,
-                             self.references(action, source), index)
-
-        return self._memo(store, (index, chain), build)
-
-    def features(self, store: dict, index: int, chain: tuple, feature: str) -> FeatureMatrix:
-        def build():
-            return get_extractor(feature)(self.transformed(store, index, chain), self.config.lfcc)
-
-        return self._memo(store, (index, chain, feature), build)
-
     # -- training ----------------------------------------------------------
 
     def _train_chain(self, label: str, provenance: str) -> tuple:
@@ -410,8 +389,9 @@ class _MatrixRunner:
     def model(self, label: str, provenance: str, feature: str) -> GmmModel:
         def build():
             chain = self._train_chain(label, provenance)
-            train = self.manifest.select("train", label)
-            matrices = [self.features({}, i, chain, feature) for i, _ in train]  # a store per file
+            treated = (_treat(self.waveform(i), i, chain, self.references, self.config)
+                       for i, _ in self.manifest.select("train", label))  # one file at a time
+            matrices = [get_extractor(feature)(w, self.config.lfcc) for w in treated]
             role = SeedRole.MODEL_GENUINE if label == "genuine" else SeedRole.MODEL_SPOOF
             return train_gmm(
                 stack_features(matrices),
@@ -433,24 +413,7 @@ class _MatrixRunner:
             chain.append((spec.cm_action, int(SeedRole.COUNTERMEASURE), self.config.cm_source))
         return tuple(chain)
 
-    def score_file(self, index: int, passes) -> dict:
-        """One test file's table: each pass ((label, provenance, feature),
-        chain) maps to (mean log-likelihood, seconds of its gmm_loglik call)
-        or to its error text. The file's treated audio and features live in
-        this call's store only."""
-        store = {}
-
-        def score(model_key, chain):
-            model = self.model(*model_key)
-            features = self.features(store, index, chain, model_key[2])
-            started = time.perf_counter()
-            return gmm_loglik(model, features), time.perf_counter() - started
-
-        table = {key: _attempt(score, *key) for key in passes}
-        store.clear()  # a failed build's stored traceback refers back to the store
-        return table
-
-    def _row(self, spec: ScenarioSpec, failed: dict, unreadable, tests, tables) -> ScenarioResult:
+    def _row(self, spec: ScenarioSpec, models: dict, unreadable, tests, tables) -> ScenarioResult:
         """spec's row: the error of its first failed model, else the first
         unreadable test file's, else its first failed pass's in file order,
         else its EER over the tables' passes."""
@@ -461,8 +424,7 @@ class _MatrixRunner:
         sides = [(label, [table.get((key, self._test_chain(spec, label))) for key in keys])
                  for (_, label), table in zip(tests, tables)]
         passes = [outcome for _, pair in sides for outcome in pair]
-        outcomes = [failed.get(key) for key in keys] + [unreadable] + passes
-        error = next((outcome for outcome in outcomes if isinstance(outcome, str)), None)
+        error = _failure(*(models[key] for key in keys), unreadable, *passes)
         if error is None:
             scores = {label: [] for label in LABELS}
             for label, ((genuine, _), (spoof, _)) in sides:
@@ -489,27 +451,31 @@ class _MatrixRunner:
                 report(result)
         if not uncached:
             return results
-        models = list(dict.fromkeys(key for p in uncached for key in specs[p].models()))
+        keys = list(dict.fromkeys(key for p in uncached for key in specs[p].models()))
+        sets = list(dict.fromkeys((action, source) for p in uncached for label in LABELS
+                                  for action, _, source in self._test_chain(specs[p], label)))
         tests = [(i, e.label) for i, e in self.manifest.select("test")]
-        # every scenario scores every test file, so the model stage reads them
+        # every scenario scores every test file, so the first stage reads them
         # all: an unreadable one fails every row before any pass runs
-        stage = [(self.model, *key) for key in models] + [(self.waveform, i) for i, _ in tests]
+        stage = ([(self.model, *key) for key in keys] + [(self.references, *s) for s in sets]
+                 + [(self.waveform, i) for i, _ in tests])
         with ThreadPoolExecutor(max_workers=self.config.workers) as pool:
             # One worker runs on the calling thread, so Ctrl-C stops it at once.
             mapper = pool.map if self.config.workers > 1 else map
             built = list(mapper(lambda task: _attempt(*task), stage))
-            failed = {key: error for key, error in zip(models, built) if isinstance(error, str)}
-            unreadable = next((e for e in built[len(models):] if isinstance(e, str)), None)
+            models, references = dict(zip(keys, built)), dict(zip(sets, built[len(keys):]))
+            waveforms = built[len(keys) + len(sets):]
+            unreadable = _failure(*waveforms)
             # a scenario with a failed model or test file needs none of its passes
-            scored = [specs[p] for p in uncached if unreadable is None
-                      and failed.keys().isdisjoint(specs[p].models())]
+            scored = [specs[p] for p in uncached
+                      if _failure(unreadable, *(models[key] for key in specs[p].models())) is None]
             passes = {label: dict.fromkeys((key, self._test_chain(spec, label))
                                            for spec in scored for key in spec.models())
                       for label in LABELS}
-            tables = list(mapper(self.score_file, [index for index, _ in tests],
-                                 [passes[label] for _, label in tests]))
+            tables = list(mapper(lambda w, test: score_file(
+                w, test[0], passes[test[1]], references, models, self.config), waveforms, tests))
         for position in uncached:
-            result = self._row(specs[position], failed, unreadable, tests, tables)
+            result = self._row(specs[position], models, unreadable, tests, tables)
             if result.error is None:
                 self._store(result)
             results[position] = result
@@ -577,6 +543,47 @@ def _attempt(build, *args):
         return build(*args)
     except ToolError as exc:
         return f"{type(exc).__name__}: {exc}"
+
+
+def _failure(*outcomes):
+    """The first of outcomes that is an error text, else None."""
+    return next((outcome for outcome in outcomes if isinstance(outcome, str)), None)
+
+
+def _treat(waveform, index: int, chain: tuple, references, config: RunConfig):
+    """waveform, the file at manifest ordinal index, after each (action, role,
+    source) step of chain against the set references(action, source) gives."""
+    for action, role, source in chain:
+        params = GenuinizeParams(mode=_ACTION_MODES[action], extra_bits=config.extra_bits,
+                                 seed=role_seed(config.seed, role))
+        waveform = genuinize(waveform, params, references(action, source), index)
+    return waveform
+
+
+def score_file(waveform, index: int, passes, references: dict, models: dict,
+               config: RunConfig) -> dict:
+    """One test file's pass: each of passes, a ((label, provenance, feature),
+    chain) pair, maps to (mean log-likelihood under that model of the file's
+    features after chain, seconds of that gmm_loglik call) or to the error
+    text of its first failed step, a failed reference set's among them."""
+    audio, matrices = {(): waveform}, {}
+
+    def score(model_key, chain):
+        for end, (action, _, source) in enumerate(chain, 1):  # each step runs once per pass
+            if chain[:end] not in audio:
+                prior = audio[chain[:end - 1]]
+                audio[chain[:end]] = _failure(prior, references[action, source]) or _attempt(
+                    _treat, prior, index, chain[end - 1:end], lambda *key: references[key], config)
+        key = (chain, model_key[2])
+        if key not in matrices:
+            matrices[key] = _failure(audio[chain]) or _attempt(
+                get_extractor(key[1]), audio[chain], config.lfcc)
+        if isinstance(matrices[key], str):
+            return matrices[key]
+        started = time.perf_counter()
+        return gmm_loglik(models[model_key], matrices[key]), time.perf_counter() - started
+
+    return {key: _attempt(score, *key) for key in passes}
 
 
 def run_scenario(

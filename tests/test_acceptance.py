@@ -38,7 +38,7 @@ from wavespoof import (
     train_gmm,
     tv_distance,
 )
-from wavespoof.experiment import _MatrixRunner
+from wavespoof.experiment import _MatrixRunner, _treat
 from oracles import eer_oracle
 
 
@@ -225,8 +225,10 @@ def test_criterion_08_matrix_structure(capsys, tmp_path):
         spec = ScenarioSpec(h_train="O", s_train="O", attacker_action=action, cm_action="N",
                             feature="lfcc")
         for index, label in tests:
-            original = read_wav(manifest.resolve(manifest.entries[index])).samples.tobytes()
-            out = runner.transformed({}, index, runner._test_chain(spec, label)).samples.tobytes()
+            waveform = read_wav(manifest.resolve(manifest.entries[index]))
+            original = waveform.samples.tobytes()
+            chain = runner._test_chain(spec, label)
+            out = _treat(waveform, index, chain, runner.references, config).samples.tobytes()
             if label == "genuine":
                 assert out == original
             else:

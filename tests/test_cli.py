@@ -638,7 +638,8 @@ def test_out_of_range_flags_exit_with_their_owners_code(stage_inputs, tmp_path, 
                                                        monkeypatch, case):
     # the flag parses as a plain number; its owner alone checks the range,
     # so the command line and a Python caller get one error, and nothing is
-    # made; a setting is checked before any WAV is read
+    # made; a setting is checked before any WAV, PMF, feature file or model
+    # is read
     argv, owner = _OUT_OF_RANGE[case]
     files = {**stage_inputs, "out": str(tmp_path / "out")}
     with pytest.raises(ToolError) as raised:
@@ -646,12 +647,15 @@ def test_out_of_range_flags_exit_with_their_owners_code(stage_inputs, tmp_path, 
     assert raised.value.exit_code == (6 if case == "workers 0" else 5)
     reads = []
 
-    def counting_read_wav(path):
-        reads.append(str(path))
-        return read_wav(path)
+    def counting(read):
+        def wrapper(path, *args, **kwargs):
+            reads.append(str(path))
+            return read(path, *args, **kwargs)
+        return wrapper
 
-    for module in ("cli", "experiment"):
-        monkeypatch.setattr(f"wavespoof.{module}.read_wav", counting_read_wav)
+    monkeypatch.setattr("wavespoof.experiment.read_wav", counting(read_wav))
+    for name in ("read_wav", "load_features", "load_pmf", "load_gmm"):
+        monkeypatch.setattr(f"wavespoof.cli.{name}", counting(getattr(wavespoof.cli, name)))
     capsys.readouterr()
     assert main([arg.format(**files) for arg in argv]) == raised.value.exit_code
     assert capsys.readouterr().err == f"error: {type(raised.value).__name__}: {raised.value}\n"
@@ -784,6 +788,37 @@ def test_an_output_path_is_checked_before_any_input_is_read(stage_inputs, tmp_pa
     assert err.startswith(f"error: {kind}: ") and str(out) in err
     assert calls == []
     assert not out.parent.exists() if missing else list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+@pytest.mark.parametrize("mode", ["perturbed", "random"])
+def test_batch_genuinize_refuses_a_file_as_out_dir_before_any_read(stage_inputs, tmp_path,
+                                                                   capsys, monkeypatch, mode,
+                                                                   below):
+    # batch genuinize used to load its target (perturbed) or read its whole
+    # pool (random) and genuinize a file before the first write met the file
+    # that stands where --out-dir needs a directory
+    blocker = tmp_path / "out"
+    blocker.write_bytes(b"a file")
+    out_dir = blocker / "tree" if below else blocker
+    calls = []
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("read_wav", "load_pmf", "genuinize"):
+        monkeypatch.setattr(f"wavespoof.cli.{name}", counting(name, getattr(wavespoof.cli, name)))
+    target = ["--target", stage_inputs["target"]] if mode == "perturbed" else []
+    capsys.readouterr()
+    assert main(["genuinize", "--mode", mode, *target, "--manifest", stage_inputs["manifest"],
+                 "--out-dir", str(out_dir)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: NotADirectoryError: ") and str(blocker) in err
+    assert calls == []
+    assert list(tmp_path.iterdir()) == [blocker] and blocker.read_bytes() == b"a file"
 
 
 def test_score_rejects_a_flag_its_form_does_not_read(corpus, tmp_path, capsys):

@@ -18,6 +18,7 @@ from wavespoof import (
     ConfigError,
     DatasetManifest,
     FeatureMatrix,
+    GenuinizeParams,
     InputError,
     LfccConfig,
     ManifestEntry,
@@ -26,8 +27,12 @@ from wavespoof import (
     ScenarioSpec,
     SeedRole,
     TRAIN_COMBOS,
+    cdf_from_pmf,
     eer_from_scores,
     enumerate_scenarios,
+    estimate_pmf,
+    genuinize,
+    gmm_loglik,
     lfcc,
     load_run_setup,
     load_scores,
@@ -43,8 +48,8 @@ from wavespoof import (
     validate_manifest,
 )
 from wavespoof.cli import main
-from wavespoof.experiment import SUBSETS, _MatrixRunner
-from wavespoof.features import _EXTRACTORS
+from wavespoof.experiment import SUBSETS, _MatrixRunner, _treat, score_file
+from wavespoof.features import _EXTRACTORS, stack_features
 from wavespoof.gmm import LABELS
 
 
@@ -106,8 +111,10 @@ def test_test_chains_apply_each_side_to_its_own_files(corpus):
         spec = ScenarioSpec(h_train="O", s_train="O", attacker_action=action, cm_action="N",
                             feature="lfcc")
         for index, label in tests:
-            read = read_wav(manifest.resolve(manifest.entries[index])).samples.tobytes()
-            out = runner.transformed({}, index, runner._test_chain(spec, label)).samples.tobytes()
+            waveform = read_wav(manifest.resolve(manifest.entries[index]))
+            read = waveform.samples.tobytes()
+            chain = runner._test_chain(spec, label)
+            out = _treat(waveform, index, chain, runner.references, config).samples.tobytes()
             assert (out == read) == (label == "genuine"), (action, index)
 
 
@@ -367,11 +374,74 @@ def test_baseline_scenario_matches_hand_assembled_pipeline(corpus, tmp_path, cap
     assert result.genuine_trials == sum(t.label == "genuine" for t in trials)
     assert result.spoof_trials == sum(t.label == "spoof" for t in trials)
     want = []
+    models = {key: runner.model(*key) for key in spec.models()}
     for index, entry in manifest.select("test"):
-        table = runner.score_file(index, [(key, ()) for key in spec.models()])
+        table = score_file(runner.waveform(index), index, [(key, ()) for key in spec.models()],
+                           {}, models, config)
         (genuine, _), (spoof, _) = (table[(key, ())] for key in spec.models())
         want.append((entry.path, entry.label, genuine - spoof))
     assert [(t.file_id, t.label, t.score) for t in trials] == want
+
+
+def test_a_pass_is_a_function_of_plain_inputs(corpus):
+    # score_file needs no runner: the file's waveform and ordinal, its
+    # passes, the reference sets and models they use and the config; a
+    # reference set given as error text fails exactly the passes whose
+    # chains use it, with that text
+    _, _, manifest, config = corpus
+
+    def read(subset, label):
+        return [(i, read_wav(manifest.resolve(e))) for i, e in manifest.select(subset, label)]
+
+    models = {(label, "O", "lfcc"): train_gmm(
+        stack_features([lfcc(w, config.lfcc) for _, w in read("train", label)]),
+        k=config.gmm_components, iters=config.em_iters) for label in LABELS}
+    pooled = (cdf_from_pmf(estimate_pmf([w for _, w in read("train", "genuine")])),)
+    references = {("G", config.cm_source): pooled, ("R", config.cm_source): "InputError: no pool"}
+    role = int(SeedRole.COUNTERMEASURE)
+    treated, failed = (("G", role, config.cm_source),), (("R", role, config.cm_source),)
+    params = GenuinizeParams(mode="perturbed", extra_bits=config.extra_bits,
+                             seed=role_seed(config.seed, role))
+    for index, waveform in read("test", "spoof"):
+        passes = [(key, chain) for key in models for chain in ((), treated, failed)]
+        table = score_file(waveform, index, passes, references, models, config)
+        assert set(table) == set(passes)
+        for key, model in models.items():
+            for chain, audio in (((), waveform),
+                                 (treated, genuinize(waveform, params, pooled, index))):
+                loglik, seconds = table[key, chain]
+                assert loglik == gmm_loglik(model, lfcc(audio, config.lfcc))
+                assert isinstance(seconds, float) and seconds >= 0.0
+            assert table[key, failed] == "InputError: no pool"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_failed_treatment_step_fails_only_its_scenarios_once_per_pass(tmp_path, monkeypatch,
+                                                                        workers):
+    # the attacker's perturbed step raises: the 15 aG rows carry its text,
+    # the other 30 keep their EERs, and the step runs once per spoof test
+    # file, whatever chains extend it and models score them
+    manifest_path = make_toy_corpus(tmp_path, seed=0, files_per_class=3, duration_s=0.4)
+    manifest, config = load_run_setup(manifest_path, tmp_path / "config.json", workers=workers)
+    expected = run_matrix(manifest, config)
+    attacker, original, raised = role_seed(config.seed, SeedRole.ATTACKER), genuinize, []
+
+    def failing_genuinize(w, params, references, ordinal=0):
+        if params.mode == "perturbed" and params.seed == attacker:
+            raised.append(ordinal)
+            raise InputError("the attacker's step fails")
+        return original(w, params, references, ordinal)
+
+    monkeypatch.setattr("wavespoof.experiment.genuinize", failing_genuinize)
+    results = run_matrix(manifest, config)
+    assert [r.spec for r in results] == [r.spec for r in expected]
+    failed = [r for r in results if r.spec.attacker_action == "G"]
+    assert len(failed) == 15
+    assert all(r.eer is None and r.error == "InputError: the attacker's step fails"
+               for r in failed)
+    assert [(r.eer, r.error) for r in results if r.spec.attacker_action != "G"] == [
+        (r.eer, None) for r in expected if r.spec.attacker_action != "G"]
+    assert sorted(raised) == [i for i, _ in manifest.select("test", "spoof")]
 
 
 def test_a_16_khz_bundled_corpus_runs_every_row(tmp_path):
@@ -662,8 +732,9 @@ def test_matrix_scores_each_model_file_chain_once(corpus, monkeypatch, workers):
         spoof_model = naive.model("spoof", spec.s_train, spec.feature)
 
         def score(index, label):
-            features = naive.features({}, index, naive._test_chain(spec, label), spec.feature)
-            return score_trial(genuine_model, spoof_model, features)
+            chain = naive._test_chain(spec, label)
+            treated = _treat(naive.waveform(index), index, chain, naive.references, config)
+            return score_trial(genuine_model, spoof_model, lfcc(treated, config.lfcc))
 
         assert genuine_llrs == [score(i, "genuine") for i, _ in test_genuine]
         assert spoof_llrs == [score(i, "spoof") for i, _ in test_spoof]
